@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import KernelError
 from .formula import And, Formula, L, Not, Or, Top
@@ -130,25 +130,37 @@ def generators(
     """
     universe = kernel.state_set
     members: dict[frozenset, Formula] = {universe: Top()}
+    # measures[c][k]: theta(k-th state)(c), taken once per member
+    measures: dict[frozenset, list[Rate]] = {}
 
-    def add(candidate: frozenset, formula: Formula) -> bool:
+    def add(candidate: frozenset, build: Callable[[], Formula]) -> bool:
+        # the defining formula is only built for a new member
         if candidate in members:
             return False
-        members[candidate] = formula
+        members[candidate] = build()
         return True
 
     changed = True
     while changed:
         changed = False
-        pool = sorted(
-            {kernel.measure(x, c) for x in kernel.states for c in members}
-        )
+        for c in members:
+            if c not in measures:
+                measures[c] = [kernel.measure(x, c) for x in kernel.states]
+        pool = sorted({v for row in measures.values() for v in row})
         for c, f in sorted_items(kernel, members):
+            row = measures[c]
+            # states by ascending measure into c; the threshold set at r is
+            # the suffix from the first state measuring at least r
+            ranked = sorted(range(len(row)), key=row.__getitem__)
+            start, previous = 0, -1
             for r in pool:
-                threshold = frozenset(
-                    x for x in kernel.states if kernel.measure(x, c) >= r
-                )
-                if add(threshold, L(r + formula_slack, f)):
+                while start < len(ranked) and row[ranked[start]] < r:
+                    start += 1
+                if start == previous:
+                    continue  # same threshold set as the previous rate
+                previous = start
+                threshold = frozenset(kernel.states[k] for k in ranked[start:])
+                if add(threshold, lambda: L(r + formula_slack, f)):
                     changed = True
         # lattice closure; complement too when extended
         closing = True
@@ -156,12 +168,12 @@ def generators(
             closing = False
             snapshot = sorted_items(kernel, members)
             for i, (c1, f1) in enumerate(snapshot):
-                if extended and add(universe - c1, Not(f1)):
+                if extended and add(universe - c1, lambda: Not(f1)):
                     closing = changed = True
                 for c2, f2 in snapshot[i + 1 :]:
-                    if add(c1 | c2, Or(f1, f2)):
+                    if add(c1 | c2, lambda: Or(f1, f2)):
                         closing = changed = True
-                    if add(c1 & c2, And(f1, f2)):
+                    if add(c1 & c2, lambda: And(f1, f2)):
                         closing = changed = True
     return GeneratorFamily(
         kernel=kernel,

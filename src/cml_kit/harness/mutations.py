@@ -48,8 +48,10 @@ def _singleton_bisimulation(kernel: Kernel):
     Plugged into the order solver this amounts to skipping the saturation
     step. The plain fixpoint provably does not change (its conditions only
     inspect block-closed sets, so bisimilar states always receive identical
-    verdicts), but the essential reduction's per-block capacities and its
-    extended-family guard are saturation-dependent and misbehave loudly.
+    verdicts), but the essential reduction's per-block capacities are
+    saturation-dependent: split into singletons, a block's capacity is shared
+    out among its states, so bisimilar pairs drop out of the essential order
+    and it is no longer closed under bisimulation.
     """
     blocks = tuple(frozenset({s}) for s in kernel.states)
     return equivalence_mod.Partition(blocks, rounds=0)

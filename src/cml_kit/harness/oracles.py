@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ..errors import SearchBudgetExceeded
 from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
 
@@ -24,13 +25,20 @@ _ZERO = Fraction(0)
 Pair = tuple[frozenset, frozenset]
 
 
-def _modal_pair(kernel: Kernel, pair: Pair, e: Rate, negated: bool) -> list[Pair]:
-    """All distinct literal pairs over one body pair, sweeping the rate."""
+def _literal_pairs(
+    kernel: Kernel, pair: Pair, e: Rate, negated_literals: bool
+) -> list[Pair]:
+    """All distinct literal pairs over one body pair, sweeping the rate.
+
+    Positive literals always, and negated ones too when ``negated_literals``.
+    """
     s0, se = pair
-    breaks = {kernel.measure(x, s0) for x in kernel.states}
-    breaks |= {kernel.measure(x, se) + e for x in kernel.states}
-    breaks |= {kernel.measure(x, se) for x in kernel.states}
-    sweep = sorted(r for r in breaks if r >= 0)
+    states = kernel.states
+    # each state's rate into either body, measured once for the whole sweep
+    into_s0 = [kernel.measure(x, s0) for x in states]
+    into_se = [kernel.measure(x, se) for x in states]
+    shifted = [v + e for v in into_se]
+    sweep = sorted(r for r in {*into_s0, *into_se, *shifted} if r >= 0)
     if sweep:
         sweep.append(sweep[-1] + 1)
     else:
@@ -38,17 +46,11 @@ def _modal_pair(kernel: Kernel, pair: Pair, e: Rate, negated: bool) -> list[Pair
     out = []
     universe = kernel.state_set
     for r in sweep:
-        left = frozenset(x for x in kernel.states if kernel.measure(x, s0) >= r)
-        if negated:
-            right = frozenset(
-                x for x in kernel.states if kernel.measure(x, se) >= r
-            )
+        left = frozenset(x for x, v in zip(states, into_s0) if v >= r)
+        out.append((left, frozenset(x for x, v in zip(states, shifted) if v >= r)))
+        if negated_literals:
+            right = frozenset(x for x, v in zip(states, into_se) if v >= r)
             out.append((universe - left, universe - right))
-        else:
-            right = frozenset(
-                x for x in kernel.states if kernel.measure(x, se) + e >= r
-            )
-            out.append((left, right))
     return out
 
 
@@ -63,13 +65,9 @@ def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool,
     while True:
         fresh: set[Pair] = set()
         for pair in pairs:
-            for lit in _modal_pair(kernel, pair, e, negated=False):
+            for lit in _literal_pairs(kernel, pair, e, negated_literals):
                 if lit not in pairs:
                     fresh.add(lit)
-            if negated_literals:
-                for lit in _modal_pair(kernel, pair, e, negated=True):
-                    if lit not in pairs:
-                        fresh.add(lit)
         snapshot = sorted(
             pairs | fresh, key=lambda p: (sorted(p[0]), sorted(p[1]))
         )
@@ -82,7 +80,7 @@ def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool,
             return frozenset(pairs)
         pairs |= fresh
         if len(pairs) > cap:
-            raise RuntimeError(f"pair saturation exceeded {cap} pairs")
+            raise SearchBudgetExceeded(f"pair saturation exceeded {cap} pairs")
 
 
 def transfer_plain(kernel: Kernel, e: Rate) -> dict:

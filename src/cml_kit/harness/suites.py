@@ -436,7 +436,7 @@ def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
         if not lo <= hi:
             report.fail("order not monotone in the slack", kernel)
     # sampled block-diagonal sub-bisimulations satisfy the plain condition
-    family = solver.family_blocks(extended=False)
+    family = solver.family_blocks()
     n = solver.n_blocks
     for select in itertools.chain.from_iterable(
         itertools.combinations(range(n), k) for k in range(1, min(n, 3) + 1)

@@ -5,7 +5,9 @@ slack values of generator-set measure comparisons, so the infimum is attained
 and can be found by an exact scan over collected breakpoints. The scan is
 self-certifying: it grows the breakpoint pool with every slack observed during
 feasibility runs until the run just below the answer produces no value inside
-the open gap, which proves no smaller slack is feasible.
+the open gap, which proves no smaller slack is feasible. A feasibility run
+hands its collector each distinct slack it compared once, as an exact
+Fraction, at the end of the run.
 """
 
 from __future__ import annotations

@@ -15,20 +15,27 @@ monotone in R). The essential condition's lower bound is antitone in R, so
 essential order contains it. Membership is decided by a decreasing repair
 iteration from the plain order plus a backtracking witness search for the
 pairs that iteration drops.
+
+The solver computes on exact integers. It scales the block-measure matrix by
+D, the least common multiple of its denominators, so every block measure and
+every slack is an integer multiple of 1/D. Sets of blocks are bitmasks. A
+slack x (an integer, in units of 1/D) exceeds e exactly when x > floor(e·D),
+because x is an integer; every comparison with e is made that way. Fractions
+remain the boundary: ``totals`` and ``_theta`` are unscaled, and a slack
+collector receives each distinct slack of a run once, as Fraction(x, D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .equivalence import Partition, bisimulation, generators
 from .errors import InternalCheckError, KernelError, SearchBudgetExceeded
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
-
-_ZERO = Fraction(0)
 
 BlockPair = tuple[int, int]
 SlackCollector = Optional[Callable[[Fraction], None]]
@@ -45,56 +52,77 @@ class EpsilonOrder:
 
 
 class OrderSolver:
-    """Per-kernel solver caching the partition, families and block measures."""
+    """Per-kernel solver caching the partition, family and block measures."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self.partition: Partition = bisimulation(kernel)
         self.blocks = self.partition.blocks
         self.n_blocks = len(self.blocks)
+        self._block_index = {s: i for i, b in enumerate(self.blocks) for s in b}
         order = {s: i for i, s in enumerate(kernel.states)}
         self.reps = [min(b, key=order.__getitem__) for b in self.blocks]
-        # bm[i][j]: rate of block i's representative into block j; constant on
-        # blocks because blocks are bisimulation classes.
-        self.bm = [
+        # rate of block i's representative into block j; constant on blocks
+        # because blocks are bisimulation classes
+        rates = [
             [kernel.measure(rep, block) for block in self.blocks] for rep in self.reps
         ]
-        self.totals = [sum(row, _ZERO) for row in self.bm]
-        self._family_blocks: dict[bool, list[frozenset]] = {}
+        self.scale = lcm(*(q.denominator for row in rates for q in row))
+        # bm[i][j] is that rate times scale, an integer
+        self.bm = [
+            [q.numerator * (self.scale // q.denominator) for q in row] for row in rates
+        ]
+        self._sums = [sum(row) for row in self.bm]
+        self.totals = [Fraction(t, self.scale) for t in self._sums]
+        # _masses[i][mask]: scaled theta of block i into the blocks of mask
+        self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
+        self._family: Optional[list[frozenset]] = None
+        self._family_masks: list[int] = []
+        # _member_theta[j][k]: scaled theta of block j into family member k
+        self._member_theta: list[list[int]] = []
         self._plain_cache: dict[Rate, frozenset] = {}
         self._essential_cache: dict[Rate, frozenset] = {}
 
-    # --- families at block level ---------------------------------------
+    # --- exact integer core ----------------------------------------------
 
-    def family_blocks(self, extended: bool) -> list[frozenset]:
-        if extended not in self._family_blocks:
-            family = generators(self.kernel, extended=extended)
-            block_index = {b: i for i, b in enumerate(self.blocks)}
-            converted = []
-            for member in family.sorted_sets():
-                idxs = frozenset(
-                    block_index[self.partition.block_of(s)] for s in member
-                )
-                converted.append(idxs)
-            # members are unions of blocks, so the conversion is lossless
-            for member, idxs in zip(family.sorted_sets(), converted):
-                rebuilt = frozenset().union(*(self.blocks[i] for i in idxs)) if idxs else frozenset()
-                if rebuilt != member:
+    def _mass(self, i: int, mask: int) -> int:
+        masses = self._masses[i]
+        value = masses.get(mask)
+        if value is None:
+            row = self.bm[i]
+            value = sum(row[b] for b in range(self.n_blocks) if mask >> b & 1)
+            masses[mask] = value
+        return value
+
+    def _limit(self, e: Rate) -> int:
+        # an integer slack x exceeds e exactly when x > floor(e * scale)
+        return e.numerator * self.scale // e.denominator
+
+    def _theta(self, i: int, blockset: frozenset) -> Fraction:
+        # unscaled, so that checks outside the solver compare it with e as is
+        return Fraction(sum(self.bm[i][b] for b in blockset), self.scale)
+
+    # --- family at block level -------------------------------------------
+
+    def family_blocks(self) -> list[frozenset]:
+        """The plain generator family, each member as a set of block indices."""
+        if self._family is None:
+            converted = set()
+            for member in generators(self.kernel).sets:
+                idxs = frozenset(self._block_index[s] for s in member)
+                # members are unions of blocks, so the conversion is lossless
+                if sum(len(self.blocks[i]) for i in idxs) != len(member):
                     raise InternalCheckError(
                         "generator member is not a union of bisimulation blocks"
                     )
-            if extended and len(set(converted)) != 2 ** self.n_blocks:
-                raise InternalCheckError(
-                    "extended family does not separate the bisimulation blocks"
-                )
-            self._family_blocks[extended] = sorted(
-                set(converted), key=lambda c: (len(c), sorted(c))
-            )
-        return self._family_blocks[extended]
-
-    def _theta(self, i: int, blockset: frozenset) -> Fraction:
-        row = self.bm[i]
-        return sum((row[b] for b in blockset), _ZERO)
+                converted.add(idxs)
+            self._family = sorted(converted, key=lambda c: (len(c), sorted(c)))
+            self._family_masks = [sum(1 << b for b in c) for c in self._family]
+            self._member_theta = [
+                [self._mass(j, c) for c in self._family_masks]
+                for j in range(self.n_blocks)
+            ]
+        return self._family
 
     # --- plain order: greatest fixpoint ----------------------------------
 
@@ -102,22 +130,36 @@ class OrderSolver:
         e = ensure_rate(e)
         if collector is None and e in self._plain_cache:
             return self._plain_cache[e]
-        family = self.family_blocks(extended=False)
-        pairs = {(i, j) for i in range(self.n_blocks) for j in range(self.n_blocks)}
+        self.family_blocks()
+        masks = self._family_masks
+        limit = self._limit(e)
+        mass = self._mass
+        slacks: set[int] = set()
+        n = self.n_blocks
+        pairs = {(i, j) for i in range(n) for j in range(n)}
         while True:
-            lefts_by_member = {}
-            for c in family:
-                lefts_by_member[c] = frozenset(
-                    bi for (bi, bj) in pairs if bj in c
-                )
+            # closures[k]: member k together with the blocks R-related into it
+            into = [0] * n
+            for (i, j) in pairs:
+                into[j] |= 1 << i
+            closures = []
+            for c in masks:
+                closure = c
+                for j in range(n):
+                    if c >> j & 1:
+                        closure |= into[j]
+                closures.append(closure)
+            # closure_mass[i][k]: scaled theta of block i into closures[k]
+            closure_mass = {}
             violated = set()
             for (i, j) in pairs:
-                for c in family:
-                    closure_c = c | lefts_by_member[c]
-                    slack = self._theta(j, c) - self._theta(i, closure_c)
+                if i not in closure_mass:
+                    closure_mass[i] = [mass(i, closure) for closure in closures]
+                for theta_c, theta_i in zip(self._member_theta[j], closure_mass[i]):
+                    slack = theta_c - theta_i
                     if collector is not None:
-                        collector(slack)
-                    if slack > e:
+                        slacks.add(slack)
+                    if slack > limit:
                         violated.add((i, j))
                         break
             if not violated:
@@ -126,6 +168,9 @@ class OrderSolver:
         out = frozenset(pairs)
         if collector is None:
             self._plain_cache[e] = out
+        else:
+            for slack in slacks:
+                collector(Fraction(slack, self.scale))
         return out
 
     # --- essential order: witness membership -----------------------------
@@ -134,8 +179,6 @@ class OrderSolver:
         e = ensure_rate(e)
         if e in self._essential_cache:
             return self._essential_cache[e]
-        # reduction to per-block bounds needs the full block algebra
-        self.family_blocks(extended=True)
         plain = self.plain_pairs(e)
         stable = self._repair_iteration(plain, e)
         out = set(stable)
@@ -149,29 +192,25 @@ class OrderSolver:
     def _lower_ok(self, pair: BlockPair, rel: frozenset) -> bool:
         # theta_i of the pullback of each block must not exceed theta_j of it
         i, j = pair
-        row_i, row_j = self.bm[i], self.bm[j]
-        for b in range(self.n_blocks):
-            bound = row_j[b]
-            mass = _ZERO
-            for (bi, bj) in rel:
-                if bj == b:
-                    mass += row_i[bi]
-                    if mass > bound:
-                        return False
-        return True
+        into = [0] * self.n_blocks
+        for (bi, bj) in rel:
+            into[bj] |= 1 << bi
+        row_j = self.bm[j]
+        return all(self._mass(i, into[b]) <= row_j[b] for b in range(self.n_blocks))
 
     def _upper_ok(self, pair: BlockPair, rel: frozenset, e: Rate) -> bool:
         # total slack is maximal at the full state set
         i, j = pair
-        lefts = {bi for (bi, _) in rel}
-        covered = sum((self.bm[i][bi] for bi in lefts), _ZERO)
-        return self.totals[j] - covered <= e
+        lefts = 0
+        for (bi, _) in rel:
+            lefts |= 1 << bi
+        return self._sums[j] - self._mass(i, lefts) <= self._limit(e)
 
     def _band_ok(self, pair: BlockPair, e: Rate) -> bool:
         # the full-set constraint both ways: total rates within [0, e] of
         # each other, never smaller on the dominating side
         i, j = pair
-        return self.totals[i] <= self.totals[j] <= self.totals[i] + e
+        return 0 <= self._sums[j] - self._sums[i] <= self._limit(e)
 
     def _essential_ok(self, pair: BlockPair, rel: frozenset, e: Rate) -> bool:
         return (
@@ -181,11 +220,11 @@ class OrderSolver:
         )
 
     def _repair_iteration(self, start: frozenset, e: Rate) -> frozenset:
-        rel = set(start)
+        rel = frozenset(start)
         while True:
-            keep = {p for p in rel if self._essential_ok(p, frozenset(rel), e)}
+            keep = frozenset(p for p in rel if self._essential_ok(p, rel, e))
             if len(keep) == len(rel):
-                return frozenset(rel)
+                return rel
             rel = keep
 
     def _witness_exists(

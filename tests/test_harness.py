@@ -13,7 +13,9 @@ from cml_kit.harness import (
     shrink,
     small_budget,
 )
+from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.mutations import REGISTRY, catching_suite, mutated
+from cml_kit.harness.oracles import saturate_pairs
 from cml_kit.harness.suites import SUITES
 from cml_kit.kernel import validate
 
@@ -116,6 +118,12 @@ def test_mutation_restores_original():
     with mutated("eval-drop-epsilon"):
         assert semantics._modal_holds is not original
     assert semantics._modal_holds is original
+
+
+def test_pair_saturation_cap_raises_budget_error():
+    kernel = gen_kernel(KernelGenConfig(max_states=3, density=Q(1), seed=4))
+    with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 3 pairs"):
+        saturate_pairs(kernel, Q(1, 10), negated_literals=True, cap=3)
 
 
 def test_shrink_keeps_failure():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cml_kit import Kernel, bisimulation, holds, largest_order
+from cml_kit import Kernel, bisimulation, distance, holds, largest_order
 from cml_kit.harness.generate import corpus
 from cml_kit.orders import OrderSolver
 
@@ -77,7 +77,7 @@ def test_fixpoint_satisfies_its_own_condition():
         solver = OrderSolver(kernel)
         for e in (Q(0), EPS, Q(1)):
             pairs = solver.plain_pairs(e)
-            family = solver.family_blocks(extended=False)
+            family = solver.family_blocks()
             for (i, j) in pairs:
                 for c in family:
                     pull = frozenset(bi for (bi, bj) in pairs if bj in c)
@@ -115,6 +115,29 @@ def test_deadlock_is_below_everything_but_not_above():
     assert not holds(quiet, "a", busy, "b", 0)
     assert not holds(quiet, "a", busy, "b", Q(49, 10))
     assert holds(quiet, "a", busy, "b", 5)
+
+
+def test_integer_scaling_keeps_the_exact_boundary():
+    # rates with denominators 3 and 7 scale by D = 21; the root slack is
+    # 4/7 - 1/3 = 5/21, and just below it e * D is no integer
+    from cml_kit.kernel import disjoint_union, left_tag, right_tag
+
+    low = Kernel(["a", "x"], {("a", "x"): Q(1, 3)})
+    high = Kernel(["b", "y"], {("b", "y"): Q(4, 7)})
+    e = Q(5, 21)
+    below = e - Q(1, 1000)
+    assert (below * 21).denominator != 1
+    for essential in (False, True):
+        assert holds(low, "a", high, "b", e, essential)
+        assert not holds(low, "a", high, "b", below, essential)
+    assert distance(low, "a", high, "b").value == e
+    solver = OrderSolver(disjoint_union(low, high))
+    assert solver.scale == 21
+    pair = solver.block_pair_of(left_tag("a"), right_tag("b"))
+    assert solver._band_ok(pair, e) and not solver._band_ok(pair, below)
+    deadlocks = solver.block_pair_of(left_tag("x"), right_tag("y"))
+    rel = frozenset({pair, deadlocks})
+    assert solver._upper_ok(pair, rel, e) and not solver._upper_ok(pair, rel, below)
 
 
 def test_unknown_states_rejected(fig1):
