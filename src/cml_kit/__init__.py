@@ -12,14 +12,12 @@ from .errors import (
 )
 from .kernel import (
     Kernel,
-    closure,
     disjoint_union,
     dumps_kernel,
     kernel_to_doc,
     left_tag,
     load_kernel,
     loads_kernel,
-    measure,
     right_tag,
     validate,
 )
@@ -44,10 +42,8 @@ from .formula import (
 )
 from .semantics import (
     Evaluator,
-    Extension,
     default_rate_grid,
     eval_formula,
-    extension_of,
     sat,
     search_model,
     valid_on,

@@ -16,16 +16,9 @@ from .equivalence import bisimulation
 from .errors import CMLError, InternalCheckError
 from .formula import encode_abs, encode_down, encode_up, parse, print_formula
 from .harness.suites import BUDGETS, SUITES, run_suite
-from .kernel import (
-    Kernel,
-    disjoint_union,
-    kernel_to_doc,
-    left_tag,
-    load_kernel,
-    right_tag,
-)
+from .kernel import Kernel, kernel_to_doc, load_kernel
 from .metric import distance
-from .orders import OrderSolver
+from .orders import union_solver
 from .rational import format_rate, parse_rate
 from .semantics import eval_formula, sat, search_model, valid_on
 
@@ -125,9 +118,7 @@ def cmd_order(args) -> int:
     k1 = load_kernel(args.model1)
     k2 = load_kernel(args.model2)
     e = parse_rate(args.epsilon)
-    union = disjoint_union(k1, k2)
-    solver = OrderSolver(union)
-    pair = solver.block_pair_of(left_tag(args.state1), right_tag(args.state2))
+    solver, pair = union_solver(k1, args.state1, k2, args.state2)
     pairs = (
         solver.essential_pairs(e) if args.essential else solver.plain_pairs(e)
     )

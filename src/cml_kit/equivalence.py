@@ -34,12 +34,6 @@ class Partition:
                 return block
         raise KernelError(f"unknown state {state!r}")
 
-    def index_of(self, state: str) -> int:
-        for i, block in enumerate(self.blocks):
-            if state in block:
-                return i
-        raise KernelError(f"unknown state {state!r}")
-
     def same_block(self, a: str, b: str) -> bool:
         return self.block_of(a) is self.block_of(b)
 

@@ -135,10 +135,6 @@ def validate(kernel: Kernel) -> None:
             raise KernelError(f"negative rate {format_rate(r)} on ({s!r}, {t!r})")
 
 
-def measure(kernel: Kernel, source: str, targets: frozenset) -> Rate:
-    return kernel.measure(source, targets)
-
-
 def left_tag(state: str) -> str:
     return f"L:{state}"
 
@@ -159,16 +155,6 @@ def disjoint_union(k1: Kernel, k2: Kernel) -> Kernel:
     for s, t, r in k2.rate_items():
         rates[(right_tag(s), right_tag(t))] = r
     return Kernel(states, rates)
-
-
-def closure(members: frozenset, relation: frozenset) -> frozenset:
-    """members ∪ {m | some n in members has (n, m) in relation}.
-
-    Extensive by construction, monotone in both arguments, and idempotent for
-    preorders.
-    """
-    image = {m for (n, m) in relation if n in members}
-    return frozenset(members) | image
 
 
 # --- JSON model files -------------------------------------------------------

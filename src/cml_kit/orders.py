@@ -20,9 +20,9 @@ The solver computes on exact integers. It scales the block-measure matrix by
 D, the least common multiple of its denominators, so every block measure and
 every slack is an integer multiple of 1/D. Sets of blocks are bitmasks. A
 slack x (an integer, in units of 1/D) exceeds e exactly when x > floor(e·D),
-because x is an integer; every comparison with e is made that way. Fractions
-remain the boundary: ``totals`` and ``_theta`` are unscaled, and a slack
-collector receives each distinct slack of a run once, as Fraction(x, D).
+because x is an integer; every comparison with e is made that way, so the
+plain fixpoint depends on e only through floor(e·D). ``metric`` relies on
+that. Fractions remain the boundary: ``totals`` and ``_theta`` are unscaled.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional
+from typing import Optional
 
 from .equivalence import Partition, bisimulation, generators
 from .errors import InternalCheckError, KernelError, SearchBudgetExceeded
@@ -38,7 +38,6 @@ from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
 
 BlockPair = tuple[int, int]
-SlackCollector = Optional[Callable[[Fraction], None]]
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ class OrderSolver:
         self._family_masks: list[int] = []
         # _member_theta[j][k]: scaled theta of block j into family member k
         self._member_theta: list[list[int]] = []
-        self._plain_cache: dict[Rate, frozenset] = {}
+        # plain pairs keyed by floor(e * scale), the only way they depend on e
+        self._plain_cache: dict[int, frozenset] = {}
         self._essential_cache: dict[Rate, frozenset] = {}
 
     # --- exact integer core ----------------------------------------------
@@ -126,15 +126,14 @@ class OrderSolver:
 
     # --- plain order: greatest fixpoint ----------------------------------
 
-    def plain_pairs(self, e: Rate, collector: SlackCollector = None) -> frozenset:
-        e = ensure_rate(e)
-        if collector is None and e in self._plain_cache:
-            return self._plain_cache[e]
+    def plain_pairs(self, e: Rate) -> frozenset:
+        limit = self._limit(ensure_rate(e))
+        cached = self._plain_cache.get(limit)
+        if cached is not None:
+            return cached
         self.family_blocks()
         masks = self._family_masks
-        limit = self._limit(e)
         mass = self._mass
-        slacks: set[int] = set()
         n = self.n_blocks
         pairs = {(i, j) for i in range(n) for j in range(n)}
         while True:
@@ -156,21 +155,14 @@ class OrderSolver:
                 if i not in closure_mass:
                     closure_mass[i] = [mass(i, closure) for closure in closures]
                 for theta_c, theta_i in zip(self._member_theta[j], closure_mass[i]):
-                    slack = theta_c - theta_i
-                    if collector is not None:
-                        slacks.add(slack)
-                    if slack > limit:
+                    if theta_c - theta_i > limit:
                         violated.add((i, j))
                         break
             if not violated:
                 break
             pairs -= violated
         out = frozenset(pairs)
-        if collector is None:
-            self._plain_cache[e] = out
-        else:
-            for slack in slacks:
-                collector(Fraction(slack, self.scale))
+        self._plain_cache[limit] = out
         return out
 
     # --- essential order: witness membership -----------------------------
@@ -279,7 +271,11 @@ class OrderSolver:
         return EpsilonOrder(epsilon=e, relation=frozenset(relation), essential=essential)
 
     def block_pair_of(self, m: str, n: str) -> BlockPair:
-        return (self.partition.index_of(m), self.partition.index_of(n))
+        index = self._block_index
+        for state in (m, n):
+            if state not in index:
+                raise KernelError(f"unknown state {state!r}")
+        return (index[m], index[n])
 
 
 def largest_order(kernel: Kernel, e: Rate, essential: bool = False) -> EpsilonOrder:
@@ -287,16 +283,24 @@ def largest_order(kernel: Kernel, e: Rate, essential: bool = False) -> EpsilonOr
     return OrderSolver(kernel).order(e, essential)
 
 
+def union_solver(
+    k1: Kernel, m: str, k2: Kernel, n: str
+) -> tuple[OrderSolver, BlockPair]:
+    """The solver of the tagged union of k1 and k2, and the block pair of (m, n).
+
+    States are checked in their own kernels, so an error never shows a tag.
+    """
+    for kernel, state in ((k1, m), (k2, n)):
+        if state not in kernel.state_set:
+            raise KernelError(f"unknown state {state!r}")
+    solver = OrderSolver(disjoint_union(k1, k2))
+    return solver, solver.block_pair_of(left_tag(m), right_tag(n))
+
+
 def holds(
     k1: Kernel, m: str, k2: Kernel, n: str, e: Rate, essential: bool = False
 ) -> bool:
     """Whether (k1, m) is e-below (k2, n), lifted through the tagged disjoint union."""
-    if m not in k1.state_set:
-        raise KernelError(f"unknown state {m!r}")
-    if n not in k2.state_set:
-        raise KernelError(f"unknown state {n!r}")
-    union = disjoint_union(k1, k2)
-    solver = OrderSolver(union)
-    pair = solver.block_pair_of(left_tag(m), right_tag(n))
-    pairs = solver.essential_pairs(e) if essential else solver.plain_pairs(ensure_rate(e))
+    solver, pair = union_solver(k1, m, k2, n)
+    pairs = solver.essential_pairs(e) if essential else solver.plain_pairs(e)
     return pair in pairs

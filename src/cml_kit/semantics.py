@@ -8,7 +8,6 @@ are classical: negation is exact complement at every e.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -18,15 +17,6 @@ from .kernel import Kernel
 from .rational import Rate, ensure_rate
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Extension:
-    """A formula's satisfying states at one slack, as computed by the evaluator."""
-
-    formula: Formula
-    epsilon: Rate
-    states: frozenset
 
 
 def _modal_holds(total: Rate, e: Rate, r: Rate) -> bool:
@@ -98,12 +88,6 @@ class Evaluator:
 def eval_formula(kernel: Kernel, f: Formula, e: Rate) -> frozenset:
     """The extension {m | m satisfies f at slack e}."""
     return Evaluator(kernel).extension(f, e)
-
-
-def extension_of(kernel: Kernel, f: Formula, e: Rate) -> Extension:
-    """The extension packaged with the formula and slack that produced it."""
-    e = ensure_rate(e)
-    return Extension(f, e, eval_formula(kernel, f, e))
 
 
 def sat(kernel: Kernel, state: str, f: Formula, e: Rate) -> bool:

@@ -89,6 +89,19 @@ def test_malformed_formula_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("side", ["-s1", "-s2"])
+def test_order_unknown_state_names_it_untagged(capsys, side):
+    states = {"-s1": "m", "-s2": "n"}
+    states[side] = "zz"
+    argv = ["order", "-m1", model_path("fig1"), "-m2", model_path("fig4n"), "-e", "0"]
+    for flag, state in states.items():
+        argv += [flag, state]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'zz'" in err
+    assert "L:" not in err and "R:" not in err
+
+
 def test_float_epsilon_rejected(capsys):
     code = main(["eval", "-m", model_path("fig1"), "-f", "T", "-e", "0.1.2"])
     assert code == 2

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from cml_kit import (
     Kernel,
     KernelError,
-    closure,
     disjoint_union,
     dumps_kernel,
     left_tag,
@@ -95,22 +94,6 @@ def test_union_with_empty_kernel(fig1):
     assert u.measure("L:m", S({"L:m2", "L:m4"})) == 5
 
 
-def test_closure_identity():
-    c = S({"a", "b"})
-    identity = S({("a", "a"), ("b", "b"), ("c", "c")})
-    assert closure(c, identity) == c
-
-
-def test_closure_empty():
-    assert closure(S(), S({("a", "b")})) == S()
-
-
-def test_closure_order_example():
-    # image of {m1} under the displayed relation, plus {m1} itself
-    relation = S({("m", "n"), ("m1", "n1"), ("m2", "n2"), ("m4", "n2")})
-    assert closure(S({"m1"}), relation) == S({"m1", "n1"})
-
-
 states_st = st.lists(
     st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=5, unique=True
 )
@@ -144,18 +127,6 @@ def test_union_preserves_left_measures(k1, k2):
     tagged = S(map(left_tag, k1.states))
     for m in k1.states:
         assert u.measure(left_tag(m), tagged) == k1.total(m)
-
-
-@given(
-    st.sets(st.sampled_from("abcde")),
-    st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"))),
-    st.sets(st.tuples(st.sampled_from("abcde"), st.sampled_from("abcde"))),
-)
-def test_closure_extensive_and_monotone(c, r1, r2):
-    c = S(c)
-    r1, r2 = S(r1), S(r2)
-    assert c <= closure(c, r1)
-    assert closure(c, r1) <= closure(c, r1 | r2)
 
 
 def test_json_round_trip(fig1):

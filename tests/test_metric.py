@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from cml_kit import Kernel, bisimilar, distance, holds
+from cml_kit import Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
 from cml_kit.harness.generate import corpus
 
 Q = Fraction
@@ -30,6 +30,20 @@ def test_distance_attained_and_tight(fig1, fig4o):
     assert not (
         holds(fig1, "m", fig4o, "o", below) and holds(fig4o, "o", fig1, "m", below)
     )
+    # a union whose scale D (lcm of block-measure denominators) is 1001: the
+    # answer sits on the grid k/D and no slack off the grid below it works
+    k1 = Kernel(
+        ["a", "a1", "a2"],
+        {("a", "a1"): Q(3, 7), ("a", "a2"): Q(5, 11), ("a1", "a2"): Q(2, 13)},
+    )
+    k2 = Kernel(["b", "b1"], {("b", "b1"): Q(6, 7), ("b1", "b1"): Q(1, 11)})
+    scale = OrderSolver(disjoint_union(k1, k2)).scale
+    assert scale >= 1000
+    d = distance(k1, "a", k2, "b")
+    assert d.value == d.attained_at == Q(1, 11)
+    assert holds(k1, "a", k2, "b", d.value) and holds(k2, "b", k1, "a", d.value)
+    below = d.value - Q(1, 1000 * scale)
+    assert not (holds(k1, "a", k2, "b", below) and holds(k2, "b", k1, "a", below))
 
 
 def test_pseudometric_axioms_on_generated_kernels():
@@ -62,9 +76,9 @@ def test_deadlock_distance_is_exit_rate():
 
 
 def test_scan_recovers_from_missed_breakpoint():
-    # regression: the initial slack pool misses the true threshold here, so
-    # the bisection probe comes back feasible and the scan must learn the new
-    # breakpoint instead of giving up
+    # regression: the answer 2 is compared as a slack neither in the run at 0
+    # nor in the run at the largest exit total, so it must come from the
+    # integer grid k/D, not from the slacks those runs compare
     k = Kernel(
         ["s0", "s1", "s2", "s3"],
         {
