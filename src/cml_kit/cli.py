@@ -287,12 +287,14 @@ def main(argv=None) -> int:
         parser.error(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}"
         )
+    if args.command == "search" and args.max_states < 1:
+        parser.error(f"argument --max-states: must be at least 1, got {args.max_states}")
     try:
         return args.fn(args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (CMLError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (CMLError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

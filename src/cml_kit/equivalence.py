@@ -2,23 +2,28 @@
 
 Refinement starts from one block and repeatedly splits blocks whose members
 assign different measures to some current block; the fixpoint partition is the
-largest bisimulation. The generator families are grown by saturation: starting
-from the full state set, keep adding threshold sets {m | theta(m)(C) >= r} for
-every family member C and every achievable measure value r, closing under
-union and intersection (and complement for the extended family). Each member
-carries a defining positive-fragment formula (full language when extended).
+largest bisimulation. The generator family is grown by saturation: starting
+from the full state set, add the threshold sets {m | theta(m)(C) >= r} for
+every family member C and every achievable measure value r, and close under
+union and intersection. A worklist closes each member once. Each member is a
+union of bisimulation blocks and carries a defining positive-fragment formula.
+Closing under complement too would give every union of blocks, so that
+family is not built.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import KernelError
-from .formula import And, Formula, L, Not, Or, Top
+from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,6 @@ class GeneratorFamily:
 
     kernel: Kernel
     sets: frozenset
-    extended: bool
     formulas: dict
 
     def __contains__(self, members: frozenset) -> bool:
@@ -109,80 +113,49 @@ class GeneratorFamily:
         return sorted(values)
 
 
-def generators(
-    kernel: Kernel, extended: bool = False, formula_slack: Rate = Fraction(0)
-) -> GeneratorFamily:
-    """Saturate from the full state set under thresholds, unions, intersections.
+def generators(kernel: Kernel, *, formula_slack: Rate = _ZERO) -> GeneratorFamily:
+    """Close the full state set under thresholds, unions and intersections.
 
-    Threshold rates range over the measures achievable on any current member
-    (a single global pool), which keeps the family closed under every
-    extension definable from those rates at any slack. The extended family
-    additionally closes under complement. The recorded defining formulas have
+    A worklist closes each member C once, when it is taken from the queue. It
+    adds the threshold sets {x | theta(x)(C) >= r} for each value r in C's own
+    measure row, the empty set when the row's maximum is below the largest
+    total rate, and the union and intersection of C with every member closed
+    before it. A threshold over C at any rate achievable on the family is
+    either one of those suffixes or empty, and the largest total rate is the
+    largest achievable rate, so the family is closed under every extension
+    definable from those rates at any slack. Every pair of members is joined
+    when the later of the two is closed. The recorded defining formulas have
     extensions equal to their members when evaluated at ``formula_slack``
     (threshold indices are shifted up by it); the member sets themselves do
     not depend on it.
     """
+    states = kernel.states
     universe = kernel.state_set
+    top = max((kernel.measure(x, universe) for x in states), default=_ZERO)
     members: dict[frozenset, Formula] = {universe: Top()}
-    # measures[c][k]: theta(k-th state)(c), taken once per member
-    measures: dict[frozenset, list[Rate]] = {}
+    queue = deque(members)
+    closed: list[tuple[frozenset, Formula]] = []
 
-    def add(candidate: frozenset, build: Callable[[], Formula]) -> bool:
+    def add(candidate: frozenset, build: Callable[..., Formula], *args) -> None:
         # the defining formula is only built for a new member
-        if candidate in members:
-            return False
-        members[candidate] = build()
-        return True
+        if candidate not in members:
+            members[candidate] = build(*args)
+            queue.append(candidate)
 
-    changed = True
-    while changed:
-        changed = False
-        for c in members:
-            if c not in measures:
-                measures[c] = [kernel.measure(x, c) for x in kernel.states]
-        pool = sorted({v for row in measures.values() for v in row})
-        for c, f in sorted_items(kernel, members):
-            row = measures[c]
-            # states by ascending measure into c; the threshold set at r is
-            # the suffix from the first state measuring at least r
-            ranked = sorted(range(len(row)), key=row.__getitem__)
-            start, previous = 0, -1
-            for r in pool:
-                while start < len(ranked) and row[ranked[start]] < r:
-                    start += 1
-                if start == previous:
-                    continue  # same threshold set as the previous rate
-                previous = start
-                threshold = frozenset(kernel.states[k] for k in ranked[start:])
-                if add(threshold, lambda: L(r + formula_slack, f)):
-                    changed = True
-        # lattice closure; complement too when extended
-        closing = True
-        while closing:
-            closing = False
-            snapshot = sorted_items(kernel, members)
-            for i, (c1, f1) in enumerate(snapshot):
-                if extended and add(universe - c1, lambda: Not(f1)):
-                    closing = changed = True
-                for c2, f2 in snapshot[i + 1 :]:
-                    if add(c1 | c2, lambda: Or(f1, f2)):
-                        closing = changed = True
-                    if add(c1 & c2, lambda: And(f1, f2)):
-                        closing = changed = True
-    return GeneratorFamily(
-        kernel=kernel,
-        sets=frozenset(members),
-        extended=extended,
-        formulas=dict(members),
-    )
-
-
-def sorted_items(kernel: Kernel, members: dict) -> list[tuple[frozenset, Formula]]:
-    order = {s: i for i, s in enumerate(kernel.states)}
-    return sorted(
-        members.items(),
-        key=lambda item: (len(item[0]), sorted(order[s] for s in item[0])),
-    )
+    while queue:
+        c = queue.popleft()
+        f = members[c]
+        row = [kernel.measure(x, c) for x in states]
+        for r in sorted(set(row)):
+            threshold = frozenset(x for x, v in zip(states, row) if v >= r)
+            add(threshold, L, r + formula_slack, f)
+        if max(row, default=_ZERO) < top:
+            add(frozenset(), L, top + formula_slack, f)
+        closed.append((c, f))
+        for other, g in closed:
+            add(c | other, Or, f, g)
+            add(c & other, And, f, g)
+    return GeneratorFamily(kernel=kernel, sets=frozenset(members), formulas=members)
 
 
 def partition_from_family(kernel: Kernel, family: Iterable[frozenset]) -> Partition:

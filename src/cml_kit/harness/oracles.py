@@ -10,10 +10,15 @@ rate bound.
 Plain transfer pairs are (ext_0(phi), ext_e(phi)) for positive phi; essential
 pairs are (ext_0(phi), ext_e(|phi|_e)) for full-language phi in negation
 normal form, built compositionally from modal literals.
+
+The transfer oracles return their verdicts together with the saturated pairs,
+so a suite that also checks enumerated formulas saturates each (kernel, e)
+once.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from ..errors import SearchBudgetExceeded
@@ -56,50 +61,58 @@ def _literal_pairs(
 
 def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool,
                    cap: int = 20_000) -> frozenset:
-    """Fixpoint of the pair semantics under literals, conjunction, disjunction."""
+    """Fixpoint of the pair semantics under literals, conjunction, disjunction.
+
+    A worklist closes each pair once, when it is taken from the queue: it adds
+    the pair's literal pairs and its componentwise union and intersection with
+    every pair closed before it. Every two pairs are joined when the later of
+    the two is closed. Raises ``SearchBudgetExceeded`` once the fixpoint is
+    known to hold more than ``cap`` pairs.
+    """
     e = ensure_rate(e)
     universe = kernel.state_set
     pairs: set[Pair] = {(universe, universe)}
     if negated_literals:
         pairs.add((frozenset(), frozenset()))
-    while True:
-        fresh: set[Pair] = set()
-        for pair in pairs:
-            for lit in _literal_pairs(kernel, pair, e, negated_literals):
-                if lit not in pairs:
-                    fresh.add(lit)
-        snapshot = sorted(
-            pairs | fresh, key=lambda p: (sorted(p[0]), sorted(p[1]))
-        )
-        for i, (a0, ae) in enumerate(snapshot):
-            for (b0, be) in snapshot[i + 1 :]:
-                for cand in ((a0 | b0, ae | be), (a0 & b0, ae & be)):
-                    if cand not in pairs:
-                        fresh.add(cand)
-        if not fresh:
-            return frozenset(pairs)
-        pairs |= fresh
-        if len(pairs) > cap:
-            raise SearchBudgetExceeded(f"pair saturation exceeded {cap} pairs")
+    queue = deque(pairs)
+    closed: list[Pair] = []
+
+    def add(candidate: Pair) -> None:
+        if candidate not in pairs:
+            pairs.add(candidate)
+            queue.append(candidate)
+            if len(pairs) > cap:
+                raise SearchBudgetExceeded(f"pair saturation exceeded {cap} pairs")
+
+    while queue:
+        pair = queue.popleft()
+        for lit in _literal_pairs(kernel, pair, e, negated_literals):
+            add(lit)
+        closed.append(pair)
+        a0, ae = pair
+        for (b0, be) in closed:
+            add((a0 | b0, ae | be))
+            add((a0 & b0, ae & be))
+    return frozenset(pairs)
 
 
-def transfer_plain(kernel: Kernel, e: Rate) -> dict:
-    """transfer[(m, n)] is True when every positive formula true at n (slack 0)
-    is true at m (slack e)."""
-    pairs = saturate_pairs(kernel, e, negated_literals=False)
-    verdicts = {}
-    for m in kernel.states:
-        for n in kernel.states:
-            verdicts[(m, n)] = all(m in se for (s0, se) in pairs if n in s0)
-    return verdicts
+def _transfer(kernel: Kernel, e: Rate, negated_literals: bool) -> tuple[dict, frozenset]:
+    pairs = saturate_pairs(kernel, e, negated_literals)
+    verdicts = {
+        (m, n): all(m in se for (s0, se) in pairs if n in s0)
+        for m in kernel.states
+        for n in kernel.states
+    }
+    return verdicts, pairs
 
 
-def transfer_essential(kernel: Kernel, e: Rate) -> dict:
-    """transfer[(m, n)] for the full language with the asymmetric encoding on
-    the approximating side."""
-    pairs = saturate_pairs(kernel, e, negated_literals=True)
-    verdicts = {}
-    for m in kernel.states:
-        for n in kernel.states:
-            verdicts[(m, n)] = all(m in se for (s0, se) in pairs if n in s0)
-    return verdicts
+def transfer_plain(kernel: Kernel, e: Rate) -> tuple[dict, frozenset]:
+    """verdicts[(m, n)] is True when every positive formula true at n (slack 0)
+    is true at m (slack e); returned with the saturated pairs it reads."""
+    return _transfer(kernel, e, negated_literals=False)
+
+
+def transfer_essential(kernel: Kernel, e: Rate) -> tuple[dict, frozenset]:
+    """verdicts[(m, n)] for the full language with the asymmetric encoding on
+    the approximating side; returned with the saturated pairs it reads."""
+    return _transfer(kernel, e, negated_literals=True)

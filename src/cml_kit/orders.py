@@ -4,9 +4,9 @@ A relation R (closed under bisimulation, i.e. a union of block products) is a
 plain e-order when for every (m, n) in R and every definable C,
 theta(n)(C) - theta(m)(C ∪ pullback_R(C)) <= e, where pullback_R(C) is the set
 of states R-related *into* C. The essential variant bounds the same slack into
-[0, e], quantified over the complement-closed family, and uses the bare
-pullback (no C term): including C would force theta(m)(C) = 0 for every C the
-target cannot reach, which contradicts the worked examples this module must
+[0, e], quantified over every union of blocks, and uses the bare pullback
+(no C term): including C would force theta(m)(C) = 0 for every C the target
+cannot reach, which contradicts the worked examples this module must
 reproduce.
 
 The plain largest order is a greatest fixpoint (the deletion condition is

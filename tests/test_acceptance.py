@@ -7,6 +7,7 @@ asymmetric encoding admits counterexamples even at reflexive pairs — and is
 expected to stay red; see the generalization suite docstring and README.
 """
 
+import functools
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -125,6 +126,15 @@ def test_criterion_07a_plain_order_characterization():
         assert report.ok, [f.description for f in report.failures[:3]]
 
 
+@functools.cache
+def _generalization_report():
+    # one run of the generalization suite at the acceptance budget, shared by
+    # criteria 07b and 07c
+    budget = Budget(seed=7, kernels=50, max_states=4, depth=2,
+                    max_formulas=150, epsilons=(Q(0), EPS, Q(1, 3), Q(1)))
+    return run_suite("generalization", budget)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the essential-order completeness direction is unattainable: the "
@@ -134,9 +144,7 @@ def test_criterion_07a_plain_order_characterization():
 )
 def test_criterion_07b_essential_order_generalization():
     with criterion(7, "essential order matches the encoded transfer", 300.0):
-        budget = Budget(seed=7, kernels=50, max_states=4, depth=2,
-                        max_formulas=150, epsilons=(Q(0), EPS, Q(1, 3), Q(1)))
-        report = run_suite("generalization", budget)
+        report = _generalization_report()
         assert report.ok, (
             f"{len(report.failures)} disagreements, all in the completeness "
             f"direction; first: {report.failures[0].description}"
@@ -148,9 +156,7 @@ def test_criterion_07c_essential_order_soundness_direction():
     # pair is essentially ordered, and enumerated behaviors stay inside the
     # exact saturation oracle
     with criterion(7, "essential order soundness direction, 50 kernels", 300.0):
-        budget = Budget(seed=7, kernels=50, max_states=4, depth=2,
-                        max_formulas=150, epsilons=(Q(0), EPS, Q(1, 3), Q(1)))
-        report = run_suite("generalization", budget)
+        report = _generalization_report()
         assert not any(
             "escapes the essential order" in f.description
             or "escapes the saturation" in f.description

@@ -84,6 +84,20 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_directory_model_is_usage_error(tmp_path, capsys):
+    code = main(["eval", "-m", str(tmp_path), "-f", "T", "-e", "0"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_search_nonpositive_max_states_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "-f", "T", "-e", "0", "--max-states", value])
+    assert exc.value.code == 2
+    assert "--max-states" in capsys.readouterr().err
+
+
 def test_malformed_formula_is_usage_error(capsys):
     code = main(["eval", "-m", model_path("fig1"), "-f", "L{-1} T", "-e", "0"])
     assert code == 2

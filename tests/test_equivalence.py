@@ -56,39 +56,47 @@ def test_perturbed_roots_not_bisimilar(fig1, fig4o):
     assert not bisimilar(fig1, "m", fig4o, "o")
 
 
+def _union_of_blocks(members, partition):
+    return all(b <= members or not (b & members) for b in partition.blocks)
+
+
 def test_single_state_families():
     k = Kernel(["a"], {("a", "a"): 3})
-    plain = generators(k, extended=False)
-    extended = generators(k, extended=True)
+    plain = generators(k)
     assert plain.sets == S({S({"a"})})
-    assert extended.sets == S({S(), S({"a"})})
 
 
 def test_branching_kernel_family(fig1):
-    plain = generators(fig1, extended=False)
-    extended = generators(fig1, extended=True)
+    plain = generators(fig1)
     # the positive family: nothing below the root is positively isolable
     assert plain.sets == S(
         {S(), S({"m"}), S({"m", "m2", "m4"}), fig1.state_set}
     )
-    # extended family is the full algebra over the three blocks
-    assert len(extended) == 8
-    assert S({"m1", "m3", "m5"}) in extended
-    assert S({"m3", "m5"}) not in extended
-    blocks = bisimulation(fig1).as_sets()
-    for member in extended.sorted_sets():
-        assert all(b <= member or not (b & member) for b in blocks)
+    partition = bisimulation(fig1)
+    for member in plain.sorted_sets():
+        assert _union_of_blocks(member, partition)
 
 
-def test_plain_subset_of_extended():
-    for kernel in corpus(8, 4, seed=3):
-        assert generators(kernel, False).sets <= generators(kernel, True).sets
+def test_family_is_closed_and_block_unions():
+    for kernel in [*corpus(8, 4, seed=3), *corpus(10, 5, seed=5)]:
+        family = generators(kernel)
+        partition = bisimulation(kernel)
+        rates = family.achievable_measures()
+        for c in family.sets:
+            assert _union_of_blocks(c, partition)
+            row = {x: kernel.measure(x, c) for x in kernel.states}
+            # the threshold sets of L{r} at slacks 0 and 1/10
+            for r in rates:
+                for bound in (r, r - Q(1, 10)):
+                    assert S(x for x, v in row.items() if v >= bound) in family
+            for d in family.sets:
+                assert c | d in family and c & d in family
 
 
 def test_defining_formulas_define(fig1):
     ev = Evaluator(fig1)
     for e in (Q(0), Q(1, 10)):
-        family = generators(fig1, extended=True, formula_slack=e)
+        family = generators(fig1, formula_slack=e)
         for member in family.sorted_sets():
             assert ev.extension(family.formulas[member], e) == member
 
@@ -96,17 +104,16 @@ def test_defining_formulas_define(fig1):
 def test_family_partition_matches_refinement():
     for kernel in corpus(10, 5, seed=5):
         partition = bisimulation(kernel)
-        for extended in (False, True):
-            family = generators(kernel, extended)
-            assert (
-                partition_from_family(kernel, family.sorted_sets()).as_sets()
-                == partition.as_sets()
-            )
+        family = generators(kernel)
+        assert (
+            partition_from_family(kernel, family.sorted_sets()).as_sets()
+            == partition.as_sets()
+        )
 
 
 def test_enumerated_extensions_in_family(fig1):
-    plain = generators(fig1, extended=False)
-    extended = generators(fig1, extended=True)
+    plain = generators(fig1)
+    partition = bisimulation(fig1)
     grid = tuple(plain.achievable_measures())
     ev = Evaluator(fig1)
     pos = enumerate_formulas(EnumerationConfig(2, grid, Fragment.POSITIVE, 400))
@@ -116,4 +123,4 @@ def test_enumerated_extensions_in_family(fig1):
     full = enumerate_formulas(EnumerationConfig(2, grid, Fragment.FULL, 400))
     for f in full:
         for e in (Q(0), Q(1, 10), Q(1)):
-            assert ev.extension(f, e) in extended
+            assert _union_of_blocks(ev.extension(f, e), partition)

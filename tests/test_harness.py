@@ -15,7 +15,8 @@ from cml_kit.harness import (
 )
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.mutations import REGISTRY, catching_suite, mutated
-from cml_kit.harness.oracles import saturate_pairs
+from cml_kit.harness.generate import corpus
+from cml_kit.harness.oracles import _literal_pairs, saturate_pairs
 from cml_kit.harness.suites import SUITES
 from cml_kit.kernel import validate
 
@@ -124,6 +125,19 @@ def test_pair_saturation_cap_raises_budget_error():
     kernel = gen_kernel(KernelGenConfig(max_states=3, density=Q(1), seed=4))
     with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 3 pairs"):
         saturate_pairs(kernel, Q(1, 10), negated_literals=True, cap=3)
+
+
+def test_pair_saturation_is_closed():
+    for kernel in corpus(8, 4, seed=3):
+        for e in (Q(0), Q(1, 10)):
+            for negated in (False, True):
+                pairs = saturate_pairs(kernel, e, negated_literals=negated)
+                for (a0, ae) in pairs:
+                    for lit in _literal_pairs(kernel, (a0, ae), e, negated):
+                        assert lit in pairs
+                    for (b0, be) in pairs:
+                        assert (a0 | b0, ae | be) in pairs
+                        assert (a0 & b0, ae & be) in pairs
 
 
 def test_shrink_keeps_failure():
