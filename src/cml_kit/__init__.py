@@ -7,6 +7,7 @@ from .errors import (
     InternalCheckError,
     KernelError,
     ProofCheckError,
+    ProofFormatError,
     RateError,
     SearchBudgetExceeded,
 )

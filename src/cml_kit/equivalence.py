@@ -2,7 +2,10 @@
 
 Refinement starts from one block and repeatedly splits blocks whose members
 assign different measures to some current block; the fixpoint partition is the
-largest bisimulation. The generator family is grown by saturation: starting
+largest bisimulation. Each round gives every state a signature built in one
+pass over its integer row (see ``kernel``): block index -> scaled rate into
+the block, nonzero sums only, so states agree on every block measure exactly
+when their signatures are equal. The generator family is grown by saturation: starting
 from the full state set, add the threshold sets {m | theta(m)(C) >= r} for
 every family member C and every achievable measure value r, and close under
 union and intersection. A worklist closes each member once. Each member is a
@@ -47,12 +50,19 @@ class Partition:
 
 
 def _split_round(kernel: Kernel, blocks: list[frozenset]) -> list[frozenset]:
+    # a state's signature maps each block index to its scaled integer rate
+    # into the block; zero sums are left out, so it is one pass over the row
     order = {s: i for i, s in enumerate(kernel.states)}
+    block_of = {kernel.mask_of({s}): i for i, block in enumerate(blocks) for s in block}
     new_blocks: list[frozenset] = []
     for block in blocks:
-        groups: dict[tuple, list[str]] = {}
+        groups: dict[frozenset, list[str]] = {}
         for state in sorted(block, key=order.__getitem__):
-            signature = tuple(kernel.measure(state, b) for b in blocks)
+            sums: dict[int, int] = {}
+            for bit, v in kernel.rows[order[state]]:
+                i = block_of[bit]
+                sums[i] = sums.get(i, 0) + v
+            signature = frozenset([item for item in sums.items() if item[1]])
             groups.setdefault(signature, []).append(state)
         for members in groups.values():
             new_blocks.append(frozenset(members))

@@ -30,6 +30,10 @@ class ProofCheckError(CMLError, ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+class ProofFormatError(CMLError, ValueError):
+    """A proof file is malformed; the message names the offending field path."""
+
+
 class SearchBudgetExceeded(CMLError, RuntimeError):
     """A bounded search ran out of budget before exhausting its space."""
 

@@ -352,6 +352,7 @@ class _Parser:
         self.text = text
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -371,72 +372,102 @@ class _Parser:
             )
         return self.advance()
 
-    # implies (right assoc) > or > and > unary, low to high binding
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "implies":
-            self.advance()
-            right = self.parse_implies()
-            return Implies(left, right)
-        return left
+    def open_level(self, tok: _Token) -> None:
+        # called before each recursive descent: parentheses, prefix operators
+        # and right operands of ->
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise FormulaSyntaxError(_TOO_DEEP, tok.position, self.text)
 
-    def parse_or(self) -> Formula:
-        out = self.parse_and()
-        while self.peek().kind == "or":
-            self.advance()
-            out = Or(out, self.parse_and())
-        return out
-
-    def parse_and(self) -> Formula:
+    def parse_binary(self, min_level: int) -> Formula:
+        # precedence climbing; & and | associate left, -> right
         out = self.parse_unary()
-        while self.peek().kind == "and":
+        while True:
+            tok = self.peek()
+            op = _BINARY.get(tok.kind)
+            if op is None or op[0] < min_level:
+                return out
+            level, build = op
             self.advance()
-            out = And(out, self.parse_unary())
-        return out
+            if build is Implies:
+                self.open_level(tok)
+                right = self.parse_binary(level)
+                self.depth -= 1
+            else:
+                right = self.parse_binary(level + 1)
+            out = build(out, right)
 
     def parse_unary(self) -> Formula:
-        tok = self.peek()
+        tok = self.advance()
         if tok.kind == "not":
-            self.advance()
-            return Not(self.parse_unary())
-        if tok.kind == "modality":
-            self.advance()
+            self.open_level(tok)
+            out = Not(self.parse_unary())
+        elif tok.kind == "modality":
             try:
                 rate = ensure_rate(tok.value)
             except RateError as exc:
                 raise FormulaSyntaxError(str(exc), tok.position, self.text) from exc
-            return L(rate, self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "top":
-            self.advance()
-            return Top()
-        if tok.kind == "bot":
-            self.advance()
-            return Bot()
-        if tok.kind == "lparen":
-            self.advance()
-            inner = self.parse_implies()
+            self.open_level(tok)
+            out = L(rate, self.parse_unary())
+        elif tok.kind == "lparen":
+            self.open_level(tok)
+            out = self.parse_binary(0)
             self.expect("rparen")
-            return inner
-        raise FormulaSyntaxError(
-            f"expected a formula, found {tok.value or 'end of input'!r}",
-            tok.position,
-            self.text,
-        )
+        elif tok.kind == "top":
+            return Top()
+        elif tok.kind == "bot":
+            return Bot()
+        else:
+            raise FormulaSyntaxError(
+                f"expected a formula, found {tok.value or 'end of input'!r}",
+                tok.position,
+                self.text,
+            )
+        self.depth -= 1
+        return out
+
+
+# binding level and constructor of each binary connective, low to high
+_BINARY = {"implies": (1, Implies), "or": (2, Or), "and": (3, And)}
+
+# Formulas are trees that the evaluator, printer, encodings and hashing walk
+# recursively; this bound keeps every walk far inside the interpreter's
+# recursion limit.
+MAX_DEPTH = 256
+_TOO_DEEP = f"formula is nested more than {MAX_DEPTH} levels deep"
+
+
+def _depth(f: Formula) -> int:
+    """Nesting depth of the core AST: the longest chain of nodes below f."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, (Not, L)):
+            stack.append((g.child, d + 1))
+        elif isinstance(g, And):
+            stack.append((g.left, d + 1))
+            stack.append((g.right, d + 1))
+    return deepest
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into the core AST; raises FormulaSyntaxError."""
+    """Parse concrete syntax into the core AST; raises FormulaSyntaxError.
+
+    A formula is rejected when its core AST (with ``|``, ``->`` and ``F``
+    expanded) is more than MAX_DEPTH levels deep, or when more than MAX_DEPTH
+    parentheses, prefix operators and ``->`` right operands are open at once.
+    """
     parser = _Parser(text)
-    out = parser.parse_implies()
+    out = parser.parse_binary(0)
     tok = parser.peek()
     if tok.kind != "eof":
         raise FormulaSyntaxError(
             f"trailing input {tok.value!r}", tok.position, text
         )
+    if _depth(out) > MAX_DEPTH:
+        raise FormulaSyntaxError(_TOO_DEEP, 0, text)
     return out
 
 

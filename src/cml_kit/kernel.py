@@ -3,12 +3,21 @@
 A kernel is a finite list of states plus a total rate map theta(source, target);
 entries absent from the map are 0. State sets are plain frozensets of state ids,
 relations are frozensets of (state, state) pairs.
+
+The integer core: at construction every rate is scaled by ``scale``, the lcm D
+of the rate denominators, and each state's row is kept as (target bit,
+rate * D) integer pairs, indexed by state position; bit i stands for the state
+at position i. Inside the core a state set is an int bitmask, so
+theta(m)(S) * D is an integer sum over the row and every comparison against a
+rate stays exact. ``measure`` and ``total`` read the same rows and return
+Fractions, which with names and frozensets stay the public boundary.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import IO, Iterable, Mapping, Union
 
 from .errors import KernelError, RateError
@@ -44,19 +53,39 @@ class Kernel:
     values are coerced exactly (ints, Fractions or literal strings, never
     floats). Zero entries are dropped. Structural invariants (unique ids, known
     endpoints) are checked by :func:`validate`, not here, so that invalid
-    kernels can be constructed and diagnosed.
+    kernels can be constructed and diagnosed. ``rows`` and ``scale`` are the
+    integer core described in the module docstring.
     """
 
-    __slots__ = ("states", "_state_set", "_adj", "_hash")
+    __slots__ = ("states", "_state_set", "_adj", "_bit", "rows", "scale", "_hash")
 
     def __init__(self, states: Iterable[str], rates: RatesInput | None = None):
         self.states: tuple[str, ...] = tuple(states)
         self._state_set = frozenset(self.states)
+        bit: dict[str, int] = {}
+        for i, s in enumerate(self.states):
+            bit.setdefault(s, 1 << i)
         adj: dict[str, dict[str, Fraction]] = {}
+        # (source, target bit, numerator, denominator), scaled once D is known
+        entries = []
+        scale = 1
         for (s, t), r in _flatten_rates(rates or {}).items():
             if r != 0:
                 adj.setdefault(s, {})[t] = r
+                if t in bit:
+                    d = r.denominator
+                    entries.append((s, bit[t], r.numerator, d))
+                    if scale % d:
+                        scale = scale // gcd(scale, d) * d
+        rows: dict[str, list[tuple[int, int]]] = {}
+        for s, b, n, d in entries:
+            rows.setdefault(s, []).append((b, n * (scale // d)))
         self._adj = adj
+        self._bit = bit
+        self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(rows.get(s, ())) for s in self.states
+        )
+        self.scale = scale
         self._hash: int | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -84,26 +113,29 @@ class Kernel:
 
     def measure(self, source: str, targets: frozenset) -> Rate:
         """theta(source)(targets) = total rate from source into the set."""
-        self._check_state(source)
-        row = self._adj.get(source)
-        if row is None:
-            unknown = targets - self._state_set
-            if unknown:
-                raise KernelError(f"set member not in kernel: {sorted(unknown)!r}")
-            return _ZERO
-        if not targets <= self._state_set:
-            raise KernelError(
-                f"set member not in kernel: {sorted(targets - self._state_set)!r}"
-            )
-        if len(row) <= len(targets):
-            return sum((r for t, r in row.items() if t in targets), _ZERO)
-        return sum((row.get(t, _ZERO) for t in targets), _ZERO)
+        row = self._row(source)
+        mask = self.mask_of(targets)
+        return Fraction(sum([v for b, v in row if b & mask]), self.scale)
 
     def total(self, source: str) -> Rate:
         """Total exit rate theta(source)(M)."""
-        self._check_state(source)
-        row = self._adj.get(source)
-        return sum(row.values(), _ZERO) if row else _ZERO
+        return Fraction(sum([v for _, v in self._row(source)]), self.scale)
+
+    def mask_of(self, members: Iterable[str]) -> int:
+        """The bitmask of a state set; every member must be a state."""
+        bit = self._bit
+        mask = 0
+        for s in members:
+            b = bit.get(s)
+            if b is None:
+                unknown = sorted(set(members) - self._state_set)
+                raise KernelError(f"set member not in kernel: {unknown!r}")
+            mask |= b
+        return mask
+
+    def set_of(self, mask: int) -> frozenset:
+        """The state set of a bitmask."""
+        return frozenset([s for s, b in self._bit.items() if b & mask])
 
     def rate_items(self) -> list[tuple[str, str, Rate]]:
         """Nonzero entries sorted by state order; deterministic."""
@@ -113,6 +145,10 @@ class Kernel:
             key=lambda item: (order.get(item[0], len(order)), order.get(item[1], len(order)))
         )
         return items
+
+    def _row(self, state: str) -> tuple[tuple[int, int], ...]:
+        self._check_state(state)
+        return self.rows[self._bit[state].bit_length() - 1]
 
     def _check_state(self, state: str) -> None:
         if state not in self._state_set:

@@ -15,7 +15,13 @@ import json
 from dataclasses import dataclass
 from typing import IO, Union
 
-from .errors import InternalCheckError, ProofCheckError
+from .errors import (
+    FormulaSyntaxError,
+    InternalCheckError,
+    ProofCheckError,
+    ProofFormatError,
+    RateError,
+)
 from .formula import (
     And,
     Formula,
@@ -298,44 +304,115 @@ def _all_formulas(proof: Proof):
 #            {"formula": "...",      "by": {"taut": [1]}},
 #            {"formula": "...",      "by": {"hyp": 0}}],
 #  "conclusion": "..."}
+#
+# A malformed file raises ProofFormatError naming the field path, such as
+# ``lines[2].by.mp``. Lines are numbered from 1 and hypotheses from 0, as the
+# references to them are.
 
 
-def _justification_from_doc(doc: dict, number: int) -> Justification:
+def _get(doc: dict, key: str, path: str) -> object:
+    if key not in doc:
+        raise ProofFormatError(f"{path}: missing field")
+    return doc[key]
+
+
+def _formula_field(value: object, path: str) -> Formula:
+    if not isinstance(value, str):
+        raise ProofFormatError(f"{path}: expected a formula string")
+    try:
+        return parse(value)
+    except FormulaSyntaxError as exc:
+        raise ProofFormatError(f"{path}: {exc}") from exc
+
+
+def _rate_field(value: object, path: str) -> Rate:
+    try:
+        return ensure_rate(value)
+    except RateError as exc:
+        raise ProofFormatError(f"{path}: {exc}") from exc
+
+
+def _index(value: object) -> int | None:
+    # a line or hypothesis reference: an integer, or a string of digits
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isdigit():
+        return int(value)
+    return None
+
+
+def _indices(value: object, count: int | None, path: str, expected: str) -> list[int]:
+    out = [_index(item) for item in value] if isinstance(value, list) else [None]
+    if None in out or (count is not None and len(out) != count):
+        raise ProofFormatError(f"{path}: expected {expected}")
+    return out
+
+
+def _justification_from_doc(doc: object, path: str) -> Justification:
     if not isinstance(doc, dict):
-        raise ProofCheckError(number, '"by" must be an object')
+        raise ProofFormatError(f"{path}: expected an object")
     if "axiom" in doc:
         name = doc["axiom"]
-        phi = parse(doc.get("phi", "T"))
-        psi = parse(doc["psi"]) if "psi" in doc else None
-        r = ensure_rate(doc["r"]) if "r" in doc else None
-        s = ensure_rate(doc["s"]) if "s" in doc else None
+        if not isinstance(name, str):
+            raise ProofFormatError(f"{path}.axiom: expected an axiom name")
+        phi = _formula_field(doc.get("phi", "T"), f"{path}.phi")
+        psi = _formula_field(doc["psi"], f"{path}.psi") if "psi" in doc else None
+        r = _rate_field(doc["r"], f"{path}.r") if "r" in doc else None
+        s = _rate_field(doc["s"], f"{path}.s") if "s" in doc else None
         if name in ("A2", "A3", "A4") and (r is None or s is None):
-            raise ProofCheckError(number, f"{name} needs rates r and s")
+            raise ProofFormatError(f"{path}: {name} needs rates r and s")
         return Axiom(name, phi, psi, r, s)
     if "mp" in doc:
-        i, j = doc["mp"]
-        return ModusPonens(int(i), int(j))
+        i, j = _indices(doc["mp"], 2, f"{path}.mp", "two line numbers")
+        return ModusPonens(i, j)
     if "r1" in doc:
-        line, rate = doc["r1"]
-        return RuleR1(int(line), ensure_rate(rate))
+        pair = doc["r1"]
+        line = _index(pair[0]) if isinstance(pair, list) and len(pair) == 2 else None
+        if line is None:
+            raise ProofFormatError(f"{path}.r1: expected a line number and a rate")
+        return RuleR1(line, _rate_field(pair[1], f"{path}.r1[1]"))
     if "taut" in doc:
-        return Tautology(tuple(int(i) for i in doc["taut"]))
+        premises = _indices(doc["taut"], None, f"{path}.taut", "a list of line numbers")
+        return Tautology(tuple(premises))
     if "hyp" in doc:
-        return Hypothesis(int(doc["hyp"]))
-    raise ProofCheckError(number, f"unknown justification keys {sorted(doc)}")
+        index = _index(doc["hyp"])
+        if index is None:
+            raise ProofFormatError(f"{path}.hyp: expected a hypothesis number")
+        return Hypothesis(index)
+    raise ProofFormatError(f"{path}: unknown justification keys {sorted(doc)}")
+
+
+def _list_field(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ProofFormatError(f"{key}: expected a list")
+    return value
 
 
 def loads_proof(text: str) -> Proof:
-    doc = json.loads(text)
-    lines = tuple(
-        ProofLine(parse(entry["formula"]), _justification_from_doc(entry["by"], i))
-        for i, entry in enumerate(doc.get("lines", []), start=1)
-    )
+    """Parse a JSON proof file; raises ProofFormatError naming the bad field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProofFormatError(f"proof file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ProofFormatError("proof file must be a JSON object")
+    lines = []
+    for number, entry in enumerate(_list_field(doc, "lines"), start=1):
+        path = f"lines[{number}]"
+        if not isinstance(entry, dict):
+            raise ProofFormatError(f"{path}: expected an object")
+        formula = _formula_field(_get(entry, "formula", f"{path}.formula"), f"{path}.formula")
+        by = _justification_from_doc(_get(entry, "by", f"{path}.by"), f"{path}.by")
+        lines.append(ProofLine(formula, by))
     return Proof(
-        epsilon=ensure_rate(doc["epsilon"]),
-        hypotheses=tuple(parse(h) for h in doc.get("hypotheses", [])),
-        lines=lines,
-        conclusion=parse(doc["conclusion"]),
+        epsilon=_rate_field(_get(doc, "epsilon", "epsilon"), "epsilon"),
+        hypotheses=tuple(
+            _formula_field(h, f"hypotheses[{i}]")
+            for i, h in enumerate(_list_field(doc, "hypotheses"))
+        ),
+        lines=tuple(lines),
+        conclusion=_formula_field(_get(doc, "conclusion", "conclusion"), "conclusion"),
     )
 
 

@@ -21,6 +21,8 @@ def ensure_rate(value: object) -> Rate:
 
     Floats are rejected: binary floats silently denormalize rationals like 1/10.
     """
+    if type(value) is Fraction and value >= 0:
+        return value
     if isinstance(value, float):
         raise RateError(f"float rate {value!r} rejected; use a string or Fraction")
     if isinstance(value, bool):
@@ -55,6 +57,8 @@ def coerce_rate(value: object) -> Fraction:
     Used where an invalid object must be constructible so a validator can
     diagnose it.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise RateError(f"float rate {value!r} rejected; use a string or Fraction")
     if isinstance(value, bool):

@@ -3,6 +3,12 @@
 A state satisfies L r phi at slack e when its rate into the extension of phi
 (computed at the same e) falls short of r by at most e. Boolean connectives
 are classical: negation is exact complement at every e.
+
+Extensions are computed on the kernel's integer core (see ``kernel``): a
+subformula's extension is a state bitmask, and an ``L r phi`` node sums each
+state's scaled integer row over the child's mask. The comparison is made once
+per distinct scaled total w, on the exact rate w / D, so ``_modal_holds`` is
+the only place the semantics compares rates. ``extension`` returns frozensets.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ class Evaluator:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._cache: dict[tuple[Formula, Rate], frozenset] = {}
-        self._all = kernel.state_set
+        self._masks: dict[Rate, dict[Formula, int]] = {}
+        self._full = (1 << len(kernel.states)) - 1
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
         e = ensure_rate(e)
@@ -43,19 +50,42 @@ class Evaluator:
         return out
 
     def _compute(self, f: Formula, e: Rate) -> frozenset:
+        return self.kernel.set_of(self._mask(f, e))
+
+    def _mask(self, f: Formula, e: Rate) -> int:
+        masks = self._masks.get(e)
+        if masks is None:
+            masks = self._masks[e] = {}
+        return self._walk(f, e, masks)
+
+    def _walk(self, f: Formula, e: Rate, masks: dict[Formula, int]) -> int:
+        out = masks.get(f)
+        if out is not None:
+            return out
         if isinstance(f, Top):
-            return self._all
-        if isinstance(f, Not):
-            return self._all - self.extension(f.child, e)
-        if isinstance(f, And):
-            return self.extension(f.left, e) & self.extension(f.right, e)
-        if isinstance(f, L):
-            child = self.extension(f.child, e)
-            k = self.kernel
-            return frozenset(
-                m for m in k.states if _modal_holds(k.measure(m, child), e, f.rate)
-            )
-        raise TypeError(f"not a formula node: {f!r}")
+            out = self._full
+        elif isinstance(f, Not):
+            out = self._full ^ self._walk(f.child, e, masks)
+        elif isinstance(f, And):
+            out = self._walk(f.left, e, masks) & self._walk(f.right, e, masks)
+        elif isinstance(f, L):
+            scale = self.kernel.scale
+            verdicts: dict[int, bool] = {}
+            out = 0
+            for i, w in enumerate(self._totals(self._walk(f.child, e, masks))):
+                holds = verdicts.get(w)
+                if holds is None:
+                    holds = verdicts[w] = _modal_holds(Fraction(w, scale), e, f.rate)
+                if holds:
+                    out |= 1 << i
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        masks[f] = out
+        return out
+
+    def _totals(self, mask: int) -> list[int]:
+        """Each state's scaled rate into the mask, by state position."""
+        return [sum([v for b, v in row if b & mask]) for row in self.kernel.rows]
 
     def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
         """Smallest positive deficit among failed modal comparisons at e.
@@ -65,13 +95,13 @@ class Evaluator:
         every comparison already holds (no finite flip point).
         """
         e = ensure_rate(e)
+        scale = self.kernel.scale
         deficits: list[Rate] = []
 
         def walk(g: Formula) -> None:
             if isinstance(g, L):
-                child = self.extension(g.child, e)
-                for m in self.kernel.states:
-                    gap = g.rate - (self.kernel.measure(m, child) + e)
+                for w in set(self._totals(self._mask(g.child, e))):
+                    gap = g.rate - (Fraction(w, scale) + e)
                     if gap > 0:
                         deficits.append(gap)
                 walk(g.child)

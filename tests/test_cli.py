@@ -140,6 +140,56 @@ def test_prove_command(tmp_path, capsys):
     assert "schema mismatch" in json.loads(out)["error"]
 
 
+_LINE = {"formula": "T", "by": {"taut": []}}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ([_LINE], "proof file must be a JSON object"),
+        ({"epsilon": "0", "lines": [{"formula": "T", "by": {"mp": [1]}}], "conclusion": "T"},
+         "lines[1].by.mp: expected two line numbers"),
+        ({"epsilon": "0", "lines": [{"formula": "T", "by": {"mp": ["x", "y"]}}],
+          "conclusion": "T"},
+         "lines[1].by.mp: expected two line numbers"),
+        ({"epsilon": "0", "lines": [{"formula": "T", "by": {"taut": 5}}], "conclusion": "T"},
+         "lines[1].by.taut: expected a list of line numbers"),
+        ({"lines": [_LINE], "conclusion": "T"}, "epsilon: missing field"),
+    ],
+    ids=["top-level-list", "mp-one-number", "mp-not-numbers", "taut-not-list",
+         "missing-epsilon"],
+)
+def test_malformed_proof_is_usage_error(tmp_path, capsys, doc, path):
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps(doc))
+    assert main(["prove", "-p", str(proof)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}" in err
+    assert "Traceback" not in err
+
+
+# shape -> (formula of n nestings, largest n within the bound); each | adds
+# three core nodes, Not(And(Not(a), Not(b))), so 85 of them make 255 levels
+_NESTINGS = {
+    "not": (lambda n: "!" * n + "T", 256),
+    "paren": (lambda n: "(" * n + "T" + ")" * n, 256),
+    "modality": (lambda n: "L{1} " * n + "T", 256),
+    "and-chain": (lambda n: " & ".join(["T"] * (n + 1)), 256),
+    "or-chain": (lambda n: " | ".join(["T"] * (n + 1)), 85),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_formula_nesting_is_bounded(capsys, shape):
+    make, limit = _NESTINGS[shape]
+    argv = ["valid", "-m", model_path("fig1"), "-e", "0", "-f"]
+    assert main(argv + [make(limit)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    for n in (limit + 1, 3000):
+        assert main(argv + [make(n)]) == 2
+        assert "nested more than 256 levels" in capsys.readouterr().err
+
+
 def test_json_envelope_is_schema_tagged(capsys):
     _, out = run(
         capsys,

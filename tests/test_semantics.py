@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cml_kit import (
+    And,
     Evaluator,
     Kernel,
     KernelError,
@@ -11,6 +13,7 @@ from cml_kit import (
     SearchBudgetExceeded,
     Top,
     axiom_instance,
+    bisimulation,
     default_rate_grid,
     encode_down,
     encode_up,
@@ -146,3 +149,78 @@ def test_evaluator_cache_consistency(fig1):
     first = ev.extension(f, Q(1, 10))
     assert ev.extension(f, Q(1, 10)) is first
     assert eval_formula(fig1, f, Q(1, 10)) == first
+
+
+def test_integer_scaling_keeps_the_exact_boundary():
+    # rates with denominators 3 and 7 scale by D = 21; state a falls short of
+    # 4/7 by 4/7 - 1/3 = 5/21, and just below that slack e * D is no integer
+    k = Kernel(["a", "b", "x"], {("a", "x"): Q(1, 3), ("b", "x"): Q(4, 7)})
+    assert k.scale == 21
+    f = L(Q(4, 7), Top())
+    e = Q(5, 21)
+    below = e - Q(1, 1000)
+    assert (below * 21).denominator != 1
+    ev = Evaluator(k)
+    assert ev.extension(f, e) == S({"a", "b"})
+    assert ev.extension(f, below) == S({"b"})
+    assert ev.stability_margin(f, 0) == e
+    assert ev.stability_margin(f, below) == Q(1, 1000)
+
+
+_RATES = [Q(0), Q(1, 3), Q(1, 2), Q(2, 3), Q(5, 6), Q(4, 7), Q(1), Q(9, 7)]
+
+
+@st.composite
+def _kernels(draw):
+    states = [f"s{i}" for i in range(draw(st.integers(1, 6)))]
+    rates = {(s, t): draw(st.sampled_from(_RATES)) for s in states for t in states}
+    return Kernel(states, rates)
+
+
+_formulas = st.recursive(
+    st.just(Top()),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(L, st.sampled_from(_RATES + [Q(3, 2), Q(2)]), kids),
+    ),
+    max_leaves=8,
+)
+
+
+def _fraction_extension(k, f, e):
+    if isinstance(f, Top):
+        return k.state_set
+    if isinstance(f, Not):
+        return k.state_set - _fraction_extension(k, f.child, e)
+    if isinstance(f, And):
+        return _fraction_extension(k, f.left, e) & _fraction_extension(k, f.right, e)
+    child = _fraction_extension(k, f.child, e)
+    return S(m for m in k.states if sum(k.rate(m, t) for t in child) + e >= f.rate)
+
+
+def _fraction_bisimulation(k):
+    blocks = {k.state_set}
+    while True:
+        refined = set()
+        for block in blocks:
+            groups = {}
+            for m in block:
+                key = tuple(
+                    sum(k.rate(m, t) for t in other) for other in sorted(blocks, key=sorted)
+                )
+                groups.setdefault(key, set()).add(m)
+            refined |= {S(group) for group in groups.values()}
+        if refined == blocks:
+            return blocks
+        blocks = refined
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernels(), st.lists(_formulas, min_size=1, max_size=4),
+       st.sampled_from([Q(0), Q(1, 21), Q(1, 10), Q(2, 7), Q(1, 2)]))
+def test_integer_core_matches_fraction_definitions(k, formulas, e):
+    ev = Evaluator(k)
+    for f in formulas:
+        assert ev.extension(f, e) == _fraction_extension(k, f, e)
+    assert bisimulation(k).as_sets() == _fraction_bisimulation(k)
