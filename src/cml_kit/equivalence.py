@@ -5,13 +5,13 @@ assign different measures to some current block; the fixpoint partition is the
 largest bisimulation. Each round gives every state a signature built in one
 pass over its integer row (see ``kernel``): block index -> scaled rate into
 the block, nonzero sums only, so states agree on every block measure exactly
-when their signatures are equal. The generator family is grown by saturation: starting
-from the full state set, add the threshold sets {m | theta(m)(C) >= r} for
-every family member C and every achievable measure value r, and close under
-union and intersection. A worklist closes each member once. Each member is a
-union of bisimulation blocks and carries a defining positive-fragment formula.
-Closing under complement too would give every union of blocks, so that
-family is not built.
+when their signatures are equal. The generator family is grown by saturation on
+state bitmasks and scaled integer rates: starting from the full state set, add
+the threshold sets {m | theta(m)(C) >= r} for every family member C and every
+achievable measure value r, and close under union and intersection. A worklist
+closes each member once. Each member is a union of bisimulation blocks and
+carries a defining positive-fragment formula. Closing under complement too
+would give every union of blocks, so that family is not built.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .errors import KernelError
 from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -99,6 +97,8 @@ class GeneratorFamily:
     kernel: Kernel
     sets: frozenset
     formulas: dict
+    # the members of ``sets`` as state bitmasks, in the order they were added
+    masks: tuple[int, ...]
 
     def __contains__(self, members: frozenset) -> bool:
         return frozenset(members) in self.sets
@@ -117,13 +117,12 @@ class GeneratorFamily:
 
     def achievable_measures(self) -> list[Rate]:
         """Every theta(x)(C) value over states x and family members C."""
-        values = {
-            self.kernel.measure(x, c) for x in self.kernel.states for c in self.sets
-        }
-        return sorted(values)
+        kernel = self.kernel
+        values = {w for c in self.masks for w in kernel.scaled_measures(c)}
+        return sorted(Fraction(w, kernel.scale) for w in values)
 
 
-def generators(kernel: Kernel, *, formula_slack: Rate = _ZERO) -> GeneratorFamily:
+def generators(kernel: Kernel) -> GeneratorFamily:
     """Close the full state set under thresholds, unions and intersections.
 
     A worklist closes each member C once, when it is taken from the queue. It
@@ -134,19 +133,19 @@ def generators(kernel: Kernel, *, formula_slack: Rate = _ZERO) -> GeneratorFamil
     either one of those suffixes or empty, and the largest total rate is the
     largest achievable rate, so the family is closed under every extension
     definable from those rates at any slack. Every pair of members is joined
-    when the later of the two is closed. The recorded defining formulas have
-    extensions equal to their members when evaluated at ``formula_slack``
-    (threshold indices are shifted up by it); the member sets themselves do
-    not depend on it.
+    when the later of the two is closed. Members are state bitmasks and rates
+    scaled integers w; a threshold's formula gets the index w / D. A defining
+    formula's extension is its member at slack 0, and so is that of its
+    ``encode_up`` by e at slack e.
     """
-    states = kernel.states
-    universe = kernel.state_set
-    top = max((kernel.measure(x, universe) for x in states), default=_ZERO)
-    members: dict[frozenset, Formula] = {universe: Top()}
+    scale = kernel.scale
+    universe = (1 << len(kernel.states)) - 1
+    top = max(kernel.scaled_measures(universe), default=0)
+    members: dict[int, Formula] = {universe: Top()}
     queue = deque(members)
-    closed: list[tuple[frozenset, Formula]] = []
+    closed: list[tuple[int, Formula]] = []
 
-    def add(candidate: frozenset, build: Callable[..., Formula], *args) -> None:
+    def add(candidate: int, build: Callable[..., Formula], *args) -> None:
         # the defining formula is only built for a new member
         if candidate not in members:
             members[candidate] = build(*args)
@@ -155,29 +154,25 @@ def generators(kernel: Kernel, *, formula_slack: Rate = _ZERO) -> GeneratorFamil
     while queue:
         c = queue.popleft()
         f = members[c]
-        row = [kernel.measure(x, c) for x in states]
-        for r in sorted(set(row)):
-            threshold = frozenset(x for x, v in zip(states, row) if v >= r)
-            add(threshold, L, r + formula_slack, f)
-        if max(row, default=_ZERO) < top:
-            add(frozenset(), L, top + formula_slack, f)
+        row = kernel.scaled_measures(c)
+        for w in sorted(set(row)):
+            threshold = sum([1 << i for i, v in enumerate(row) if v >= w])
+            add(threshold, L, Fraction(w, scale), f)
+        if max(row, default=0) < top:
+            add(0, L, Fraction(top, scale), f)
         closed.append((c, f))
         for other, g in closed:
             add(c | other, Or, f, g)
             add(c & other, And, f, g)
-    return GeneratorFamily(kernel=kernel, sets=frozenset(members), formulas=members)
+    formulas = {kernel.set_of(c): f for c, f in members.items()}
+    return GeneratorFamily(kernel, frozenset(formulas), formulas, tuple(members))
 
 
 def partition_from_family(kernel: Kernel, family: Iterable[frozenset]) -> Partition:
     """Coarsest partition whose members agree on the measure of every family set."""
-    sets = list(family)
+    columns = [kernel.scaled_measures(kernel.mask_of(c)) for c in family]
     signatures: dict[tuple, list[str]] = {}
-    for state in kernel.states:
-        sig = tuple(kernel.measure(state, c) for c in sets)
-        signatures.setdefault(sig, []).append(state)
-    order = {s: i for i, s in enumerate(kernel.states)}
-    blocks = sorted(
-        (frozenset(group) for group in signatures.values()),
-        key=lambda b: min(order[s] for s in b),
-    )
-    return Partition(tuple(blocks), rounds=0)
+    for i, state in enumerate(kernel.states):
+        signatures.setdefault(tuple(col[i] for col in columns), []).append(state)
+    # groups appear in the order of their first states, as blocks are kept
+    return Partition(tuple(frozenset(g) for g in signatures.values()), rounds=0)

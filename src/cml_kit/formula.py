@@ -18,9 +18,10 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator
 
-from .errors import FormulaSyntaxError, RateError
+from .errors import FormulaSyntaxError, RateError, SearchBudgetExceeded
 from .rational import Rate, ensure_rate, format_rate
 
 
@@ -217,29 +218,34 @@ def _nnf(f: Formula, positive: bool) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+# The most clauses one disjunctive normal form may have. Each conjunct with a
+# disjunction can double the count, and the Or chain that joins the clauses is
+# as deep as it is long.
+DNF_CLAUSE_BUDGET = 512
+
+
 def _dnf(f: Formula) -> Formula:
-    clauses = [_join(clause, And) for clause in _dnf_clauses(f)]
-    return _join(clauses, Or)
+    return reduce(Or, [reduce(And, clause) for clause in _dnf_clauses(f)])
 
 
 def _dnf_clauses(f: Formula) -> list[list[Formula]]:
     operands = or_operands(f)
     if operands is not None:
-        return _dnf_clauses(operands[0]) + _dnf_clauses(operands[1])
-    if isinstance(f, And):
-        return [
-            left + right
-            for left in _dnf_clauses(f.left)
-            for right in _dnf_clauses(f.right)
-        ]
-    return [[f]]
-
-
-def _join(parts: list, op) -> Formula:
-    out = parts[0]
-    for part in parts[1:]:
-        out = op(out, part)
-    return out
+        left, right = _dnf_clauses(operands[0]), _dnf_clauses(operands[1])
+        count = len(left) + len(right)
+    elif isinstance(f, And):
+        left, right = _dnf_clauses(f.left), _dnf_clauses(f.right)
+        count = len(left) * len(right)
+    else:
+        return [[f]]
+    # checked before the clauses, and the Or chain over them, are built
+    if count > DNF_CLAUSE_BUDGET:
+        raise SearchBudgetExceeded(
+            f"normal form needs more than {DNF_CLAUSE_BUDGET} clauses"
+        )
+    if operands is not None:
+        return left + right
+    return [a + b for a in left for b in right]
 
 
 def encode_abs(f: Formula, e: Rate) -> Formula:

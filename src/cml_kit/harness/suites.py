@@ -442,7 +442,7 @@ def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
             report.checked += 1
             for (i, j) in rel_blocks:
                 for c in family:
-                    lefts = frozenset(bi for (bi, bj) in rel_blocks if bj in c)
+                    lefts = sum(1 << b for b in select if c >> b & 1)
                     slack = solver._theta(j, c) - solver._theta(i, c | lefts)
                     if slack > e:
                         report.fail(
@@ -463,8 +463,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
     for kernel in _suite_corpus(budget):
         partition = equivalence_mod.bisimulation(kernel)
         base_grid = _kernel_grid(kernel)
+        family = generators(kernel)
         for e in budget.epsilons:
-            family = generators(kernel, formula_slack=e)
             ev = Evaluator(kernel)
             grid = tuple(sorted(set(base_grid) | {v + e for v in base_grid}))
             formulas, _ = _formulas(budget, grid, Fragment.FULL)
@@ -489,7 +489,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                         vm, vn = kernel.measure(m, c), kernel.measure(n, c)
                         if vm == vn:
                             continue
-                        candidate = L(max(vm, vn) + e, family.formulas[c])
+                        body = encode_up(family.formulas[c], e)
+                        candidate = L(max(vm, vn) + e, body)
                         if (m in ev.extension(candidate, e)) != (
                             n in ev.extension(candidate, e)
                         ):

@@ -4,13 +4,14 @@ A kernel is a finite list of states plus a total rate map theta(source, target);
 entries absent from the map are 0. State sets are plain frozensets of state ids,
 relations are frozensets of (state, state) pairs.
 
-The integer core: at construction every rate is scaled by ``scale``, the lcm D
-of the rate denominators, and each state's row is kept as (target bit,
-rate * D) integer pairs, indexed by state position; bit i stands for the state
-at position i. Inside the core a state set is an int bitmask, so
+The integer core: at construction every rate is scaled by ``scale``, the least
+common multiple D of the rate denominators, and each state's row is kept as
+(target bit, rate * D) integer pairs, indexed by state position; bit i stands
+for the state at position i. Inside the core a state set is an int bitmask, so
 theta(m)(S) * D is an integer sum over the row and every comparison against a
-rate stays exact. ``measure`` and ``total`` read the same rows and return
-Fractions, which with names and frozensets stay the public boundary.
+rate stays exact. ``scaled_measures`` gives every state's scaled rate into a
+mask. ``measure`` and ``total`` read the same rows and return Fractions, which
+with names and frozensets stay the public boundary.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ class Kernel:
         """Total exit rate theta(source)(M)."""
         return Fraction(sum([v for _, v in self._row(source)]), self.scale)
 
+    def scaled_measures(self, mask: int) -> list[int]:
+        """theta(m)(mask) * scale for every state m, by state position."""
+        return [sum([v for b, v in row if b & mask]) for row in self.rows]
+
     def mask_of(self, members: Iterable[str]) -> int:
         """The bitmask of a state set; every member must be a state."""
         bit = self._bit
@@ -211,10 +216,13 @@ def loads_kernel(text: str) -> Kernel:
 
 def load_kernel(source: Union[str, IO[str]]) -> Kernel:
     """Load a kernel from a path or an open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return loads_kernel(fh.read())
-    return loads_kernel(source.read())
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                return loads_kernel(fh.read())
+        return loads_kernel(source.read())
+    except UnicodeDecodeError as exc:
+        raise KernelError(f"model file is not UTF-8 text: {exc}") from exc
 
 
 def _kernel_from_doc(doc: object) -> Kernel:

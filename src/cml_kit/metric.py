@@ -1,13 +1,13 @@
 """Behavioral pseudometric: the least slack at which both order directions hold.
 
 The order solver of the two kernels' disjoint union compares every slack as an
-integer x > floor(e·D), where D is its scale, so the plain fixpoint at e
-depends on e only through floor(e·D) and grows with e. Feasibility of the slack
-k/D is therefore monotone in the integer k, and every e in [k/D, (k+1)/D)
-gives the same answer as k/D. Every slack is at most the largest exit total, so
-that total, scaled by D, is feasible. A binary search over the integers up to
-it finds the least feasible k*, and d(m, n) = k*/D exactly; the infimum is
-attained there.
+integer x > floor(e·D), where D is the union kernel's scale, so the plain
+fixpoint at e depends on e only through floor(e·D) and grows with e.
+Feasibility of the slack k/D is therefore monotone in the integer k, and every
+e in [k/D, (k+1)/D) gives the same answer as k/D. Every slack is at most the
+largest exit total, so that total, scaled by D, is feasible. A binary search
+over the integers up to it finds the least feasible k*, and d(m, n) = k*/D
+exactly; the infimum is attained there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ def distance(k1: Kernel, m: str, k2: Kernel, n: str) -> Distance:
         pairs = solver.plain_pairs(Fraction(k, solver.scale))
         return (i, j) in pairs and (j, i) in pairs
 
-    lo, hi = 0, int(max(solver.totals) * solver.scale)
+    lo, hi = 0, max(solver.sums)
     if not feasible(hi):
         raise InternalCheckError(
             "the largest exit total is infeasible; some slack exceeds it"

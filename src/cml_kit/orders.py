@@ -16,20 +16,19 @@ essential order contains it. Membership is decided by a decreasing repair
 iteration from the plain order plus a backtracking witness search for the
 pairs that iteration drops.
 
-The solver computes on exact integers. It scales the block-measure matrix by
-D, the least common multiple of its denominators, so every block measure and
-every slack is an integer multiple of 1/D. Sets of blocks are bitmasks. A
-slack x (an integer, in units of 1/D) exceeds e exactly when x > floor(e·D),
-because x is an integer; every comparison with e is made that way, so the
-plain fixpoint depends on e only through floor(e·D). ``metric`` relies on
-that. Fractions remain the boundary: ``totals`` and ``_theta`` are unscaled.
+The solver computes on the kernel's integer core (see ``kernel``) at its
+scale D, so every block measure and every slack is an integer multiple of
+1/D. Sets of blocks are bitmasks, onto which the family's state bitmasks are
+projected. A slack x (an integer, in units of 1/D) exceeds e exactly when
+x > floor(e·D), because x is an integer; every comparison with e is made that
+way, so the plain fixpoint depends on e only through floor(e·D). ``metric``
+relies on that. Only ``_theta``, for outside checks, is an unscaled Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .equivalence import Partition, bisimulation, generators
@@ -38,6 +37,9 @@ from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
 
 BlockPair = tuple[int, int]
+
+# steps one essential witness search may take before SearchBudgetExceeded
+WITNESS_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -59,26 +61,20 @@ class OrderSolver:
         self.blocks = self.partition.blocks
         self.n_blocks = len(self.blocks)
         self._block_index = {s: i for i, b in enumerate(self.blocks) for s in b}
-        order = {s: i for i, s in enumerate(kernel.states)}
-        self.reps = [min(b, key=order.__getitem__) for b in self.blocks]
-        # rate of block i's representative into block j; constant on blocks
-        # because blocks are bisimulation classes
-        rates = [
-            [kernel.measure(rep, block) for block in self.blocks] for rep in self.reps
-        ]
-        self.scale = lcm(*(q.denominator for row in rates for q in row))
-        # bm[i][j] is that rate times scale, an integer
+        self._block_masks = [kernel.mask_of(b) for b in self.blocks]
+        self.scale = kernel.scale
+        # bm[i][j]: scaled rate of block i's first state into block j; constant
+        # on blocks because blocks are bisimulation classes
+        columns = [kernel.scaled_measures(b) for b in self._block_masks]
         self.bm = [
-            [q.numerator * (self.scale // q.denominator) for q in row] for row in rates
+            [column[(b & -b).bit_length() - 1] for column in columns]
+            for b in self._block_masks
         ]
-        self._sums = [sum(row) for row in self.bm]
-        self.totals = [Fraction(t, self.scale) for t in self._sums]
+        # sums[i]: scaled exit total of block i
+        self.sums = [sum(row) for row in self.bm]
         # _masses[i][mask]: scaled theta of block i into the blocks of mask
         self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
-        self._family: Optional[list[frozenset]] = None
-        self._family_masks: list[int] = []
-        # _member_theta[j][k]: scaled theta of block j into family member k
-        self._member_theta: list[list[int]] = []
+        self._family: Optional[list[int]] = None
         # plain pairs keyed by floor(e * scale), the only way they depend on e
         self._plain_cache: dict[int, frozenset] = {}
         self._essential_cache: dict[Rate, frozenset] = {}
@@ -98,30 +94,29 @@ class OrderSolver:
         # an integer slack x exceeds e exactly when x > floor(e * scale)
         return e.numerator * self.scale // e.denominator
 
-    def _theta(self, i: int, blockset: frozenset) -> Fraction:
+    def _theta(self, i: int, mask: int) -> Fraction:
         # unscaled, so that checks outside the solver compare it with e as is
-        return Fraction(sum(self.bm[i][b] for b in blockset), self.scale)
+        return Fraction(self._mass(i, mask), self.scale)
 
     # --- family at block level -------------------------------------------
 
-    def family_blocks(self) -> list[frozenset]:
-        """The plain generator family, each member as a set of block indices."""
+    def family_blocks(self) -> list[int]:
+        """The plain generator family, each member as a bitmask of blocks."""
         if self._family is None:
-            converted = set()
-            for member in generators(self.kernel).sets:
-                idxs = frozenset(self._block_index[s] for s in member)
-                # members are unions of blocks, so the conversion is lossless
-                if sum(len(self.blocks[i]) for i in idxs) != len(member):
+            family = []
+            for member in generators(self.kernel).masks:
+                blocks = covered = 0
+                for i, b in enumerate(self._block_masks):
+                    if member & b:
+                        blocks |= 1 << i
+                        covered |= b
+                # members are unions of blocks, so the projection is lossless
+                if covered != member:
                     raise InternalCheckError(
                         "generator member is not a union of bisimulation blocks"
                     )
-                converted.add(idxs)
-            self._family = sorted(converted, key=lambda c: (len(c), sorted(c)))
-            self._family_masks = [sum(1 << b for b in c) for c in self._family]
-            self._member_theta = [
-                [self._mass(j, c) for c in self._family_masks]
-                for j in range(self.n_blocks)
-            ]
+                family.append(blocks)
+            self._family = family
         return self._family
 
     # --- plain order: greatest fixpoint ----------------------------------
@@ -131,10 +126,11 @@ class OrderSolver:
         cached = self._plain_cache.get(limit)
         if cached is not None:
             return cached
-        self.family_blocks()
-        masks = self._family_masks
+        masks = self.family_blocks()
         mass = self._mass
         n = self.n_blocks
+        # member_theta[j][k]: scaled theta of block j into family member k
+        member_theta = [[mass(j, c) for c in masks] for j in range(n)]
         pairs = {(i, j) for i in range(n) for j in range(n)}
         while True:
             # closures[k]: member k together with the blocks R-related into it
@@ -154,7 +150,7 @@ class OrderSolver:
             for (i, j) in pairs:
                 if i not in closure_mass:
                     closure_mass[i] = [mass(i, closure) for closure in closures]
-                for theta_c, theta_i in zip(self._member_theta[j], closure_mass[i]):
+                for theta_c, theta_i in zip(member_theta[j], closure_mass[i]):
                     if theta_c - theta_i > limit:
                         violated.add((i, j))
                         break
@@ -167,7 +163,7 @@ class OrderSolver:
 
     # --- essential order: witness membership -----------------------------
 
-    def essential_pairs(self, e: Rate, budget: int = 200_000) -> frozenset:
+    def essential_pairs(self, e: Rate) -> frozenset:
         e = ensure_rate(e)
         if e in self._essential_cache:
             return self._essential_cache[e]
@@ -175,7 +171,7 @@ class OrderSolver:
         stable = self._repair_iteration(plain, e)
         out = set(stable)
         for pair in sorted(plain - stable):
-            if self._witness_exists(pair, plain, e, budget):
+            if self._witness_exists(pair, plain, e):
                 out.add(pair)
         result = frozenset(out)
         self._essential_cache[e] = result
@@ -196,13 +192,13 @@ class OrderSolver:
         lefts = 0
         for (bi, _) in rel:
             lefts |= 1 << bi
-        return self._sums[j] - self._mass(i, lefts) <= self._limit(e)
+        return self.sums[j] - self._mass(i, lefts) <= self._limit(e)
 
     def _band_ok(self, pair: BlockPair, e: Rate) -> bool:
         # the full-set constraint both ways: total rates within [0, e] of
         # each other, never smaller on the dominating side
         i, j = pair
-        return 0 <= self._sums[j] - self._sums[i] <= self._limit(e)
+        return 0 <= self.sums[j] - self.sums[i] <= self._limit(e)
 
     def _essential_ok(self, pair: BlockPair, rel: frozenset, e: Rate) -> bool:
         return (
@@ -219,9 +215,7 @@ class OrderSolver:
                 return rel
             rel = keep
 
-    def _witness_exists(
-        self, query: BlockPair, candidates: frozenset, e: Rate, budget: int
-    ) -> bool:
+    def _witness_exists(self, query: BlockPair, candidates: frozenset, e: Rate) -> bool:
         cands = sorted(candidates - {query})
         seen: set[frozenset] = set()
         ticks = 0
@@ -235,9 +229,9 @@ class OrderSolver:
                 return False
             seen.add(rel)
             ticks += 1
-            if ticks > budget:
+            if ticks > WITNESS_BUDGET:
                 raise SearchBudgetExceeded(
-                    f"essential witness search exceeded {budget} steps"
+                    f"essential witness search exceeded {WITNESS_BUDGET} steps"
                 )
             # neither a band nor a lower-bound violation is repaired by adding pairs
             for p in rel:

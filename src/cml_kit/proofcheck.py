@@ -417,10 +417,13 @@ def loads_proof(text: str) -> Proof:
 
 
 def load_proof(source: Union[str, IO[str]]) -> Proof:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return loads_proof(fh.read())
-    return loads_proof(source.read())
+    try:
+        if isinstance(source, str):
+            with open(source, "r", encoding="utf-8") as fh:
+                return loads_proof(fh.read())
+        return loads_proof(source.read())
+    except UnicodeDecodeError as exc:
+        raise ProofFormatError(f"proof file is not UTF-8 text: {exc}") from exc
 
 
 def _justification_to_doc(by: Justification) -> dict:

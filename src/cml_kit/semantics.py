@@ -5,10 +5,10 @@ A state satisfies L r phi at slack e when its rate into the extension of phi
 are classical: negation is exact complement at every e.
 
 Extensions are computed on the kernel's integer core (see ``kernel``): a
-subformula's extension is a state bitmask, and an ``L r phi`` node sums each
-state's scaled integer row over the child's mask. The comparison is made once
-per distinct scaled total w, on the exact rate w / D, so ``_modal_holds`` is
-the only place the semantics compares rates. ``extension`` returns frozensets.
+subformula's extension is a state bitmask, and an ``L r phi`` node takes each
+state's scaled rate into the child's mask. The comparison is made once per
+distinct scaled total w, on the exact rate w / D, so ``_modal_holds`` is the
+only place the semantics compares rates. ``extension`` returns frozensets.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class Evaluator:
             scale = self.kernel.scale
             verdicts: dict[int, bool] = {}
             out = 0
-            for i, w in enumerate(self._totals(self._walk(f.child, e, masks))):
+            child = self._walk(f.child, e, masks)
+            for i, w in enumerate(self.kernel.scaled_measures(child)):
                 holds = verdicts.get(w)
                 if holds is None:
                     holds = verdicts[w] = _modal_holds(Fraction(w, scale), e, f.rate)
@@ -82,10 +83,6 @@ class Evaluator:
             raise TypeError(f"not a formula node: {f!r}")
         masks[f] = out
         return out
-
-    def _totals(self, mask: int) -> list[int]:
-        """Each state's scaled rate into the mask, by state position."""
-        return [sum([v for b, v in row if b & mask]) for row in self.kernel.rows]
 
     def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
         """Smallest positive deficit among failed modal comparisons at e.
@@ -100,7 +97,7 @@ class Evaluator:
 
         def walk(g: Formula) -> None:
             if isinstance(g, L):
-                for w in set(self._totals(self._mask(g.child, e))):
+                for w in set(self.kernel.scaled_measures(self._mask(g.child, e))):
                     gap = g.rate - (Fraction(w, scale) + e)
                     if gap > 0:
                         deficits.append(gap)

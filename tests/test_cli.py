@@ -90,6 +90,18 @@ def test_directory_model_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["bisim", "-m"], ["prove", "-p"]], ids=["model", "proof"]
+)
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "is not UTF-8 text" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_search_nonpositive_max_states_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -188,6 +200,16 @@ def test_formula_nesting_is_bounded(capsys, shape):
     for n in (limit + 1, 3000):
         assert main(argv + [make(n)]) == 2
         assert "nested more than 256 levels" in capsys.readouterr().err
+
+
+def test_encode_abs_normal_form_is_bounded(capsys):
+    # n conjoined disjunctions have 2**n clauses; 512 is the budget
+    argv = ["encode", "--abs", "-e", "1", "-f"]
+    nine, ten = (" & ".join(["(L{1} T | L{2} T)"] * n) for n in (9, 10))
+    assert main(argv + [nine]) == 0
+    assert capsys.readouterr().out.count("|") == 511
+    assert main(argv + [ten]) == 2
+    assert "normal form needs more than 512 clauses" in capsys.readouterr().err
 
 
 def test_json_envelope_is_schema_tagged(capsys):

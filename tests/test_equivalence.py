@@ -10,7 +10,7 @@ from cml_kit import (
 )
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
 from cml_kit.harness.generate import corpus
-from cml_kit.formula import Fragment
+from cml_kit.formula import Fragment, encode_up
 
 Q = Fraction
 S = frozenset
@@ -94,11 +94,15 @@ def test_family_is_closed_and_block_unions():
 
 
 def test_defining_formulas_define(fig1):
-    ev = Evaluator(fig1)
-    for e in (Q(0), Q(1, 10)):
-        family = generators(fig1, formula_slack=e)
+    # a member's formula defines it at slack 0, and shifted up by e at slack e
+    for kernel in [fig1, *corpus(8, 4, seed=3), *corpus(10, 5, seed=5)]:
+        ev = Evaluator(kernel)
+        family = generators(kernel)
+        assert {kernel.set_of(c) for c in family.masks} == family.sets
         for member in family.sorted_sets():
-            assert ev.extension(family.formulas[member], e) == member
+            for e in (Q(0), Q(1, 10), Q(1)):
+                f = encode_up(family.formulas[member], e)
+                assert ev.extension(f, e) == member
 
 
 def test_family_partition_matches_refinement():

@@ -30,8 +30,9 @@ def test_distance_attained_and_tight(fig1, fig4o):
     assert not (
         holds(fig1, "m", fig4o, "o", below) and holds(fig4o, "o", fig1, "m", below)
     )
-    # a union whose scale D (lcm of block-measure denominators) is 1001: the
-    # answer sits on the grid k/D and no slack off the grid below it works
+    # a union whose scale D (the least common multiple of the rate
+    # denominators) is 1001: the answer sits on the grid k/D and no slack off
+    # the grid below it works
     k1 = Kernel(
         ["a", "a1", "a2"],
         {("a", "a1"): Q(3, 7), ("a", "a2"): Q(5, 11), ("a1", "a2"): Q(2, 13)},

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from cml_kit import Kernel, bisimulation, distance, holds, largest_order
+from cml_kit import orders
+from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.generate import corpus
 from cml_kit.orders import OrderSolver
 
@@ -80,9 +82,21 @@ def test_fixpoint_satisfies_its_own_condition():
             family = solver.family_blocks()
             for (i, j) in pairs:
                 for c in family:
-                    pull = frozenset(bi for (bi, bj) in pairs if bj in c)
+                    pull = 0
+                    for (bi, bj) in pairs:
+                        if c >> bj & 1:
+                            pull |= 1 << bi
                     slack = solver._theta(j, c) - solver._theta(i, c | pull)
                     assert slack <= e
+
+
+def test_witness_search_budget_is_enforced(fig1, monkeypatch):
+    # the reflexive root pair at slack 0 is decided by the witness search,
+    # which takes four steps
+    assert holds(fig1, "m", fig1, "m", 0, essential=True)
+    monkeypatch.setattr(orders, "WITNESS_BUDGET", 3)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 3 steps"):
+        holds(fig1, "m", fig1, "m", 0, essential=True)
 
 
 def test_union_of_essential_orders_need_not_be_essential(fig1, fig3o):
