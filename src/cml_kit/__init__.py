@@ -20,7 +20,6 @@ from .kernel import (
     load_kernel,
     loads_kernel,
     right_tag,
-    validate,
 )
 from .formula import (
     And,

@@ -198,54 +198,59 @@ def normal_form(f: Formula) -> Formula:
 
     Modal subformulas are treated as literals (L r psi / !L r psi) with their
     bodies normalized recursively; T and F are kept as atoms. Equivalent to the
-    input under Boolean semantics at every epsilon.
+    input under Boolean semantics at every epsilon. Raises
+    SearchBudgetExceeded past DNF_CLAUSE_BUDGET.
     """
-    return _dnf(_nnf(f, True))
+    return _normal_form(f)[0]
 
 
-def _nnf(f: Formula, positive: bool) -> Formula:
-    if isinstance(f, Top):
-        return Top() if positive else Bot()
-    if isinstance(f, Not):
-        return _nnf(f.child, not positive)
-    if isinstance(f, And):
-        a = _nnf(f.left, positive)
-        b = _nnf(f.right, positive)
-        return And(a, b) if positive else Or(a, b)
-    if isinstance(f, L):
-        lit = L(f.rate, normal_form(f.child))
-        return lit if positive else Not(lit)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-# The most clauses one disjunctive normal form may have. Each conjunct with a
-# disjunction can double the count, and the Or chain that joins the clauses is
-# as deep as it is long.
+# The most clauses a normal form may have, counted across modal depths: its
+# own clauses plus the disjunctions of a modal literal's unrolled body at
+# every occurrence of the literal, since the output spells the body out there.
+# So the printed normal form holds fewer than 512 "|". Each conjunct with a
+# disjunction can double the count, and the Or chains that join the clauses
+# stack through the modal bodies, so the count bounds both size and depth.
 DNF_CLAUSE_BUDGET = 512
 
 
-def _dnf(f: Formula) -> Formula:
-    return reduce(Or, [reduce(And, clause) for clause in _dnf_clauses(f)])
+def _normal_form(f: Formula) -> tuple[Formula, int]:
+    # the normal form and its disjunctions, unrolled through the modal bodies
+    clauses, inner = _clauses(f, True)
+    nf = reduce(Or, [reduce(And, clause) for clause in clauses])
+    return nf, len(clauses) - 1 + inner
 
 
-def _dnf_clauses(f: Formula) -> list[list[Formula]]:
-    operands = or_operands(f)
-    if operands is not None:
-        left, right = _dnf_clauses(operands[0]), _dnf_clauses(operands[1])
-        count = len(left) + len(right)
-    elif isinstance(f, And):
-        left, right = _dnf_clauses(f.left), _dnf_clauses(f.right)
+def _clauses(f: Formula, positive: bool) -> tuple[list[list[Formula]], int]:
+    # the clauses of the normal form of f (of !f when not positive), and the
+    # disjunctions inside their literals' bodies, counted per occurrence
+    if isinstance(f, Top):
+        return [[Top() if positive else Bot()]], 0
+    if isinstance(f, Not):
+        return _clauses(f.child, not positive)
+    if isinstance(f, L):
+        body, inner = _normal_form(f.child)
+        lit = L(f.rate, body)
+        return [[lit if positive else Not(lit)]], inner
+    if not isinstance(f, And):
+        raise TypeError(f"not a formula node: {f!r}")
+    left, left_inner = _clauses(f.left, positive)
+    right, right_inner = _clauses(f.right, positive)
+    if positive:
+        # every left clause joins every right clause, and so repeats the
+        # bodies of its literals once per right clause
         count = len(left) * len(right)
+        inner = len(right) * left_inner + len(left) * right_inner
     else:
-        return [[f]]
+        count = len(left) + len(right)
+        inner = left_inner + right_inner
     # checked before the clauses, and the Or chain over them, are built
-    if count > DNF_CLAUSE_BUDGET:
+    if count + inner > DNF_CLAUSE_BUDGET:
         raise SearchBudgetExceeded(
             f"normal form needs more than {DNF_CLAUSE_BUDGET} clauses"
         )
-    if operands is not None:
-        return left + right
-    return [a + b for a in left for b in right]
+    if not positive:
+        return left + right, inner
+    return [a + b for a in left for b in right], inner
 
 
 def encode_abs(f: Formula, e: Rate) -> Formula:

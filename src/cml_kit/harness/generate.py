@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..kernel import Kernel, validate
+from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
 
 DEFAULT_POOL: tuple[Rate, ...] = (
@@ -37,9 +37,7 @@ def gen_kernel(cfg: KernelGenConfig) -> Kernel:
         for t in states:
             if rng.random() < threshold:
                 rates[(s, t)] = rng.choice(pool)
-    kernel = Kernel(states, rates)
-    validate(kernel)
-    return kernel
+    return Kernel(states, rates)
 
 
 def chain_kernel(length: int, rate: Rate = Fraction(1)) -> Kernel:

@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
-from .. import orders as orders_mod
-from ..equivalence import Partition, generators, partition_from_family
+from ..equivalence import GeneratorFamily, Partition, generators, partition_from_family
 from ..formula import (
     And,
     Formula,
@@ -167,9 +166,10 @@ def _union_of_blocks(members: frozenset, partition: Partition) -> bool:
     return all(b <= members or not (b & members) for b in partition.blocks)
 
 
-def _kernel_grid(kernel: Kernel, extra: tuple[Rate, ...] = ()) -> tuple[Rate, ...]:
+def _family_grid(
+    family: GeneratorFamily, extra: tuple[Rate, ...] = ()
+) -> tuple[Rate, ...]:
     """Achievable generator-set measures, the separating rate thresholds."""
-    family = generators(kernel)
     values = set(family.achievable_measures())
     values.update(extra)
     values.add(_ZERO)
@@ -200,7 +200,7 @@ def suite_t2(budget: Budget) -> SuiteReport:
     report = SuiteReport("t2", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        grid = _kernel_grid(kernel, extra=(Fraction(1, 2), Fraction(2)))
+        grid = _family_grid(generators(kernel), extra=(Fraction(1, 2), Fraction(2)))
         formulas, truncated = _formulas(budget, grid, Fragment.FULL)
         if truncated:
             report.notes["truncated"] = True
@@ -248,7 +248,7 @@ def suite_c2(budget: Budget) -> SuiteReport:
     report = SuiteReport("c2", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        grid = _kernel_grid(kernel, extra=(Fraction(1, 2),))
+        grid = _family_grid(generators(kernel), extra=(Fraction(1, 2),))
         formulas, _ = _formulas(budget, grid, Fragment.FULL)
         for f in formulas:
             for e in budget.epsilons:
@@ -273,7 +273,7 @@ def suite_l1(budget: Budget) -> SuiteReport:
     report = SuiteReport("l1-positive-monotonicity", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        grid = _kernel_grid(kernel)
+        grid = _family_grid(generators(kernel))
         formulas, _ = _formulas(budget, grid, Fragment.POSITIVE)
         for f in formulas:
             for e, e2 in budget.epsilon_pairs:
@@ -304,7 +304,7 @@ def suite_l2(budget: Budget) -> SuiteReport:
     report = SuiteReport("l2-limit", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        grid = _kernel_grid(kernel)
+        grid = _family_grid(generators(kernel))
         formulas, _ = _formulas(budget, grid, Fragment.POSITIVE)
         for f in formulas:
             for e in budget.epsilons:
@@ -397,13 +397,14 @@ def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
     partition = equivalence_mod.bisimulation(kernel)
     blocks = partition.blocks
     solver = OrderSolver(kernel)
+    relations = []
     for e in small_eps:
         report.checked += 1
-        order = orders_mod.largest_order(kernel, e)
-        rel = order.relation
-        essential = orders_mod.largest_order(kernel, e, essential=True)
+        rel = solver.order(e).relation
+        essential = solver.order(e, essential=True).relation
+        relations.append(rel)
         # closed under bisimulation: block products only
-        for candidate in (rel, essential.relation):
+        for candidate in (rel, essential):
             for (x, y) in candidate:
                 bx, by = partition.block_of(x), partition.block_of(y)
                 if not all((a, b) in candidate for a in bx for b in by):
@@ -417,16 +418,15 @@ def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
                 for b in block:
                     if (a, b) not in rel or (b, a) not in rel:
                         report.fail("bisimilar pair escapes the 0-order", kernel)
-                    if (a, b) not in essential.relation:
+                    if (a, b) not in essential:
                         report.fail(
                             "bisimilar pair escapes the essential 0-order", kernel
                         )
-        if not essential.relation <= rel:
+        if not essential <= rel:
             report.fail(
                 f"essential order not inside plain at e={format_rate(e)}", kernel
             )
     # monotonicity in the slack
-    relations = [orders_mod.largest_order(kernel, e).relation for e in small_eps]
     for lo, hi in zip(relations, relations[1:]):
         report.checked += 1
         if not lo <= hi:
@@ -462,8 +462,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
     report = SuiteReport("paramcharact", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         partition = equivalence_mod.bisimulation(kernel)
-        base_grid = _kernel_grid(kernel)
         family = generators(kernel)
+        base_grid = _family_grid(family)
         for e in budget.epsilons:
             ev = Evaluator(kernel)
             grid = tuple(sorted(set(base_grid) | {v + e for v in base_grid}))
@@ -515,7 +515,7 @@ def suite_characterization(budget: Budget) -> SuiteReport:
     report = SuiteReport("characterization", seed=budget.seed)
     for kernel in _suite_corpus(budget, max_states=min(budget.max_states, 4)):
         solver = OrderSolver(kernel)
-        base_grid = _kernel_grid(kernel)
+        base_grid = _family_grid(generators(kernel))
         for e in budget.epsilons:
             verdicts, reachable = transfer_plain(kernel, e)
             pairs = solver.plain_pairs(e)
@@ -558,7 +558,7 @@ def suite_generalization(budget: Budget) -> SuiteReport:
     incomplete = 0
     for kernel in _suite_corpus(budget, max_states=min(budget.max_states, 4)):
         solver = OrderSolver(kernel)
-        base_grid = _kernel_grid(kernel)
+        base_grid = _family_grid(generators(kernel))
         for e in budget.epsilons:
             verdicts, reachable = transfer_essential(kernel, e)
             pairs = solver.essential_pairs(e)
@@ -753,7 +753,7 @@ def suite_deduction(budget: Budget) -> SuiteReport:
         (e2, e) for (e2, e) in budget.epsilon_pairs if e2 > 0 and e > 0
     ] or [(Fraction(1, 10), Fraction(1, 3))]
     evs = {k: Evaluator(k) for k in kernels}
-    grids = {k: _kernel_grid(k) for k in kernels}
+    grids = {k: _family_grid(generators(k)) for k in kernels}
     for kernel in kernels:
         ev = evs[kernel]
         pos, _ = _formulas(budget, grids[kernel], Fragment.POSITIVE, depth=1)

@@ -2,16 +2,18 @@
 
 A kernel is a finite list of states plus a total rate map theta(source, target);
 entries absent from the map are 0. State sets are plain frozensets of state ids,
-relations are frozensets of (state, state) pairs.
+relations are frozensets of (state, state) pairs. A kernel is checked once,
+when it is constructed, so every ``Kernel`` that exists is valid.
 
 The integer core: at construction every rate is scaled by ``scale``, the least
 common multiple D of the rate denominators, and each state's row is kept as
-(target bit, rate * D) integer pairs, indexed by state position; bit i stands
-for the state at position i. Inside the core a state set is an int bitmask, so
+(target bit, rate * D) integer pairs sorted by target bit, indexed by state
+position; bit i stands for the state at position i. The rows and the scale are
+the only copy of the rates. Inside the core a state set is an int bitmask, so
 theta(m)(S) * D is an integer sum over the row and every comparison against a
 rate stays exact. ``scaled_measures`` gives every state's scaled rate into a
-mask. ``measure`` and ``total`` read the same rows and return Fractions, which
-with names and frozensets stay the public boundary.
+mask. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same rows and
+return Fractions, which with names and frozensets stay the public boundary.
 """
 
 from __future__ import annotations
@@ -22,85 +24,85 @@ from math import gcd
 from typing import IO, Iterable, Mapping, Union
 
 from .errors import KernelError, RateError
-from .rational import Rate, coerce_rate, ensure_rate, format_rate
+from .rational import Rate, ensure_rate, format_rate, parse_rate
 
 StateSet = frozenset
 Relation = frozenset
 
-RatesInput = Union[
-    Mapping[tuple[str, str], object],
-    Mapping[str, Mapping[str, object]],
-]
-
 _ZERO = Fraction(0)
 
 
-def _flatten_rates(rates: RatesInput) -> dict[tuple[str, str], Fraction]:
-    # lenient sign handling: validate() owns the negativity diagnostic
-    flat: dict[tuple[str, str], Fraction] = {}
-    for key, value in rates.items():
-        if isinstance(key, tuple):
-            flat[key] = coerce_rate(value)
-        else:
-            for target, rate in value.items():
-                flat[(key, target)] = coerce_rate(rate)
-    return flat
-
-
 class Kernel:
-    """Immutable finite-state kernel.
+    """Immutable finite-state kernel, valid once constructed.
 
-    ``rates`` may be keyed by (source, target) pairs or nested source -> target;
-    values are coerced exactly (ints, Fractions or literal strings, never
-    floats). Zero entries are dropped. Structural invariants (unique ids, known
-    endpoints) are checked by :func:`validate`, not here, so that invalid
-    kernels can be constructed and diagnosed. ``rows`` and ``scale`` are the
-    integer core described in the module docstring.
+    ``rates`` maps (source, target) pairs to rates; each value is coerced
+    exactly once (ints, Fractions or literal strings, never floats) and zero
+    entries are dropped. The constructor raises KernelError for a duplicate
+    state, an endpoint that is not a state or a negative rate, so every
+    ``Kernel`` holds unique states, known endpoints and nonnegative rates.
+    ``rows`` and ``scale``, the integer core described in the module docstring,
+    are the only copy of the rates.
     """
 
-    __slots__ = ("states", "_state_set", "_adj", "_bit", "rows", "scale", "_hash")
+    __slots__ = ("states", "_state_set", "_bit", "rows", "scale")
 
-    def __init__(self, states: Iterable[str], rates: RatesInput | None = None):
+    def __init__(
+        self,
+        states: Iterable[str],
+        rates: Mapping[tuple[str, str], object] | None = None,
+    ):
         self.states: tuple[str, ...] = tuple(states)
-        self._state_set = frozenset(self.states)
         bit: dict[str, int] = {}
         for i, s in enumerate(self.states):
-            bit.setdefault(s, 1 << i)
-        adj: dict[str, dict[str, Fraction]] = {}
-        # (source, target bit, numerator, denominator), scaled once D is known
+            if s in bit:
+                raise KernelError(f"duplicate state {s!r}")
+            bit[s] = 1 << i
+        # (source bit, target bit, numerator, denominator), scaled once D is known
         entries = []
         scale = 1
-        for (s, t), r in _flatten_rates(rates or {}).items():
-            if r != 0:
-                adj.setdefault(s, {})[t] = r
-                if t in bit:
-                    d = r.denominator
-                    entries.append((s, bit[t], r.numerator, d))
-                    if scale % d:
-                        scale = scale // gcd(scale, d) * d
-        rows: dict[str, list[tuple[int, int]]] = {}
-        for s, b, n, d in entries:
-            rows.setdefault(s, []).append((b, n * (scale // d)))
-        self._adj = adj
+        for (s, t), value in (rates or {}).items():
+            try:
+                r = ensure_rate(value)
+            except RateError:
+                if isinstance(value, (int, Fraction)) and value < 0:
+                    r = format_rate(Fraction(value))
+                    raise KernelError(f"negative rate {r} on ({s!r}, {t!r})") from None
+                raise
+            n = r.numerator
+            if not n:
+                continue
+            source = bit.get(s)
+            if source is None:
+                raise KernelError(f"rate source {s!r} is not a state")
+            target = bit.get(t)
+            if target is None:
+                raise KernelError(f"rate target {t!r} is not a state")
+            d = r.denominator
+            entries.append((source, target, n, d))
+            if scale % d:
+                scale = scale // gcd(scale, d) * d
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        entries.sort()
+        for source, target, n, d in entries:
+            rows[source.bit_length() - 1].append((target, n * (scale // d)))
+        self._state_set = frozenset(self.states)
         self._bit = bit
-        self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple(rows.get(s, ())) for s in self.states
-        )
+        self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, rows))
         self.scale = scale
-        self._hash: int | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        return self.states == other.states and self._adj == other._adj
+        return (self.states, self.scale, self.rows) == (
+            other.states, other.scale, other.rows
+        )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.states, tuple(self.rate_items())))
-        return self._hash
+        return hash((self.states, self.scale, self.rows))
 
     def __repr__(self) -> str:
-        return f"Kernel(states={list(self.states)!r}, rates={len(self.rate_items())} entries)"
+        entries = sum(map(len, self.rows))
+        return f"Kernel(states={list(self.states)!r}, rates={entries} entries)"
 
     @property
     def state_set(self) -> frozenset:
@@ -108,9 +110,13 @@ class Kernel:
 
     def rate(self, source: str, target: str) -> Rate:
         """theta(source, target); 0 for pairs without a stored entry."""
-        self._check_state(source)
+        row = self._row(source)
         self._check_state(target)
-        return self._adj.get(source, {}).get(target, _ZERO)
+        b = self._bit[target]
+        for bit, v in row:
+            if bit == b:
+                return Fraction(v, self.scale)
+        return _ZERO
 
     def measure(self, source: str, targets: frozenset) -> Rate:
         """theta(source)(targets) = total rate from source into the set."""
@@ -144,12 +150,12 @@ class Kernel:
 
     def rate_items(self) -> list[tuple[str, str, Rate]]:
         """Nonzero entries sorted by state order; deterministic."""
-        order = {s: i for i, s in enumerate(self.states)}
-        items = [(s, t, r) for s, row in self._adj.items() for t, r in row.items()]
-        items.sort(
-            key=lambda item: (order.get(item[0], len(order)), order.get(item[1], len(order)))
-        )
-        return items
+        states, scale = self.states, self.scale
+        return [
+            (s, states[b.bit_length() - 1], Fraction(v, scale))
+            for s, row in zip(states, self.rows)
+            for b, v in row
+        ]
 
     def _row(self, state: str) -> tuple[tuple[int, int], ...]:
         self._check_state(state)
@@ -158,22 +164,6 @@ class Kernel:
     def _check_state(self, state: str) -> None:
         if state not in self._state_set:
             raise KernelError(f"unknown state {state!r}")
-
-
-def validate(kernel: Kernel) -> None:
-    """Raise KernelError naming the first violated invariant; None when legal."""
-    seen = set()
-    for s in kernel.states:
-        if s in seen:
-            raise KernelError(f"duplicate state {s!r}")
-        seen.add(s)
-    for s, t, r in kernel.rate_items():
-        if s not in seen:
-            raise KernelError(f"rate source {s!r} is not a state")
-        if t not in seen:
-            raise KernelError(f"rate target {t!r} is not a state")
-        if r < 0:
-            raise KernelError(f"negative rate {format_rate(r)} on ({s!r}, {t!r})")
 
 
 def left_tag(state: str) -> str:
@@ -209,7 +199,8 @@ def disjoint_union(k1: Kernel, k2: Kernel) -> Kernel:
 def loads_kernel(text: str) -> Kernel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nested array or object
         raise KernelError(f"model file is not valid JSON: {exc}") from exc
     return _kernel_from_doc(doc)
 
@@ -247,12 +238,10 @@ def _kernel_from_doc(doc: object) -> Kernel:
                     f"rates.{source}.{target}: rate must be a string literal"
                 )
             try:
-                rates[(source, target)] = ensure_rate(literal)
+                rates[(source, target)] = parse_rate(literal)
             except RateError as exc:
                 raise KernelError(f"rates.{source}.{target}: {exc}") from exc
-    kernel = Kernel(states, rates)
-    validate(kernel)
-    return kernel
+    return Kernel(states, rates)
 
 
 def kernel_to_doc(kernel: Kernel, comment: str | None = None) -> dict:

@@ -13,7 +13,9 @@ from .errors import RateError
 
 Rate = Fraction
 
-_RATE_RE = re.compile(r"^(?P<sign>-?)(?:\d+(?:\.\d+)?|\d+/\d+)$")
+_RATE_RE = re.compile(
+    r"(?P<sign>-?)(?:(?P<whole>\d+)(?:\.(?P<frac>\d+))?|(?P<num>\d+)/(?P<den>\d+))"
+)
 
 
 def ensure_rate(value: object) -> Rate:
@@ -21,7 +23,7 @@ def ensure_rate(value: object) -> Rate:
 
     Floats are rejected: binary floats silently denormalize rationals like 1/10.
     """
-    if type(value) is Fraction and value >= 0:
+    if type(value) is Fraction and value.numerator >= 0:
         return value
     if isinstance(value, float):
         raise RateError(f"float rate {value!r} rejected; use a string or Fraction")
@@ -39,38 +41,25 @@ def ensure_rate(value: object) -> Rate:
 
 def parse_rate(text: str) -> Rate:
     """Parse a rate literal: a decimal ("2", "0.25") or a fraction ("3/2")."""
-    token = text.strip()
-    m = _RATE_RE.match(token)
+    m = _RATE_RE.fullmatch(text.strip())
     if not m:
         raise RateError(f"malformed rate literal {text!r}")
-    if m.group("sign"):
+    sign, whole, frac, num, den = m.group("sign", "whole", "frac", "num", "den")
+    if sign:
         raise RateError(f"negative rate {text!r}")
     try:
-        return Fraction(token)
-    except ZeroDivisionError as exc:
-        raise RateError(f"malformed rate literal {text!r} (zero denominator)") from exc
-
-
-def coerce_rate(value: object) -> Fraction:
-    """Exact coercion that allows negative values; floats stay rejected.
-
-    Used where an invalid object must be constructible so a validator can
-    diagnose it.
-    """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise RateError(f"float rate {value!r} rejected; use a string or Fraction")
-    if isinstance(value, bool):
-        raise RateError(f"rate must be a number, got {value!r}")
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RateError(f"malformed rate literal {value!r}") from exc
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise RateError(f"cannot interpret {value!r} as a rate")
+        if whole is None:
+            n, d = int(num), int(den)
+        elif frac is None:
+            n, d = int(whole), 1
+        else:
+            n, d = int(whole + frac), 10 ** len(frac)
+    except ValueError as exc:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise RateError(f"rate literal has too many digits: {exc}") from exc
+    if not d:
+        raise RateError(f"malformed rate literal {text!r} (zero denominator)")
+    return Fraction(n, d)
 
 
 def format_rate(q: Rate) -> str:

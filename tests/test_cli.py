@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import re
 import shlex
+import tempfile
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cml_kit.cli import main
+from cml_kit.errors import KernelError
 from cml_kit.models import FIGURES, load_model, model_path
-from cml_kit.kernel import validate
+from cml_kit.kernel import Kernel, load_kernel
 
 MODELS_DIR = os.path.dirname(model_path("fig1"))
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "examples.md")
@@ -21,7 +26,8 @@ def run(capsys, argv):
 
 def test_all_models_load_and_validate():
     for name in FIGURES:
-        validate(load_model(name))
+        k = load_model(name)
+        assert Kernel(k.states, {(s, t): r for s, t, r in k.rate_items()}) == k
 
 
 def _documented_examples():
@@ -210,6 +216,97 @@ def test_encode_abs_normal_form_is_bounded(capsys):
     assert capsys.readouterr().out.count("|") == 511
     assert main(argv + [ten]) == 2
     assert "normal form needs more than 512 clauses" in capsys.readouterr().err
+
+
+def test_encode_abs_budget_spans_modal_depths(capsys):
+    # a modal body's clauses count again at every occurrence of its literal
+    argv = ["encode", "--abs", "-e", "1", "-f"]
+    body = " & ".join(["(L{1} T | L{2} T)"] * 9)
+    assert main(argv + ["L{1} (" + body + ")"]) == 0
+    assert capsys.readouterr().out.count("|") == 511
+    nested = " & ".join(["(L{1} (" + body + ") | L{2} T)"] * 9)
+    for f in (nested, "L{1} (" + body + ") | T"):
+        assert main(argv + [f]) == 2
+        assert "normal form needs more than 512 clauses" in capsys.readouterr().err
+
+
+# --- the model-file boundary ------------------------------------------------
+
+_names = st.sampled_from(["a", "b", "c", "m"])
+_keys = st.one_of(_names, st.text(max_size=3))
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+)
+_literals = st.one_of(
+    st.sampled_from(
+        ["0", "1", "3/2", "0.25", "007.50", " 2 ", "1/0", "-1", "x", "1e3", "", "2/"]
+    ),
+    st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2}|/[0-9]{1,2})?", fullmatch=True),
+    st.text(max_size=5),
+    _json_scalars,
+    st.lists(_json_scalars, max_size=2),
+)
+_rows = st.one_of(
+    st.dictionaries(_keys, _literals, max_size=4),
+    _json_scalars,
+    st.lists(_literals, max_size=2),
+)
+_model_docs = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "states": st.one_of(
+                st.lists(_names, max_size=5),
+                st.lists(st.one_of(_names, _json_scalars), max_size=3),
+                _json_scalars,
+            ),
+            "rates": st.one_of(
+                st.dictionaries(_keys, _rows, max_size=4),
+                _json_scalars,
+            ),
+        },
+        optional={"comment": st.text(max_size=5), "extra": _json_scalars},
+    ),
+    st.recursive(_json_scalars, lambda kids: st.lists(kids, max_size=3), max_leaves=6),
+)
+
+
+def _bisim_on(data: bytes) -> int:
+    """Exit code of `cml bisim` on a model file holding data; load_kernel may
+    raise only KernelError on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(["bisim", "-m", path])
+        try:
+            load_kernel(path)
+        except KernelError:
+            assert code == 2
+        else:
+            assert code == 0
+    return code
+
+
+@given(_model_docs)
+def test_random_model_documents_exit_cleanly(doc):
+    assert _bisim_on(json.dumps(doc).encode()) in (0, 2)
+
+
+@given(st.binary(max_size=64))
+@example(b"[" * 100_000)
+@example(b'{"states": ["a"], "rates": {"a": {"a": "' + b"1" * 5000 + b'"}}}')
+@example(b'{"states": ["a", "a"], "rates": {"x": {"y": "-1"}}}')
+@example(b'{"states": ["a"], "rates": {"a": {"a": "\\ud800"}}}')
+@example(b"\xff\xfe{}")
+def test_random_model_bytes_exit_cleanly(data):
+    assert _bisim_on(data) in (0, 2)
 
 
 def test_json_envelope_is_schema_tagged(capsys):

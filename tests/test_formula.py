@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cml_kit import (
     And,
@@ -24,7 +24,14 @@ from cml_kit import (
     parse,
     print_formula,
 )
-from cml_kit.formula import modal_atoms, modal_indices, prop_eval
+from cml_kit.errors import SearchBudgetExceeded
+from cml_kit.formula import (
+    DNF_CLAUSE_BUDGET,
+    _normal_form,
+    modal_atoms,
+    modal_indices,
+    prop_eval,
+)
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
 
 Q = Fraction
@@ -263,6 +270,16 @@ def test_normal_form_preserves_truth_tables(f):
     for k in kernels:
         for e in (Q(0), Q(1, 3)):
             assert eval_formula(k, f, e) == eval_formula(k, nf, e)
+
+
+@given(formula_st)
+@example(And(L(1, Or(Top(), Bot())), Or(Top(), Not(L(2, Or(Top(), Top()))))))
+def test_normal_form_budget_counts_the_printed_disjunctions(f):
+    try:
+        nf, spent = _normal_form(f)
+    except SearchBudgetExceeded:
+        return
+    assert spent == print_formula(nf).count("|") < DNF_CLAUSE_BUDGET
 
 
 def test_normal_form_truth_assignment_oracle():

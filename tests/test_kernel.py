@@ -1,4 +1,6 @@
 import json
+import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,41 +9,45 @@ from hypothesis import given, strategies as st
 from cml_kit import (
     Kernel,
     KernelError,
+    RateError,
     disjoint_union,
     dumps_kernel,
     left_tag,
     loads_kernel,
+    parse_rate,
     right_tag,
-    validate,
 )
+from cml_kit.models import FIGURES, load_model
 
 S = frozenset
 
 
 def test_smallest_legal_kernel():
     k = Kernel(["m"], {("m", "m"): 0})
-    validate(k)
     assert k.rate("m", "m") == 0
+    assert k.rows == ((),) and k.scale == 1
 
 
 def test_duplicate_state_rejected():
-    with pytest.raises(KernelError, match="duplicate state"):
-        validate(Kernel(["m", "m"], {}))
+    with pytest.raises(KernelError, match="duplicate state 'm'"):
+        Kernel(["m", "m"], {})
 
 
 def test_fig1_validates(fig1):
-    validate(fig1)
+    assert Kernel(fig1.states, {(s, t): r for s, t, r in fig1.rate_items()}) == fig1
     assert len(fig1.states) == 6
 
 
 def test_negative_rate_rejected():
-    with pytest.raises(KernelError, match="negative rate"):
-        validate(Kernel(["a"], {("a", "a"): Fraction(-1)}))
+    with pytest.raises(KernelError, match=re.escape("negative rate -1 on ('a', 'a')")):
+        Kernel(["a"], {("a", "a"): Fraction(-1)})
 
 
 def test_unknown_endpoint_rejected():
-    with pytest.raises(KernelError, match="not a state"):
-        validate(Kernel(["a"], {("a", "b"): 1}))
+    with pytest.raises(KernelError, match="rate target 'b' is not a state"):
+        Kernel(["a"], {("a", "b"): 1})
+    with pytest.raises(KernelError, match="rate source 'x' is not a state"):
+        Kernel(["a"], {("x", "a"): 1})
 
 
 def test_float_rate_rejected():
@@ -71,7 +77,6 @@ def test_measure_unknown_member(fig1):
 
 def test_union_of_singletons():
     u = disjoint_union(Kernel(["a"], {("a", "a"): 1}), Kernel(["a"], {("a", "a"): 2}))
-    validate(u)
     assert len(u.states) == 2
     assert u.rate("L:a", "L:a") == 1
     assert u.rate("R:a", "R:a") == 2
@@ -123,10 +128,27 @@ def test_measure_additive_over_disjoint_sets(k, data):
 @given(kernels(), kernels())
 def test_union_preserves_left_measures(k1, k2):
     u = disjoint_union(k1, k2)
-    validate(u)
     tagged = S(map(left_tag, k1.states))
     for m in k1.states:
         assert u.measure(left_tag(m), tagged) == k1.total(m)
+
+
+@given(kernels(), st.randoms(use_true_random=False))
+def test_rate_order_gives_equal_kernels(k, rng):
+    items = [((s, t), r) for s, t, r in k.rate_items()]
+    rng.shuffle(items)
+    again = Kernel(k.states, dict(items))
+    assert again == k
+    assert hash(again) == hash(k)
+    assert again.rows == k.rows and again.scale == k.scale
+
+
+@pytest.mark.parametrize("name", FIGURES)
+def test_model_dumps_are_unchanged(name):
+    # the dumps of the shipped models, as the Fraction-keyed kernel printed them
+    with open(os.path.join(os.path.dirname(__file__), "model_dumps.json")) as fh:
+        expected = json.load(fh)[name]
+    assert dumps_kernel(load_model(name)) == expected
 
 
 def test_json_round_trip(fig1):
@@ -156,3 +178,29 @@ def test_loader_accepts_comment_and_decimal():
         )
     )
     assert k.rate("a", "a") == Fraction(1, 4)
+
+
+_digits = st.text("0123456789", min_size=1, max_size=6)
+_pads = st.sampled_from(["", " ", "\t "])
+
+
+@given(
+    _pads,
+    st.one_of(
+        _digits,
+        st.builds("{}.{}".format, _digits, _digits),
+        st.builds("{}/{}".format, _digits, _digits),
+    ),
+    _pads,
+)
+def test_parse_rate_matches_fraction(before, token, after):
+    text = before + token + after
+    try:
+        expected = Fraction(token)
+    except ZeroDivisionError:
+        with pytest.raises(RateError, match="zero denominator"):
+            parse_rate(text)
+    else:
+        assert parse_rate(text) == expected
+    with pytest.raises(RateError, match="negative rate"):
+        parse_rate(before + "-" + token + after)
