@@ -199,7 +199,7 @@ def normal_form(f: Formula) -> Formula:
     Modal subformulas are treated as literals (L r psi / !L r psi) with their
     bodies normalized recursively; T and F are kept as atoms. Equivalent to the
     input under Boolean semantics at every epsilon. Raises
-    SearchBudgetExceeded past DNF_CLAUSE_BUDGET.
+    SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET.
     """
     return _normal_form(f)[0]
 
@@ -212,25 +212,49 @@ def normal_form(f: Formula) -> Formula:
 # stack through the modal bodies, so the count bounds both size and depth.
 DNF_CLAUSE_BUDGET = 512
 
+# The deepest a normal form may nest: its Or chain, one clause's And chain and
+# the literal below it, whose body nests again. The printer and ``encode_abs``
+# recurse once per level, and a single clause of many literals is not bounded
+# by the clause count. DNF_CLAUSE_BUDGET + MAX_DEPTH levels: room for the
+# longest Or chain the clause budget allows and MAX_DEPTH more, well inside
+# the interpreter's recursion limit of 1000.
+NF_NESTING_BUDGET = 768
+
 
 def _normal_form(f: Formula) -> tuple[Formula, int]:
     # the normal form and its disjunctions, unrolled through the modal bodies
     clauses, inner = _clauses(f, True)
-    nf = reduce(Or, [reduce(And, clause) for clause in clauses])
-    return nf, len(clauses) - 1 + inner
+    return _join(clauses)[0], len(clauses) - 1 + inner
 
 
-def _clauses(f: Formula, positive: bool) -> tuple[list[list[Formula]], int]:
-    # the clauses of the normal form of f (of !f when not positive), and the
-    # disjunctions inside their literals' bodies, counted per occurrence
+def _join(clauses: list[tuple[list[Formula], int]]) -> tuple[Formula, int]:
+    # the Or of the clauses' And chains and its nesting, checked before either
+    # is built; a clause carries the nesting of its deepest literal
+    nesting = len(clauses) - 1 + max(len(c) - 1 + deepest for c, deepest in clauses)
+    if nesting > NF_NESTING_BUDGET:
+        raise SearchBudgetExceeded(
+            f"normal form nests more than {NF_NESTING_BUDGET} levels deep"
+        )
+    return reduce(Or, [reduce(And, c) for c, _ in clauses]), nesting
+
+
+def _clauses(
+    f: Formula, positive: bool
+) -> tuple[list[tuple[list[Formula], int]], int]:
+    # the clauses of the normal form of f (of !f when not positive), each with
+    # the nesting of its deepest literal, and the disjunctions inside their
+    # literals' bodies, counted per occurrence
     if isinstance(f, Top):
-        return [[Top() if positive else Bot()]], 0
+        return [([Top() if positive else Bot()], 0)], 0
     if isinstance(f, Not):
         return _clauses(f.child, not positive)
     if isinstance(f, L):
-        body, inner = _normal_form(f.child)
+        clauses, inner = _clauses(f.child, True)
+        body, nesting = _join(clauses)
         lit = L(f.rate, body)
-        return [[lit if positive else Not(lit)]], inner
+        if not positive:
+            lit, nesting = Not(lit), nesting + 1
+        return [([lit], nesting + 1)], len(clauses) - 1 + inner
     if not isinstance(f, And):
         raise TypeError(f"not a formula node: {f!r}")
     left, left_inner = _clauses(f.left, positive)
@@ -250,7 +274,7 @@ def _clauses(f: Formula, positive: bool) -> tuple[list[list[Formula]], int]:
         )
     if not positive:
         return left + right, inner
-    return [a + b for a in left for b in right], inner
+    return [(a + b, max(da, db)) for a, da in left for b, db in right], inner
 
 
 def encode_abs(f: Formula, e: Rate) -> Formula:

@@ -515,7 +515,7 @@ def suite_characterization(budget: Budget) -> SuiteReport:
     report = SuiteReport("characterization", seed=budget.seed)
     for kernel in _suite_corpus(budget, max_states=min(budget.max_states, 4)):
         solver = OrderSolver(kernel)
-        base_grid = _family_grid(generators(kernel))
+        base_grid = _family_grid(solver.family)
         for e in budget.epsilons:
             verdicts, reachable = transfer_plain(kernel, e)
             pairs = solver.plain_pairs(e)
@@ -558,7 +558,7 @@ def suite_generalization(budget: Budget) -> SuiteReport:
     incomplete = 0
     for kernel in _suite_corpus(budget, max_states=min(budget.max_states, 4)):
         solver = OrderSolver(kernel)
-        base_grid = _family_grid(generators(kernel))
+        base_grid = _family_grid(solver.family)
         for e in budget.epsilons:
             verdicts, reachable = transfer_essential(kernel, e)
             pairs = solver.essential_pairs(e)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .equivalence import Partition, bisimulation, generators
+from .equivalence import GeneratorFamily, Partition, bisimulation, generators
 from .errors import InternalCheckError, KernelError, SearchBudgetExceeded
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
@@ -74,7 +74,9 @@ class OrderSolver:
         self.sums = [sum(row) for row in self.bm]
         # _masses[i][mask]: scaled theta of block i into the blocks of mask
         self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
-        self._family: Optional[list[int]] = None
+        # the generator family and its block projection, built on first use
+        self._family: Optional[GeneratorFamily] = None
+        self._family_blocks: Optional[list[int]] = None
         # plain pairs keyed by floor(e * scale), the only way they depend on e
         self._plain_cache: dict[int, frozenset] = {}
         self._essential_cache: dict[Rate, frozenset] = {}
@@ -100,11 +102,18 @@ class OrderSolver:
 
     # --- family at block level -------------------------------------------
 
+    @property
+    def family(self) -> GeneratorFamily:
+        """The kernel's generator family, built once per solver."""
+        if self._family is None:
+            self._family = generators(self.kernel)
+        return self._family
+
     def family_blocks(self) -> list[int]:
         """The plain generator family, each member as a bitmask of blocks."""
-        if self._family is None:
+        if self._family_blocks is None:
             family = []
-            for member in generators(self.kernel).masks:
+            for member in self.family.masks:
                 blocks = covered = 0
                 for i, b in enumerate(self._block_masks):
                     if member & b:
@@ -116,8 +125,8 @@ class OrderSolver:
                         "generator member is not a union of bisimulation blocks"
                     )
                 family.append(blocks)
-            self._family = family
-        return self._family
+            self._family_blocks = family
+        return self._family_blocks
 
     # --- plain order: greatest fixpoint ----------------------------------
 

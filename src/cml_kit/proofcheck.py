@@ -393,7 +393,8 @@ def loads_proof(text: str) -> Proof:
     """Parse a JSON proof file; raises ProofFormatError naming the bad field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # the decoder recurses once per nested array or object
         raise ProofFormatError(f"proof file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProofFormatError("proof file must be a JSON object")

@@ -4,11 +4,13 @@ A state satisfies L r phi at slack e when its rate into the extension of phi
 (computed at the same e) falls short of r by at most e. Boolean connectives
 are classical: negation is exact complement at every e.
 
-Extensions are computed on the kernel's integer core (see ``kernel``): a
-subformula's extension is a state bitmask, and an ``L r phi`` node takes each
-state's scaled rate into the child's mask. The comparison is made once per
-distinct scaled total w, on the exact rate w / D, so ``_modal_holds`` is the
-only place the semantics compares rates. ``extension`` returns frozensets.
+Extensions are computed on the kernel's integer core (see ``kernel``) by one
+recursion over the formula tree: a subformula's extension is a state bitmask,
+and an ``L r phi`` node takes each state's scaled rate w = theta(m)(phi) * D
+into the child's mask. It scales r and e once to integers over a common
+denominator and passes each state's w, scaled the same way, to
+``_modal_holds``, the only place the semantics compares rates. ``extension``
+returns frozensets.
 """
 
 from __future__ import annotations
@@ -25,18 +27,24 @@ from .rational import Rate, ensure_rate
 _ZERO = Fraction(0)
 
 
-def _modal_holds(total: Rate, e: Rate, r: Rate) -> bool:
-    # The single comparison the whole semantics hinges on.
+def _modal_holds(total: int, e: int, r: int) -> bool:
+    # The single comparison the whole semantics hinges on, on integers over
+    # one common denominator.
     return total + e >= r
 
 
 class Evaluator:
-    """Extension computation for one kernel with a persistent (formula, e) cache."""
+    """Extensions on one kernel, with a persistent (formula, e) cache.
+
+    ``extension`` looks each (formula, e) pair up in the cache and otherwise
+    computes it with one walk over the formula tree, ``_walk``, which keeps no
+    table of its own: a shared or repeated subformula is evaluated again
+    wherever it occurs, which costs less than hashing it to look it up.
+    """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._cache: dict[tuple[Formula, Rate], frozenset] = {}
-        self._masks: dict[Rate, dict[Formula, int]] = {}
         self._full = (1 << len(kernel.states)) - 1
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
@@ -50,38 +58,29 @@ class Evaluator:
         return out
 
     def _compute(self, f: Formula, e: Rate) -> frozenset:
-        return self.kernel.set_of(self._mask(f, e))
+        return self.kernel.set_of(self._walk(f, e))
 
-    def _mask(self, f: Formula, e: Rate) -> int:
-        masks = self._masks.get(e)
-        if masks is None:
-            masks = self._masks[e] = {}
-        return self._walk(f, e, masks)
-
-    def _walk(self, f: Formula, e: Rate, masks: dict[Formula, int]) -> int:
-        out = masks.get(f)
-        if out is not None:
-            return out
+    def _walk(self, f: Formula, e: Rate) -> int:
+        # the extension of f at e as a state bitmask
         if isinstance(f, Top):
-            out = self._full
-        elif isinstance(f, Not):
-            out = self._full ^ self._walk(f.child, e, masks)
-        elif isinstance(f, And):
-            out = self._walk(f.left, e, masks) & self._walk(f.right, e, masks)
-        elif isinstance(f, L):
-            scale = self.kernel.scale
-            verdicts: dict[int, bool] = {}
-            out = 0
-            child = self._walk(f.child, e, masks)
-            for i, w in enumerate(self.kernel.scaled_measures(child)):
-                holds = verdicts.get(w)
-                if holds is None:
-                    holds = verdicts[w] = _modal_holds(Fraction(w, scale), e, f.rate)
-                if holds:
-                    out |= 1 << i
-        else:
+            return self._full
+        if isinstance(f, Not):
+            return self._full ^ self._walk(f.child, e)
+        if isinstance(f, And):
+            return self._walk(f.left, e) & self._walk(f.right, e)
+        if not isinstance(f, L):
             raise TypeError(f"not a formula node: {f!r}")
-        masks[f] = out
+        child = self._walk(f.child, e)
+        # theta(m)(child) + e >= r, multiplied through by D and by the
+        # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
+        r, scale = f.rate, self.kernel.scale
+        unit = e.denominator * r.denominator
+        slack = e.numerator * scale * r.denominator
+        bound = r.numerator * scale * e.denominator
+        out = 0
+        for i, w in enumerate(self.kernel.scaled_measures(child)):
+            if _modal_holds(w * unit, slack, bound):
+                out |= 1 << i
         return out
 
     def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
@@ -97,7 +96,7 @@ class Evaluator:
 
         def walk(g: Formula) -> None:
             if isinstance(g, L):
-                for w in set(self.kernel.scaled_measures(self._mask(g.child, e))):
+                for w in set(self.kernel.scaled_measures(self._walk(g.child, e))):
                     gap = g.rate - (Fraction(w, scale) + e)
                     if gap > 0:
                         deficits.append(gap)

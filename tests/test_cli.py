@@ -108,6 +108,16 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_proof_is_usage_error(tmp_path, capsys):
+    # the JSON decoder recurses once per nested array
+    path = tmp_path / "proof.json"
+    path.write_bytes(b"[" * 100_000)
+    assert main(["prove", "-p", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "proof file is not valid JSON" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_search_nonpositive_max_states_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as exc:
@@ -228,6 +238,27 @@ def test_encode_abs_budget_spans_modal_depths(capsys):
     for f in (nested, "L{1} (" + body + ") | T"):
         assert main(argv + [f]) == 2
         assert "normal form needs more than 512 clauses" in capsys.readouterr().err
+
+
+def _balanced_conjunction(first: int, depth: int) -> str:
+    # 2**depth distinct literals L{first} T ... conjoined as a balanced tree
+    if depth == 0:
+        return f"L{{{first}}} T"
+    half = 2 ** (depth - 1)
+    left = _balanced_conjunction(first, depth - 1)
+    return f"({left} & {_balanced_conjunction(first + half, depth - 1)})"
+
+
+def test_encode_abs_bounds_the_nesting_of_one_clause(capsys):
+    # one clause of 2**depth literals, whose And chain the clause count misses
+    argv = ["encode", "--abs", "-e", "1", "-f"]
+    assert main(argv + [_balanced_conjunction(1, 9)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("&") == 511 and "|" not in out
+    assert main(argv + [_balanced_conjunction(1, 10)]) == 2
+    err = capsys.readouterr().err
+    assert "normal form nests more than 768 levels deep" in err
+    assert "Traceback" not in err
 
 
 # --- the model-file boundary ------------------------------------------------

@@ -182,7 +182,8 @@ _formulas = st.recursive(
     lambda kids: st.one_of(
         st.builds(Not, kids),
         st.builds(And, kids, kids),
-        st.builds(L, st.sampled_from(_RATES + [Q(3, 2), Q(2)]), kids),
+        # 11 divides no scale of a kernel over _RATES: r scales by its own denominator
+        st.builds(L, st.sampled_from(_RATES + [Q(3, 2), Q(2), Q(5, 11)]), kids),
     ),
     max_leaves=8,
 )
@@ -218,7 +219,7 @@ def _fraction_bisimulation(k):
 
 @settings(max_examples=150, deadline=None)
 @given(_kernels(), st.lists(_formulas, min_size=1, max_size=4),
-       st.sampled_from([Q(0), Q(1, 21), Q(1, 10), Q(2, 7), Q(1, 2)]))
+       st.sampled_from([Q(0), Q(1, 21), Q(1, 10), Q(2, 7), Q(1, 2), Q(1, 13)]))
 def test_integer_core_matches_fraction_definitions(k, formulas, e):
     ev = Evaluator(k)
     for f in formulas:

@@ -1,0 +1,37 @@
+"""The benchmark's per-layer tracer wraps library names by hand.
+
+``perfbench/tracing.py`` patches functions and methods it looks up by name, so
+renaming or deleting one of them breaks ``perfbench/run.py --trace 1``. This
+test installs the tracer around one evaluation, so such a change fails here.
+"""
+
+import importlib.util
+import os
+
+from cml_kit import eval_formula, parse, semantics
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_installs_and_restores(fig1):
+    tracer = _tracing_module().Tracer()
+    compute = semantics.Evaluator._compute
+    try:
+        tracer.install()
+        out = semantics.eval_formula(fig1, parse("L{5} L{4} T"), 0)
+    finally:
+        tracer.restore()
+    assert out == frozenset({"m"})
+    assert semantics.eval_formula is eval_formula
+    assert semantics.Evaluator._compute is compute
+    metrics = tracer.metrics([])
+    assert metrics["semantics.eval_formula.calls"][0] == 1
+    assert metrics["semantics.extension.calls"][0] == 1
+    assert tracer.computes == 1
