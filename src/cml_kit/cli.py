@@ -71,7 +71,7 @@ def cmd_valid(args) -> int:
 
 def cmd_search(args) -> int:
     grid = None
-    if args.grid:
+    if args.grid is not None:
         grid = [parse_rate(tok) for tok in args.grid.split(",") if tok.strip()]
     found = search_model(
         parse(args.formula),
@@ -287,8 +287,13 @@ def main(argv=None) -> int:
         parser.error(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}"
         )
-    if args.command == "search" and args.max_states < 1:
-        parser.error(f"argument --max-states: must be at least 1, got {args.max_states}")
+    if args.command == "search":
+        if args.max_states < 1:
+            parser.error(
+                f"argument --max-states: must be at least 1, got {args.max_states}"
+            )
+        if args.grid is not None and not any(tok.strip() for tok in args.grid.split(",")):
+            parser.error(f"argument --grid: holds no rate, got {args.grid!r}")
     try:
         return args.fn(args)
     except InternalCheckError as exc:

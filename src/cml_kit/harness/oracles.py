@@ -1,108 +1,110 @@
 """Exact transfer oracles by extension-pair saturation.
 
-For the order characterizations the quantifier "for any formula" collapses to
-finitely many distinct behaviors on a finite kernel: each formula phi is fully
-described by the pair (extension of phi at slack 0, extension of the
-transferred side). Saturating the set of reachable pairs under the formula
-constructors therefore decides the transfer tests exactly, with no depth or
-rate bound.
+On a finite kernel the quantifier "for any formula" of the order
+characterizations collapses to finitely many behaviors: a formula phi is
+described by its pair (extension at slack 0, extension of the transferred
+side), so saturating the reachable pairs under the formula constructors decides
+the transfer tests exactly, with no depth or rate bound. Plain pairs are
+(ext_0(phi), ext_e(phi)) for positive phi; essential pairs are
+(ext_0(phi), ext_e(|phi|_e)) for full-language phi in negation normal form.
 
-Plain transfer pairs are (ext_0(phi), ext_e(phi)) for positive phi; essential
-pairs are (ext_0(phi), ext_e(|phi|_e)) for full-language phi in negation
-normal form, built compositionally from modal literals.
-
-The transfer oracles return their verdicts together with the saturated pairs,
-so a suite that also checks enumerated formulas saturates each (kernel, e)
-once.
+A pair is one int mask over two copies of the states (``pair_mask``): bit i is
+state i at slack 0 and bit |S| + i is state i on the transferred side, so the
+componentwise union and intersection of pairs are ``|`` and ``&``. Rates are
+compared as integers: the kernel's scaled measures w (rate times D) are scaled
+again by the denominator of e = ne/de, so a rate into a body reads w * de and a
+shifted rate w * de + ne * D. The oracles return their verdicts with the
+saturated pairs, so a suite that cross-checks enumerated formulas saturates
+each (kernel, e) once.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 from ..errors import SearchBudgetExceeded
 from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
 
-_ZERO = Fraction(0)
-
-Pair = tuple[frozenset, frozenset]
+PAIR_CAP = 20_000
 
 
-def _literal_pairs(
-    kernel: Kernel, pair: Pair, e: Rate, negated_literals: bool
-) -> list[Pair]:
-    """All distinct literal pairs over one body pair, sweeping the rate.
+def pair_mask(kernel: Kernel, s0: frozenset, se: frozenset) -> int:
+    """The mask of the extension pair (s0, se)."""
+    return kernel.mask_of(s0) | kernel.mask_of(se) << len(kernel.states)
 
-    Positive literals always, and negated ones too when ``negated_literals``.
-    """
-    s0, se = pair
-    states = kernel.states
-    # each state's rate into either body, measured once for the whole sweep
-    into_s0 = [kernel.measure(x, s0) for x in states]
-    into_se = [kernel.measure(x, se) for x in states]
-    shifted = [v + e for v in into_se]
-    sweep = sorted(r for r in {*into_s0, *into_se, *shifted} if r >= 0)
-    if sweep:
-        sweep.append(sweep[-1] + 1)
-    else:
-        sweep = [_ZERO]
+
+def _at_least(values: list[int], r: int) -> int:
+    return sum([1 << i for i, v in enumerate(values) if v >= r])
+
+
+def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[int]:
+    """All distinct literal pairs over one body pair, sweeping the rate: positive
+    literals always, and negated ones too when ``negated_literals``."""
+    size = len(kernel.states)
+    de = e.denominator
+    into_s0 = [w * de for w in kernel.scaled_measures(pair & ((1 << size) - 1))]
+    into_se = [w * de for w in kernel.scaled_measures(pair >> size)]
+    shifted = [v + e.numerator * kernel.scale for v in into_se]
+    values = {*into_s0, *into_se, *shifted}
+    # one rate above every value gives the empty literal; an empty kernel has none
+    sweep = [*sorted(values), max(values) + 1] if values else [0]
+    full = (1 << 2 * size) - 1
     out = []
-    universe = kernel.state_set
     for r in sweep:
-        left = frozenset(x for x, v in zip(states, into_s0) if v >= r)
-        out.append((left, frozenset(x for x, v in zip(states, shifted) if v >= r)))
+        left = _at_least(into_s0, r)
+        out.append(left | _at_least(shifted, r) << size)
         if negated_literals:
-            right = frozenset(x for x, v in zip(states, into_se) if v >= r)
-            out.append((universe - left, universe - right))
+            out.append(full ^ (left | _at_least(into_se, r) << size))
     return out
 
 
-def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool,
-                   cap: int = 20_000) -> frozenset:
+def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool) -> frozenset[int]:
     """Fixpoint of the pair semantics under literals, conjunction, disjunction.
 
     A worklist closes each pair once, when it is taken from the queue: it adds
-    the pair's literal pairs and its componentwise union and intersection with
-    every pair closed before it. Every two pairs are joined when the later of
-    the two is closed. Raises ``SearchBudgetExceeded`` once the fixpoint is
-    known to hold more than ``cap`` pairs.
+    the pair's literal pairs and its union and intersection with every pair
+    closed before it, so every two pairs are joined. Raises ``SearchBudgetExceeded``
+    once the fixpoint is known to hold more than ``PAIR_CAP`` pairs.
     """
     e = ensure_rate(e)
-    universe = kernel.state_set
-    pairs: set[Pair] = {(universe, universe)}
+    pairs = {(1 << 2 * len(kernel.states)) - 1}
     if negated_literals:
-        pairs.add((frozenset(), frozenset()))
+        pairs.add(0)
     queue = deque(pairs)
-    closed: list[Pair] = []
+    closed: list[int] = []
 
-    def add(candidate: Pair) -> None:
+    def add(candidate: int) -> None:
         if candidate not in pairs:
             pairs.add(candidate)
             queue.append(candidate)
-            if len(pairs) > cap:
-                raise SearchBudgetExceeded(f"pair saturation exceeded {cap} pairs")
+            if len(pairs) > PAIR_CAP:
+                raise SearchBudgetExceeded(f"pair saturation exceeded {PAIR_CAP} pairs")
 
     while queue:
         pair = queue.popleft()
         for lit in _literal_pairs(kernel, pair, e, negated_literals):
             add(lit)
         closed.append(pair)
-        a0, ae = pair
-        for (b0, be) in closed:
-            add((a0 | b0, ae | be))
-            add((a0 & b0, ae & be))
+        for other in closed:
+            add(pair | other)
+            add(pair & other)
     return frozenset(pairs)
 
 
 def _transfer(kernel: Kernel, e: Rate, negated_literals: bool) -> tuple[dict, frozenset]:
     pairs = saturate_pairs(kernel, e, negated_literals)
-    verdicts = {
-        (m, n): all(m in se for (s0, se) in pairs if n in s0)
-        for m in kernel.states
-        for n in kernel.states
-    }
+    states = kernel.states
+    size = len(states)
+    # allowed[n]: the states m in the transferred side of every pair holding n
+    allowed = [(1 << size) - 1] * size
+    for pair in pairs:
+        se = pair >> size
+        for n in range(size):
+            if pair >> n & 1:
+                allowed[n] &= se
+    verdicts = {(m, n): bool(allowed[j] >> i & 1)
+                for i, m in enumerate(states) for j, n in enumerate(states)}
     return verdicts, pairs
 
 

@@ -46,7 +46,7 @@ from ..rational import Rate, ensure_rate, format_rate
 from ..semantics import Evaluator, valid_on
 from .enumerate import EnumerationConfig, enumerate_formulas
 from .generate import corpus
-from .oracles import transfer_essential, transfer_plain
+from .oracles import pair_mask, transfer_essential, transfer_plain
 from .shrink import shrink
 
 _ZERO = Fraction(0)
@@ -464,13 +464,19 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
         partition = equivalence_mod.bisimulation(kernel)
         family = generators(kernel)
         base_grid = _family_grid(family)
+        # each member's defining formula and scaled measure row, once per kernel
+        rows = [
+            (family.formulas[c], kernel.scaled_measures(kernel.mask_of(c)))
+            for c in family.sorted_sets()
+        ]
         for e in budget.epsilons:
             ev = Evaluator(kernel)
             grid = tuple(sorted(set(base_grid) | {v + e for v in base_grid}))
             formulas, _ = _formulas(budget, grid, Fragment.FULL)
             states = kernel.states
             for i, m in enumerate(states):
-                for n in states[i + 1 :]:
+                for j in range(i + 1, len(states)):
+                    n = states[j]
                     report.checked += 1
                     same = partition.same_block(m, n)
                     if same:
@@ -485,12 +491,12 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                             )
                         continue
                     witness = None
-                    for c in family.sorted_sets():
-                        vm, vn = kernel.measure(m, c), kernel.measure(n, c)
-                        if vm == vn:
+                    for phi, row in rows:
+                        wm, wn = row[i], row[j]
+                        if wm == wn:
                             continue
-                        body = encode_up(family.formulas[c], e)
-                        candidate = L(max(vm, vn) + e, body)
+                        body = encode_up(phi, e)
+                        candidate = L(Fraction(max(wm, wn), kernel.scale) + e, body)
                         if (m in ev.extension(candidate, e)) != (
                             n in ev.extension(candidate, e)
                         ):
@@ -535,7 +541,8 @@ def suite_characterization(budget: Budget) -> SuiteReport:
             ev = Evaluator(kernel)
             for f in formulas:
                 report.checked += 1
-                if (ev.extension(f, _ZERO), ev.extension(f, e)) not in reachable:
+                pair = pair_mask(kernel, ev.extension(f, _ZERO), ev.extension(f, e))
+                if pair not in reachable:
                     report.fail(
                         f"enumerated behavior escapes the saturation at "
                         f"e={format_rate(e)}",
@@ -585,9 +592,8 @@ def suite_generalization(budget: Budget) -> SuiteReport:
             ev = Evaluator(kernel)
             for f in formulas:
                 report.checked += 1
-                pair = (
-                    ev.extension(f, _ZERO),
-                    ev.extension(encode_abs(f, e), e),
+                pair = pair_mask(
+                    kernel, ev.extension(f, _ZERO), ev.extension(encode_abs(f, e), e)
                 )
                 if pair not in reachable:
                     report.fail(

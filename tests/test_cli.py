@@ -126,6 +126,14 @@ def test_search_nonpositive_max_states_is_usage_error(capsys, value):
     assert "--max-states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [",", "", " , "])
+def test_search_grid_without_rates_is_usage_error(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "-f", "T", "-e", "0", "--grid", grid])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_malformed_formula_is_usage_error(capsys):
     code = main(["eval", "-m", model_path("fig1"), "-f", "L{-1} T", "-e", "0"])
     assert code == 2

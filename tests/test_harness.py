@@ -9,6 +9,7 @@ from cml_kit.harness import (
     KernelGenConfig,
     enumerate_formulas,
     gen_kernel,
+    oracles,
     run_suite,
     shrink,
     small_budget,
@@ -16,7 +17,13 @@ from cml_kit.harness import (
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.mutations import REGISTRY, catching_suite, mutated
 from cml_kit.harness.generate import corpus
-from cml_kit.harness.oracles import _literal_pairs, saturate_pairs
+from cml_kit.harness.oracles import (
+    _literal_pairs,
+    pair_mask,
+    saturate_pairs,
+    transfer_essential,
+    transfer_plain,
+)
 from cml_kit.harness.suites import SUITES
 
 Q = Fraction
@@ -119,10 +126,11 @@ def test_mutation_restores_original():
     assert semantics._modal_holds is original
 
 
-def test_pair_saturation_cap_raises_budget_error():
+def test_pair_saturation_cap_raises_budget_error(monkeypatch):
     kernel = gen_kernel(KernelGenConfig(max_states=3, density=Q(1), seed=4))
+    monkeypatch.setattr(oracles, "PAIR_CAP", 3)
     with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 3 pairs"):
-        saturate_pairs(kernel, Q(1, 10), negated_literals=True, cap=3)
+        saturate_pairs(kernel, Q(1, 10), negated_literals=True)
 
 
 def test_pair_saturation_is_closed():
@@ -130,12 +138,44 @@ def test_pair_saturation_is_closed():
         for e in (Q(0), Q(1, 10)):
             for negated in (False, True):
                 pairs = saturate_pairs(kernel, e, negated_literals=negated)
-                for (a0, ae) in pairs:
-                    for lit in _literal_pairs(kernel, (a0, ae), e, negated):
+                for a in pairs:
+                    for lit in _literal_pairs(kernel, a, e, negated):
                         assert lit in pairs
-                    for (b0, be) in pairs:
-                        assert (a0 | b0, ae | be) in pairs
-                        assert (a0 & b0, ae & be) in pairs
+                    for b in pairs:
+                        assert a | b in pairs
+                        assert a & b in pairs
+
+
+def test_pair_mask_puts_the_transferred_side_above_the_states():
+    kernel = Kernel(["a", "b", "c"])
+    assert pair_mask(kernel, frozenset({"a"}), frozenset({"b", "c"})) == 0b110_001
+    assert pair_mask(kernel, frozenset(), frozenset()) == 0
+
+
+def test_transfer_plain_exact_boundary():
+    # m ->1/3 t and n ->4/7 t, so D = 21: every positive formula true at n holds
+    # at m at slack e exactly when 1/3 + e >= 4/7, that is e >= 5/21
+    kernel = Kernel(["m", "n", "t"], {("m", "t"): Q(1, 3), ("n", "t"): Q(4, 7)})
+    assert kernel.scale == 21
+    # 1/4 and 1/13 have denominators that do not divide D
+    for e, expected in [
+        (Q(5, 21), True),
+        (Q(1, 4), True),
+        (Q(5, 21) - Q(1, 1000), False),
+        (Q(1, 13), False),
+    ]:
+        verdicts, _ = transfer_plain(kernel, e)
+        assert verdicts[("m", "n")] is expected, e
+        assert verdicts[("n", "m")]
+
+
+@pytest.mark.parametrize("negated", [False, True])
+def test_pair_saturation_on_the_empty_kernel(negated):
+    kernel = Kernel([])
+    pairs = saturate_pairs(kernel, Q(1, 10), negated_literals=negated)
+    assert pairs == {pair_mask(kernel, frozenset(), frozenset())}
+    transfer = transfer_essential if negated else transfer_plain
+    assert transfer(kernel, Q(1, 10)) == ({}, pairs)
 
 
 def test_shrink_keeps_failure():

@@ -2,13 +2,16 @@
 
 ``perfbench/tracing.py`` patches functions and methods it looks up by name, so
 renaming or deleting one of them breaks ``perfbench/run.py --trace 1``. This
-test installs the tracer around one evaluation, so such a change fails here.
+test installs the tracer around one evaluation and one transfer oracle, so
+such a change fails here.
 """
 
 import importlib.util
 import os
+from fractions import Fraction
 
 from cml_kit import eval_formula, parse, semantics
+from cml_kit.harness import oracles
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -23,15 +26,21 @@ def _tracing_module():
 def test_benchmark_tracer_installs_and_restores(fig1):
     tracer = _tracing_module().Tracer()
     compute = semantics.Evaluator._compute
+    saturate_pairs = oracles.saturate_pairs
     try:
         tracer.install()
         out = semantics.eval_formula(fig1, parse("L{5} L{4} T"), 0)
+        _, pairs = oracles.transfer_plain(fig1, Fraction(1, 10))
     finally:
         tracer.restore()
     assert out == frozenset({"m"})
     assert semantics.eval_formula is eval_formula
     assert semantics.Evaluator._compute is compute
+    assert oracles.saturate_pairs is saturate_pairs
     metrics = tracer.metrics([])
     assert metrics["semantics.eval_formula.calls"][0] == 1
     assert metrics["semantics.extension.calls"][0] == 1
     assert tracer.computes == 1
+    assert metrics["harness.transfer.calls"][0] == 1
+    assert metrics["harness.saturate_pairs.calls"][0] == 1
+    assert metrics["harness.saturate_pairs.pairs"][0] == len(pairs)
