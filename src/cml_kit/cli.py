@@ -92,13 +92,20 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _dot_id(text: str) -> str:
+    # a DOT quoted string: backslash and double quote are escaped
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot(kernel: Kernel, partition) -> str:
     lines = ["digraph kernel {"]
     block_of = {s: i for i, b in enumerate(partition.blocks) for s in b}
     for s in kernel.states:
-        lines.append(f'  "{s}" [label="{s}\\nblock {block_of[s]}"];')
+        q = _dot_id(s)
+        lines.append(f'  "{q}" [label="{q}\\nblock {block_of[s]}"];')
     for s, t, r in kernel.rate_items():
-        lines.append(f'  "{s}" -> "{t}" [label="{format_rate(r)}"];')
+        edge = f'"{_dot_id(s)}" -> "{_dot_id(t)}"'
+        lines.append(f'  {edge} [label="{format_rate(r)}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -123,9 +130,10 @@ def cmd_order(args) -> int:
         solver.essential_pairs(e) if args.essential else solver.plain_pairs(e)
     )
     answer = pair in pairs
-    relation = solver.order(e, essential=args.essential).relation
+    # the L->R state pairs of the relation: L-states of block i times R-states of j
+    lefts = [sum(1 for x in block if x.startswith("L:")) for block in solver.blocks]
     witness_size = sum(
-        1 for (x, y) in relation if x.startswith("L:") and y.startswith("R:")
+        lefts[i] * (len(solver.blocks[j]) - lefts[j]) for (i, j) in pairs
     )
     _emit(args, {"holds": answer, "witness_size": witness_size}, "order")
     return 0 if answer else 1
@@ -292,6 +300,8 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --max-states: must be at least 1, got {args.max_states}"
             )
+        if args.budget < 1:
+            parser.error(f"argument --budget: must be at least 1, got {args.budget}")
         if args.grid is not None and not any(tok.strip() for tok in args.grid.split(",")):
             parser.error(f"argument --grid: holds no rate, got {args.grid!r}")
     try:

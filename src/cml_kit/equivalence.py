@@ -2,16 +2,17 @@
 
 Refinement starts from one block and repeatedly splits blocks whose members
 assign different measures to some current block; the fixpoint partition is the
-largest bisimulation. Each round gives every state a signature built in one
-pass over its integer row (see ``kernel``): block index -> scaled rate into
-the block, nonzero sums only, so states agree on every block measure exactly
-when their signatures are equal. The generator family is grown by saturation on
-state bitmasks and scaled integer rates: starting from the full state set, add
-the threshold sets {m | theta(m)(C) >= r} for every family member C and every
-achievable measure value r, and close under union and intersection. A worklist
-closes each member once. Each member is a union of bisimulation blocks and
-carries a defining positive-fragment formula. Closing under complement too
-would give every union of blocks, so that family is not built.
+largest bisimulation. A round keeps each state's block number in one list and
+gives every state a signature built in one pass over its integer row (see
+``kernel``): its block plus block -> scaled rate into the block, so states of
+a block agree on every block measure exactly when their signatures are equal.
+The generator family is grown by saturation on state bitmasks and scaled
+integer rates: starting from the full state set, add the threshold sets
+{m | theta(m)(C) >= r} for every family member C and every achievable measure
+value r, and close under union and intersection. A worklist closes each member
+once. Each member is a union of bisimulation blocks and carries a defining
+positive-fragment formula. Closing under complement too would give every union
+of blocks, so that family is not built.
 """
 
 from __future__ import annotations
@@ -47,36 +48,41 @@ class Partition:
         return set(self.blocks)
 
 
-def _split_round(kernel: Kernel, blocks: list[frozenset]) -> list[frozenset]:
-    # a state's signature maps each block index to its scaled integer rate
-    # into the block; zero sums are left out, so it is one pass over the row
-    order = {s: i for i, s in enumerate(kernel.states)}
-    block_of = {kernel.mask_of({s}): i for i, block in enumerate(blocks) for s in block}
-    new_blocks: list[frozenset] = []
-    for block in blocks:
-        groups: dict[frozenset, list[str]] = {}
-        for state in sorted(block, key=order.__getitem__):
-            sums: dict[int, int] = {}
-            for bit, v in kernel.rows[order[state]]:
-                i = block_of[bit]
-                sums[i] = sums.get(i, 0) + v
-            signature = frozenset([item for item in sums.items() if item[1]])
-            groups.setdefault(signature, []).append(state)
-        for members in groups.values():
-            new_blocks.append(frozenset(members))
-    new_blocks.sort(key=lambda b: min(order[s] for s in b))
-    return new_blocks
+def _split_round(kernel: Kernel, index: list[int]) -> list[int]:
+    # index[i] is the block of state i. A state's signature is its block and
+    # its scaled integer rate into each block, one pass over its row; rows
+    # hold no zero rate, so equal signatures mean equal block measures. New
+    # blocks are numbered in the order of their first states.
+    numbers: dict[tuple[int, frozenset], int] = {}
+    refined = []
+    for block, row in zip(index, kernel.rows):
+        sums: dict[int, int] = {}
+        for bit, v in row:
+            target = index[bit.bit_length() - 1]
+            sums[target] = sums.get(target, 0) + v
+        signature = (block, frozenset(sums.items()))
+        refined.append(numbers.setdefault(signature, len(numbers)))
+    return refined
+
+
+def _partition(kernel: Kernel, index: list[int], rounds: int) -> Partition:
+    # the blocks of a per-state block index, numbered by their first states
+    blocks: list[list[str]] = [[] for _ in range(max(index, default=-1) + 1)]
+    for state, block in zip(kernel.states, index):
+        blocks[block].append(state)
+    return Partition(tuple(map(frozenset, blocks)), rounds)
 
 
 def bisimulation(kernel: Kernel) -> Partition:
     """Partition of the largest stochastic bisimulation."""
-    blocks = [kernel.state_set] if kernel.states else []
+    index = [0] * len(kernel.states)
     rounds = 0
     while True:
-        refined = _split_round(kernel, blocks)
-        if len(refined) == len(blocks):
-            return Partition(tuple(refined), rounds)
-        blocks = refined
+        refined = _split_round(kernel, index)
+        # both are numbered by first states, so equal lists are equal partitions
+        if refined == index:
+            return _partition(kernel, index, rounds)
+        index = refined
         rounds += 1
 
 

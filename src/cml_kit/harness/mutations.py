@@ -37,9 +37,8 @@ def _no_truncation(r, e):
 
 def _single_round_bisimulation(kernel: Kernel):
     # degenerate stability check: one refinement round is declared enough
-    blocks = [kernel.state_set] if kernel.states else []
-    refined = equivalence_mod._split_round(kernel, blocks)
-    return equivalence_mod.Partition(tuple(refined), rounds=1)
+    refined = equivalence_mod._split_round(kernel, [0] * len(kernel.states))
+    return equivalence_mod._partition(kernel, refined, rounds=1)
 
 
 def _singleton_bisimulation(kernel: Kernel):

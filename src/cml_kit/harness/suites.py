@@ -253,11 +253,11 @@ def suite_c2(budget: Budget) -> SuiteReport:
         for f in formulas:
             for e in budget.epsilons:
                 report.checked += 1
+                ext = ev.extension(f, e)
                 ok = (
-                    ev.extension(f, e) == ev.extension(encode_down(f, e), _ZERO)
+                    ext == ev.extension(encode_down(f, e), _ZERO)
                     and ev.extension(f, _ZERO) == ev.extension(encode_up(f, e), e)
-                    and ev.extension(Not(f), e)
-                    == kernel.state_set - ev.extension(f, e)
+                    and ev.extension(Not(f), e) == kernel.state_set - ext
                 )
                 if not ok:
                     report.fail(
@@ -473,6 +473,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
             ev = Evaluator(kernel)
             grid = tuple(sorted(set(base_grid) | {v + e for v in base_grid}))
             formulas, _ = _formulas(budget, grid, Fragment.FULL)
+            # every formula's extension at e, computed on the first bisimilar pair
+            extensions = None
             states = kernel.states
             for i, m in enumerate(states):
                 for j in range(i + 1, len(states)):
@@ -480,10 +482,9 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                     report.checked += 1
                     same = partition.same_block(m, n)
                     if same:
-                        if not all(
-                            (m in ev.extension(f, e)) == (n in ev.extension(f, e))
-                            for f in formulas
-                        ):
+                        if extensions is None:
+                            extensions = [ev.extension(f, e) for f in formulas]
+                        if not all((m in ext) == (n in ext) for ext in extensions):
                             report.fail(
                                 f"bisimilar pair {m},{n} distinguished at "
                                 f"e={format_rate(e)}",
@@ -497,9 +498,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                             continue
                         body = encode_up(phi, e)
                         candidate = L(Fraction(max(wm, wn), kernel.scale) + e, body)
-                        if (m in ev.extension(candidate, e)) != (
-                            n in ev.extension(candidate, e)
-                        ):
+                        ext = ev.extension(candidate, e)
+                        if (m in ext) != (n in ext):
                             witness = candidate
                             break
                     if witness is None:
@@ -758,28 +758,25 @@ def suite_deduction(budget: Budget) -> SuiteReport:
     positive_pairs = [
         (e2, e) for (e2, e) in budget.epsilon_pairs if e2 > 0 and e > 0
     ] or [(Fraction(1, 10), Fraction(1, 3))]
-    evs = {k: Evaluator(k) for k in kernels}
-    grids = {k: _family_grid(generators(k)) for k in kernels}
     for kernel in kernels:
-        ev = evs[kernel]
-        pos, _ = _formulas(budget, grids[kernel], Fragment.POSITIVE, depth=1)
-        full, _ = _formulas(budget, grids[kernel], Fragment.FULL, depth=1)
+        ev = Evaluator(kernel)
+        grid = _family_grid(generators(kernel))
+        pos, _ = _formulas(budget, grid, Fragment.POSITIVE, depth=1)
+        full, _ = _formulas(budget, grid, Fragment.FULL, depth=1)
         for phi in pos[: min(len(pos), 12)]:
             for psi in full[: min(len(full), 12)]:
                 for e2, e in positive_pairs:
                     report.checked += 1
                     level = e2 + e
-                    direct = ev.extension(Implies(phi, psi), level) & ev.extension(
-                        phi, e2
-                    )
-                    if not direct <= ev.extension(psi, level):
+                    premise = ev.extension(phi, e2)
+                    conclusion = ev.extension(psi, level)
+                    direct = ev.extension(Implies(phi, psi), level) & premise
+                    if not direct <= conclusion:
                         report.fail(
                             "pointwise detachment broken", kernel, Implies(phi, psi)
                         )
-                    contra = ev.extension(
-                        Implies(Not(psi), Not(phi)), level
-                    ) & ev.extension(phi, e2)
-                    if not contra <= ev.extension(psi, level):
+                    contra = ev.extension(Implies(Not(psi), Not(phi)), level) & premise
+                    if not contra <= conclusion:
                         report.fail(
                             "pointwise contrapositive detachment broken",
                             kernel,

@@ -53,7 +53,7 @@ class EpsilonOrder:
 
 
 class OrderSolver:
-    """Per-kernel solver caching the partition, family and block measures."""
+    """Per-kernel solver keeping the partition, family and block measures."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
@@ -77,9 +77,6 @@ class OrderSolver:
         # the generator family and its block projection, built on first use
         self._family: Optional[GeneratorFamily] = None
         self._family_blocks: Optional[list[int]] = None
-        # plain pairs keyed by floor(e * scale), the only way they depend on e
-        self._plain_cache: dict[int, frozenset] = {}
-        self._essential_cache: dict[Rate, frozenset] = {}
 
     # --- exact integer core ----------------------------------------------
 
@@ -132,9 +129,6 @@ class OrderSolver:
 
     def plain_pairs(self, e: Rate) -> frozenset:
         limit = self._limit(ensure_rate(e))
-        cached = self._plain_cache.get(limit)
-        if cached is not None:
-            return cached
         masks = self.family_blocks()
         mass = self._mass
         n = self.n_blocks
@@ -166,25 +160,19 @@ class OrderSolver:
             if not violated:
                 break
             pairs -= violated
-        out = frozenset(pairs)
-        self._plain_cache[limit] = out
-        return out
+        return frozenset(pairs)
 
     # --- essential order: witness membership -----------------------------
 
     def essential_pairs(self, e: Rate) -> frozenset:
         e = ensure_rate(e)
-        if e in self._essential_cache:
-            return self._essential_cache[e]
         plain = self.plain_pairs(e)
         stable = self._repair_iteration(plain, e)
         out = set(stable)
         for pair in sorted(plain - stable):
             if self._witness_exists(pair, plain, e):
                 out.add(pair)
-        result = frozenset(out)
-        self._essential_cache[e] = result
-        return result
+        return frozenset(out)
 
     def _lower_ok(self, pair: BlockPair, rel: frozenset) -> bool:
         # theta_i of the pullback of each block must not exceed theta_j of it

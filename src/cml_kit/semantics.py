@@ -10,7 +10,8 @@ and an ``L r phi`` node takes each state's scaled rate w = theta(m)(phi) * D
 into the child's mask. It scales r and e once to integers over a common
 denominator and passes each state's w, scaled the same way, to
 ``_modal_holds``, the only place the semantics compares rates. ``extension``
-returns frozensets.
+returns frozensets. Nothing is cached: a caller that needs the same
+(formula, e) extension twice keeps the first result.
 """
 
 from __future__ import annotations
@@ -34,28 +35,20 @@ def _modal_holds(total: int, e: int, r: int) -> bool:
 
 
 class Evaluator:
-    """Extensions on one kernel, with a persistent (formula, e) cache.
+    """Extensions on one kernel; it holds the kernel and its full mask only.
 
-    ``extension`` looks each (formula, e) pair up in the cache and otherwise
-    computes it with one walk over the formula tree, ``_walk``, which keeps no
-    table of its own: a shared or repeated subformula is evaluated again
-    wherever it occurs, which costs less than hashing it to look it up.
+    ``extension`` computes every call with one walk over the formula tree,
+    ``_walk``, and keeps no table: a repeated formula or subformula is
+    evaluated again wherever it occurs, which costs less than hashing it to
+    look it up.
     """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self._cache: dict[tuple[Formula, Rate], frozenset] = {}
         self._full = (1 << len(kernel.states)) - 1
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
-        e = ensure_rate(e)
-        key = (f, e)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._compute(f, e)
-        self._cache[key] = out
-        return out
+        return self._compute(f, ensure_rate(e))
 
     def _compute(self, f: Formula, e: Rate) -> frozenset:
         return self.kernel.set_of(self._walk(f, e))

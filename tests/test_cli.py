@@ -126,6 +126,14 @@ def test_search_nonpositive_max_states_is_usage_error(capsys, value):
     assert "--max-states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_search_nonpositive_budget_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "-f", "T", "-e", "0", "--budget", value])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", [",", "", " , "])
 def test_search_grid_without_rates_is_usage_error(capsys, grid):
     with pytest.raises(SystemExit) as exc:
@@ -362,6 +370,23 @@ def test_dot_output(capsys):
     _, out = run(capsys, ["bisim", "-m", model_path("fig1"), "--dot"])
     assert out.startswith("digraph kernel {")
     assert '"m" -> "m2" [label="3"];' in out
+
+
+def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    doc = {"states": ['a"b', "c\\"], "rates": {'a"b': {"c\\": "1"}}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, ["bisim", "-m", str(path), "--dot"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:4] == [
+        '  "a\\"b" [label="a\\"b\\nblock 0"];',
+        '  "c\\\\" [label="c\\\\\\nblock 1"];',
+        '  "a\\"b" -> "c\\\\" [label="1"];',
+    ]
+    # every quote opens or closes a well-formed DOT quoted string
+    for line in lines:
+        assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
 
 
 def test_verify_single_suite(tmp_path, capsys):

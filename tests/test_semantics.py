@@ -144,11 +144,13 @@ def test_search_default_grid():
 
 
 def test_evaluator_cache_consistency(fig1):
+    # an Evaluator keeps no cache: asking twice recomputes the same answer
     ev = Evaluator(fig1)
     f = parse("L{5} L{4} T")
-    first = ev.extension(f, Q(1, 10))
-    assert ev.extension(f, Q(1, 10)) is first
-    assert eval_formula(fig1, f, Q(1, 10)) == first
+    for e in (Q(1, 10), Q(0)):
+        first = ev.extension(f, e)
+        assert ev.extension(f, e) == first
+        assert eval_formula(fig1, f, e) == first
 
 
 def test_integer_scaling_keeps_the_exact_boundary():
