@@ -14,7 +14,6 @@ from .errors import (
 from .kernel import (
     Kernel,
     disjoint_union,
-    dumps_kernel,
     kernel_to_doc,
     left_tag,
     load_kernel,
@@ -56,7 +55,7 @@ from .equivalence import (
     generators,
     partition_from_family,
 )
-from .orders import EpsilonOrder, OrderSolver, holds, largest_order
+from .orders import EpsilonOrder, OrderSolver, holds
 from .metric import Distance, distance
 from .proofcheck import (
     Axiom,
@@ -69,7 +68,6 @@ from .proofcheck import (
     axiom_instance,
     check,
     check_result,
-    dumps_proof,
     load_proof,
     loads_proof,
     translate_proof,

@@ -373,8 +373,6 @@ def _tokenize(text: str) -> Iterator[_Token]:
         if m is None:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos, text)
         kind = m.lastgroup if m.lastgroup != "lbrace_rate" else "modality"
-        if kind == "rate":  # inner group matched via lbrace_rate
-            kind = "modality"
         if kind != "ws":
             value = m.group("rate") if kind == "modality" else m.group(0)
             yield _Token(kind, value, pos)

@@ -19,7 +19,6 @@ from .suites import (
     SuiteReport,
     default_budget,
     full_budget,
-    run_all,
     run_suite,
     small_budget,
 )

@@ -62,24 +62,21 @@ def split_kernel() -> Kernel:
     )
 
 
-def corpus(kernels: int, max_states: int, seed: int,
-           rate_pool: tuple[Rate, ...] = DEFAULT_POOL,
-           include_special: bool = True) -> list[Kernel]:
+def corpus(kernels: int, max_states: int, seed: int) -> list[Kernel]:
     """Fixed specials plus generated kernels; deterministic in all arguments."""
-    out: list[Kernel] = []
-    if include_special:
-        out.append(Kernel(["s0"], {("s0", "s0"): 2}))
-        out.append(Kernel(["s0", "s1"], {}))
-        out.append(chain_kernel(4))
-        out.append(twin_kernel())
-        out.append(split_kernel())
-        out.append(Kernel(["a", "b", "d"], {("a", "d"): 3, ("b", "d"): 3}))
+    out: list[Kernel] = [
+        Kernel(["s0"], {("s0", "s0"): 2}),
+        Kernel(["s0", "s1"], {}),
+        chain_kernel(4),
+        twin_kernel(),
+        split_kernel(),
+        Kernel(["a", "b", "d"], {("a", "d"): 3, ("b", "d"): 3}),
+    ]
     densities = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     i = 0
     while len(out) < kernels:
         cfg = KernelGenConfig(
             max_states=2 + (i % max(1, max_states - 1)),
-            rate_pool=rate_pool,
             density=densities[i % len(densities)],
             seed=seed + 1000 * i,
         )

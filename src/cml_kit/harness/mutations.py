@@ -47,7 +47,7 @@ def _singleton_bisimulation(kernel: Kernel):
     Plugged into the order solver this amounts to skipping the saturation
     step. The plain fixpoint provably does not change (its conditions only
     inspect block-closed sets, so bisimilar states always receive identical
-    verdicts), but the essential reduction's per-block capacities are
+    verdicts), but the essential order's per-block pullback bounds are
     saturation-dependent: split into singletons, a block's capacity is shared
     out among its states, so bisimilar pairs drop out of the essential order
     and it is no longer closed under bisimulation.

@@ -7,6 +7,9 @@ from typing import Callable, Iterator, Optional
 from ..formula import And, Formula, L, Not, Top
 from ..kernel import Kernel
 
+# greedy reduction rounds before shrink returns what it has
+SHRINK_ROUNDS = 200
+
 
 def kernel_reductions(kernel: Kernel) -> Iterator[Kernel]:
     items = kernel.rate_items()
@@ -66,14 +69,13 @@ def shrink(
     kernel: Kernel,
     formula: Optional[Formula],
     fails: Callable[[Kernel, Optional[Formula]], bool],
-    max_rounds: int = 200,
 ) -> tuple[Kernel, Optional[Formula]]:
     """Greedily minimize a failing (kernel, formula) pair; result still fails.
 
     ``fails`` must treat exceptions as its own concern; only a True return
     keeps a reduction.
     """
-    for _ in range(max_rounds):
+    for _ in range(SHRINK_ROUNDS):
         improved = False
         for smaller in kernel_reductions(kernel):
             try:

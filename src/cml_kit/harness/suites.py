@@ -50,6 +50,8 @@ from .oracles import pair_mask, transfer_essential, transfer_plain
 from .shrink import shrink
 
 _ZERO = Fraction(0)
+# failures one report keeps; later ones are dropped unshrunk
+FAILURE_CAP = 25
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,8 @@ class SuiteReport:
         kernel: Optional[Kernel] = None,
         formula: Optional[Formula] = None,
         fails: Optional[Callable] = None,
-        cap: int = 25,
     ) -> None:
-        if len(self.failures) >= cap:
+        if len(self.failures) >= FAILURE_CAP:
             return
         if kernel is not None and fails is not None:
             kernel, formula = shrink(kernel, formula, fails)
@@ -852,7 +853,3 @@ def run_suite(name: str, budget: Optional[Budget] = None) -> SuiteReport:
     report = SUITES[name](budget)
     report.elapsed_s = time.monotonic() - start
     return report
-
-
-def run_all(budget: Optional[Budget] = None) -> list[SuiteReport]:
-    return [run_suite(name, budget) for name in SUITES]

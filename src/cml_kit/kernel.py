@@ -252,7 +252,3 @@ def kernel_to_doc(kernel: Kernel, comment: str | None = None) -> dict:
     if comment is not None:
         doc["comment"] = comment
     return doc
-
-
-def dumps_kernel(kernel: Kernel, comment: str | None = None) -> str:
-    return json.dumps(kernel_to_doc(kernel, comment), indent=2) + "\n"

@@ -12,9 +12,16 @@ reproduce.
 The plain largest order is a greatest fixpoint (the deletion condition is
 monotone in R). The essential condition's lower bound is antitone in R, so
 "largest" is read as membership: (m, n) is essentially ordered when SOME
-essential order contains it. Membership is decided by a decreasing repair
-iteration from the plain order plus a backtracking witness search for the
-pairs that iteration drops.
+essential order contains it. Membership is decided by one backtracking
+witness search per pair of the total-rate band 0 <= s_n - s_m <= e (s the
+total exit rate), with band pairs as the only candidates.
+
+Every essential R is a plain order, so no plain fixpoint is needed: for C a
+union of blocks, theta_n(C) - theta_m(C ∪ R⁻¹C) <= [s_n - theta_m(dom R)] -
+[theta_n(C̄) - theta_m(dom R ∖ R⁻¹C)], where the first bracket is at most e and
+the second is >= 0 by the pullback bounds on R⁻¹C̄ ⊇ dom R ∖ R⁻¹C. The search
+is complete: a minimal witness adds only new left blocks, each one for the
+first pair whose total slack is still unmet.
 
 The solver computes on the kernel's integer core (see ``kernel``) at its
 scale D, so every block measure and every slack is an integer multiple of
@@ -165,60 +172,48 @@ class OrderSolver:
     # --- essential order: witness membership -----------------------------
 
     def essential_pairs(self, e: Rate) -> frozenset:
-        e = ensure_rate(e)
-        plain = self.plain_pairs(e)
-        stable = self._repair_iteration(plain, e)
-        out = set(stable)
-        for pair in sorted(plain - stable):
-            if self._witness_exists(pair, plain, e):
-                out.add(pair)
-        return frozenset(out)
+        """The block pairs that some essential e-order contains."""
+        limit = self._limit(ensure_rate(e))
+        n, sums = self.n_blocks, self.sums
+        # total rates within [0, e] of each other, never smaller on the
+        # dominating side: no witness repairs a pair outside this band
+        band = [
+            (i, j) for i in range(n) for j in range(n)
+            if 0 <= sums[j] - sums[i] <= limit
+        ]
+        return frozenset(p for p in band if self._witness_exists(p, band, limit))
 
-    def _lower_ok(self, pair: BlockPair, rel: frozenset) -> bool:
-        # theta_i of the pullback of each block must not exceed theta_j of it
-        i, j = pair
+    def _unmet(self, rel: frozenset, limit: int) -> Optional[list[BlockPair]]:
+        """None if a pullback bound theta_i(R⁻¹b) <= bm[j][b] fails, which no
+        added pair repairs (pullbacks only grow); else the pairs of rel, in
+        sorted order, whose total slack sums[j] - theta_i(dom R) exceeds limit.
+        """
         into = [0] * self.n_blocks
-        for (bi, bj) in rel:
-            into[bj] |= 1 << bi
-        row_j = self.bm[j]
-        return all(self._mass(i, into[b]) <= row_j[b] for b in range(self.n_blocks))
-
-    def _upper_ok(self, pair: BlockPair, rel: frozenset, e: Rate) -> bool:
-        # total slack is maximal at the full state set
-        i, j = pair
         lefts = 0
-        for (bi, _) in rel:
-            lefts |= 1 << bi
-        return self.sums[j] - self._mass(i, lefts) <= self._limit(e)
+        for (i, j) in rel:
+            into[j] |= 1 << i
+            lefts |= 1 << i
+        pulled = [(b, into_b) for b, into_b in enumerate(into) if into_b]
+        mass = self._mass
+        unmet = []
+        for (i, j) in sorted(rel):
+            row_j = self.bm[j]
+            if any(mass(i, into_b) > row_j[b] for b, into_b in pulled):
+                return None
+            if self.sums[j] - mass(i, lefts) > limit:
+                unmet.append((i, j))
+        return unmet
 
-    def _band_ok(self, pair: BlockPair, e: Rate) -> bool:
-        # the full-set constraint both ways: total rates within [0, e] of
-        # each other, never smaller on the dominating side
-        i, j = pair
-        return 0 <= self.sums[j] - self.sums[i] <= self._limit(e)
+    def _witness_exists(
+        self, query: BlockPair, candidates: list[BlockPair], limit: int
+    ) -> bool:
+        """Whether some essential relation of candidate pairs contains query.
 
-    def _essential_ok(self, pair: BlockPair, rel: frozenset, e: Rate) -> bool:
-        return (
-            self._band_ok(pair, e)
-            and self._lower_ok(pair, rel)
-            and self._upper_ok(pair, rel, e)
-        )
-
-    def _repair_iteration(self, start: frozenset, e: Rate) -> frozenset:
-        rel = frozenset(start)
-        while True:
-            keep = frozenset(p for p in rel if self._essential_ok(p, rel, e))
-            if len(keep) == len(rel):
-                return rel
-            rel = keep
-
-    def _witness_exists(self, query: BlockPair, candidates: frozenset, e: Rate) -> bool:
-        cands = sorted(candidates - {query})
+        Depth first from {query}: while a pair's total slack is unmet, add a
+        pair with a new left block that the first unmet pair's block reaches.
+        """
         seen: set[frozenset] = set()
         ticks = 0
-
-        if not self._band_ok(query, e):
-            return False
 
         def dfs(rel: frozenset) -> bool:
             nonlocal ticks
@@ -230,22 +225,18 @@ class OrderSolver:
                 raise SearchBudgetExceeded(
                     f"essential witness search exceeded {WITNESS_BUDGET} steps"
                 )
-            # neither a band nor a lower-bound violation is repaired by adding pairs
-            for p in rel:
-                if not self._band_ok(p, e) or not self._lower_ok(p, rel):
-                    return False
-            unmet = [p for p in sorted(rel) if not self._upper_ok(p, rel, e)]
+            unmet = self._unmet(rel, limit)
+            if unmet is None:
+                return False
             if not unmet:
                 return True
-            i, _ = unmet[0]
+            row = self.bm[unmet[0][0]]
             lefts = {bi for (bi, _) in rel}
-            for cand in cands:
-                if cand in rel:
-                    continue
-                if cand[0] not in lefts and self.bm[i][cand[0]] > 0:
-                    if dfs(rel | {cand}):
-                        return True
-            return False
+            return any(
+                dfs(rel | {cand})
+                for cand in candidates
+                if cand[0] not in lefts and row[cand[0]] > 0
+            )
 
         return dfs(frozenset({query}))
 
@@ -267,11 +258,6 @@ class OrderSolver:
             if state not in index:
                 raise KernelError(f"unknown state {state!r}")
         return (index[m], index[n])
-
-
-def largest_order(kernel: Kernel, e: Rate, essential: bool = False) -> EpsilonOrder:
-    """The largest e-order of one kernel (union of all witnesses when essential)."""
-    return OrderSolver(kernel).order(e, essential)
 
 
 def union_solver(

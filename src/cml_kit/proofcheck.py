@@ -425,37 +425,3 @@ def load_proof(source: Union[str, IO[str]]) -> Proof:
         return loads_proof(source.read())
     except UnicodeDecodeError as exc:
         raise ProofFormatError(f"proof file is not UTF-8 text: {exc}") from exc
-
-
-def _justification_to_doc(by: Justification) -> dict:
-    if isinstance(by, Axiom):
-        doc: dict = {"axiom": by.name, "phi": print_formula(by.phi)}
-        if by.psi is not None:
-            doc["psi"] = print_formula(by.psi)
-        if by.r is not None:
-            doc["r"] = format_rate(by.r)
-        if by.s is not None:
-            doc["s"] = format_rate(by.s)
-        return doc
-    if isinstance(by, ModusPonens):
-        return {"mp": [by.antecedent, by.implication]}
-    if isinstance(by, RuleR1):
-        return {"r1": [by.line, format_rate(by.rate)]}
-    if isinstance(by, Tautology):
-        return {"taut": list(by.premises)}
-    if isinstance(by, Hypothesis):
-        return {"hyp": by.index}
-    raise TypeError(f"unknown justification {by!r}")
-
-
-def dumps_proof(proof: Proof) -> str:
-    doc = {
-        "epsilon": format_rate(proof.epsilon),
-        "hypotheses": [print_formula(h) for h in proof.hypotheses],
-        "lines": [
-            {"formula": print_formula(l.formula), "by": _justification_to_doc(l.by)}
-            for l in proof.lines
-        ],
-        "conclusion": print_formula(proof.conclusion),
-    }
-    return json.dumps(doc, indent=2) + "\n"

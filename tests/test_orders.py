@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from cml_kit import Kernel, bisimulation, distance, holds, largest_order
+from cml_kit import Kernel, bisimulation, distance, holds
 from cml_kit import orders
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.generate import corpus
@@ -35,7 +36,7 @@ def test_holds_reflexive(fig1):
 
 def test_bisimilar_pairs_in_zero_order(fig1):
     partition = bisimulation(fig1)
-    order = largest_order(fig1, 0)
+    order = OrderSolver(fig1).order(0)
     for block in partition.blocks:
         for a in block:
             for b in block:
@@ -45,9 +46,10 @@ def test_bisimilar_pairs_in_zero_order(fig1):
 
 def test_essential_subset_of_plain():
     for kernel in corpus(8, 4, seed=9):
+        solver = OrderSolver(kernel)
         for e in (Q(0), EPS, Q(1)):
-            essential = largest_order(kernel, e, essential=True).relation
-            plain = largest_order(kernel, e, essential=False).relation
+            essential = solver.order(e, essential=True).relation
+            plain = solver.order(e, essential=False).relation
             assert essential <= plain
 
 
@@ -56,7 +58,7 @@ def test_monotone_in_slack():
         for essential in (False, True):
             previous = None
             for e in (Q(0), Q(1, 10), Q(1, 2), Q(2)):
-                relation = largest_order(kernel, e, essential).relation
+                relation = OrderSolver(kernel).order(e, essential).relation
                 if previous is not None:
                     assert previous <= relation
                 previous = relation
@@ -66,7 +68,7 @@ def test_relation_closed_under_bisimulation():
     for kernel in corpus(8, 4, seed=12):
         partition = bisimulation(kernel)
         for e in (Q(0), EPS):
-            relation = largest_order(kernel, e).relation
+            relation = OrderSolver(kernel).order(e).relation
             for (x, y) in relation:
                 for a in partition.block_of(x):
                     for b in partition.block_of(y):
@@ -91,11 +93,11 @@ def test_fixpoint_satisfies_its_own_condition():
 
 
 def test_witness_search_budget_is_enforced(fig1, monkeypatch):
-    # the reflexive root pair at slack 0 is decided by the witness search,
-    # which takes four steps
+    # every pair is decided by a witness search; at slack 0 the longest
+    # search of fig1's reflexive order, the root pair's, takes three steps
     assert holds(fig1, "m", fig1, "m", 0, essential=True)
-    monkeypatch.setattr(orders, "WITNESS_BUDGET", 3)
-    with pytest.raises(SearchBudgetExceeded, match="exceeded 3 steps"):
+    monkeypatch.setattr(orders, "WITNESS_BUDGET", 2)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 2 steps"):
         holds(fig1, "m", fig1, "m", 0, essential=True)
 
 
@@ -115,11 +117,11 @@ def test_union_of_essential_orders_need_not_be_essential(fig1, fig3o):
         for a, b in (("m", "o"), ("m1", "o1"), ("m2", "o2"),
                      ("m3", "o3"), ("m4", "o4"), ("m5", "o5"))
     )
-    e = EPS
-    assert all(solver._essential_ok(p, diag, e) for p in diag)
-    assert all(solver._essential_ok(p, witness, e) for p in witness)
-    merged = diag | witness
-    assert not all(solver._essential_ok(p, merged, e) for p in merged)
+    limit = solver._limit(EPS)
+    assert solver._unmet(diag, limit) == []
+    assert solver._unmet(witness, limit) == []
+    # the merged pullbacks break a bound that no further pair repairs
+    assert solver._unmet(diag | witness, limit) is None
 
 
 def test_deadlock_is_below_everything_but_not_above():
@@ -148,12 +150,83 @@ def test_integer_scaling_keeps_the_exact_boundary():
     solver = OrderSolver(disjoint_union(low, high))
     assert solver.scale == 21
     pair = solver.block_pair_of(left_tag("a"), right_tag("b"))
-    assert solver._band_ok(pair, e) and not solver._band_ok(pair, below)
+    i, j = pair
+    # the band: exit totals 7/21 and 12/21
+    assert solver.sums[j] - solver.sums[i] == 5
+    assert solver._limit(e) == 5 and solver._limit(below) == 4
+    assert pair in solver.essential_pairs(e)
+    assert pair not in solver.essential_pairs(below)
+    # the total slack: with the deadlocks related, a's whole exit mass is in
+    # the domain, so the slack is the band's 5/21
     deadlocks = solver.block_pair_of(left_tag("x"), right_tag("y"))
     rel = frozenset({pair, deadlocks})
-    assert solver._upper_ok(pair, rel, e) and not solver._upper_ok(pair, rel, below)
+    assert solver._unmet(rel, solver._limit(e)) == []
+    assert solver._unmet(rel, solver._limit(below)) == [pair]
+    # alone, the pair's domain holds none of a's mass: slack 12/21
+    alone = frozenset({pair})
+    assert solver._unmet(alone, solver._limit(Q(12, 21))) == []
+    assert solver._unmet(alone, solver._limit(Q(12, 21) - Q(1, 1000))) == [pair]
 
 
 def test_unknown_states_rejected(fig1):
     with pytest.raises(Exception, match="unknown state"):
         holds(fig1, "zz", fig1, "m", 0)
+
+
+def test_essential_pairs_match_exhaustive_oracle():
+    # brute force over every set of block pairs, on Fractions from the
+    # kernel: the union of the essential sets is the essential order, and
+    # each essential set lies inside the plain order
+    from cml_kit.kernel import disjoint_union
+
+    # every kernel with at most 3 blocks: a seeded corpus, plus unions of
+    # 2-state kernels, where bisimilar states merge blocks across the sides
+    small = corpus(24, 3, seed=41)
+    twos = [k for k in small[6:] if len(k.states) == 2][:5]
+    kernels = small + [disjoint_union(a, b) for a in twos for b in twos]
+    cases = [k for k in kernels if len(bisimulation(k).blocks) <= 3]
+    assert len(cases) >= 20
+    for kernel in cases:
+        blocks = bisimulation(kernel).blocks
+        n = len(blocks)
+        reps = [min(b) for b in blocks]
+        unions = [
+            frozenset().union(*(blocks[b] for b in range(n) if mask >> b & 1))
+            for mask in range(1 << n)
+        ]
+        theta = [[kernel.measure(r, c) for c in unions] for r in reps]
+        total = [kernel.total(r) for r in reps]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        solver = OrderSolver(kernel)
+        for e in (Q(0), Q(1, 10), Q(1, 2), Q(1), Q(5, 2)):
+            kept = []
+            for size in range(1, len(pairs) + 1):
+                for rel in itertools.combinations(pairs, size):
+                    into = [0] * n
+                    dom = 0
+                    for (i, j) in rel:
+                        into[j] |= 1 << i
+                        dom |= 1 << i
+                    if all(
+                        0 <= total[j] - total[i] <= e
+                        and total[j] - theta[i][dom] <= e
+                        and all(theta[i][into[b]] <= theta[j][1 << b] for b in range(n))
+                        for (i, j) in rel
+                    ):
+                        kept.append(frozenset(rel))
+            assert frozenset().union(*kept) == solver.essential_pairs(e)
+            plain = solver.plain_pairs(e)
+            assert all(rel <= plain for rel in kept)
+
+
+def test_essential_path_needs_no_plain_order_or_family(fig1, fig3n, fig3o, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the essential order built the plain order or the family")
+
+    monkeypatch.setattr(OrderSolver, "plain_pairs", refuse)
+    monkeypatch.setattr(OrderSolver, "family_blocks", refuse)
+    monkeypatch.setattr(orders, "generators", refuse)
+    assert holds(fig1, "m", fig1, "m", 0, essential=True)
+    assert holds(fig1, "m", fig3o, "o", EPS, essential=True)
+    for e in (Q(1, 100), Q(1, 20), EPS, Q(19, 100)):
+        assert not holds(fig1, "m", fig3n, "n", e, essential=True)

@@ -20,7 +20,6 @@ from cml_kit import (
     axiom_instance,
     check,
     check_result,
-    dumps_proof,
     loads_proof,
     translate_proof,
     valid_on,
@@ -150,7 +149,20 @@ def test_json_round_trip():
         ProofLine(L(1, T), ModusPonens(1, 2)),
     ]
     p = proof_of(Q(0), lines, L(1, T), hypotheses=[L(3, T)])
-    assert loads_proof(dumps_proof(p)) == p
+    doc = {
+        "epsilon": "0",
+        "hypotheses": ["L{3} T"],
+        "lines": [
+            {"formula": "L{3} T", "by": {"hyp": 0}},
+            {
+                "formula": "L{3} T -> L{1} T",
+                "by": {"axiom": "A2", "phi": "T", "r": "1", "s": "2"},
+            },
+            {"formula": "L{1} T", "by": {"mp": [1, 2]}},
+        ],
+        "conclusion": "L{1} T",
+    }
+    assert loads_proof(json.dumps(doc, indent=2)) == p
 
 
 def test_translate_up_shifts_conclusion():
