@@ -14,6 +14,10 @@ theta(m)(S) * D is an integer sum over the row and every comparison against a
 rate stays exact. ``scaled_measures`` gives every state's scaled rate into a
 mask. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same rows and
 return Fractions, which with names and frozensets stay the public boundary.
+
+A JSON model file is loaded by ``loads_kernel``/``load_kernel``, which parse
+each distinct rate literal once per file: every later entry with the same
+text reuses the first entry's Fraction.
 """
 
 from __future__ import annotations
@@ -190,7 +194,7 @@ def disjoint_union(k1: Kernel, k2: Kernel) -> Kernel:
 
 # --- JSON model files -------------------------------------------------------
 #
-# { "states": ["m", "m1"], "rates": { "m": { "m1": "1", "m2": "3/2" } } }
+# { "states": ["m", "m1", "m2"], "rates": { "m": { "m1": "1", "m2": "3/2" } } }
 #
 # Rate literals are decimal or "p/q" strings; missing entries mean 0. An
 # optional "comment" field is ignored by the loader.
@@ -229,6 +233,8 @@ def _kernel_from_doc(doc: object) -> Kernel:
     if not isinstance(rates_doc, dict):
         raise KernelError('"rates" must be an object keyed by source state')
     rates: dict[tuple[str, str], Fraction] = {}
+    # each distinct literal text is parsed once; a failed parse is never stored
+    parsed: dict[str, Fraction] = {}
     for source, row in rates_doc.items():
         if not isinstance(row, dict):
             raise KernelError(f"rates.{source}: expected an object of target rates")
@@ -237,10 +243,13 @@ def _kernel_from_doc(doc: object) -> Kernel:
                 raise KernelError(
                     f"rates.{source}.{target}: rate must be a string literal"
                 )
-            try:
-                rates[(source, target)] = parse_rate(literal)
-            except RateError as exc:
-                raise KernelError(f"rates.{source}.{target}: {exc}") from exc
+            r = parsed.get(literal)
+            if r is None:
+                try:
+                    r = parsed[literal] = parse_rate(literal)
+                except RateError as exc:
+                    raise KernelError(f"rates.{source}.{target}: {exc}") from exc
+            rates[(source, target)] = r
     return Kernel(states, rates)
 
 

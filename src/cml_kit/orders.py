@@ -12,9 +12,10 @@ reproduce.
 The plain largest order is a greatest fixpoint (the deletion condition is
 monotone in R). The essential condition's lower bound is antitone in R, so
 "largest" is read as membership: (m, n) is essentially ordered when SOME
-essential order contains it. Membership is decided by one backtracking
-witness search per pair of the total-rate band 0 <= s_n - s_m <= e (s the
-total exit rate), with band pairs as the only candidates.
+essential order contains it. Membership is decided by a backtracking witness
+search over the total-rate band 0 <= s_n - s_m <= e (s the total exit rate),
+with band pairs as the only candidates: one search per band pair that no
+witness found earlier in the same call already contains.
 
 Every essential R is a plain order, so no plain fixpoint is needed: for C a
 union of blocks, theta_n(C) - theta_m(C ∪ R⁻¹C) <= [s_n - theta_m(dom R)] -
@@ -181,7 +182,15 @@ class OrderSolver:
             (i, j) for i in range(n) for j in range(n)
             if 0 <= sums[j] - sums[i] <= limit
         ]
-        return frozenset(p for p in band if self._witness_exists(p, band, limit))
+        # every pair of a witness is essential, so a pair inside a witness
+        # found earlier needs no search of its own
+        proved: set[BlockPair] = set()
+        for p in band:
+            if p not in proved:
+                witness = self._witness(p, band, limit)
+                if witness is not None:
+                    proved |= witness
+        return frozenset(proved)
 
     def _unmet(self, rel: frozenset, limit: int) -> Optional[list[BlockPair]]:
         """None if a pullback bound theta_i(R⁻¹b) <= bm[j][b] fails, which no
@@ -204,10 +213,10 @@ class OrderSolver:
                 unmet.append((i, j))
         return unmet
 
-    def _witness_exists(
+    def _witness(
         self, query: BlockPair, candidates: list[BlockPair], limit: int
-    ) -> bool:
-        """Whether some essential relation of candidate pairs contains query.
+    ) -> Optional[frozenset]:
+        """An essential relation of candidate pairs containing query, or None.
 
         Depth first from {query}: while a pair's total slack is unmet, add a
         pair with a new left block that the first unmet pair's block reaches.
@@ -215,10 +224,10 @@ class OrderSolver:
         seen: set[frozenset] = set()
         ticks = 0
 
-        def dfs(rel: frozenset) -> bool:
+        def dfs(rel: frozenset) -> Optional[frozenset]:
             nonlocal ticks
             if rel in seen:
-                return False
+                return None
             seen.add(rel)
             ticks += 1
             if ticks > WITNESS_BUDGET:
@@ -227,16 +236,17 @@ class OrderSolver:
                 )
             unmet = self._unmet(rel, limit)
             if unmet is None:
-                return False
+                return None
             if not unmet:
-                return True
+                return rel
             row = self.bm[unmet[0][0]]
             lefts = {bi for (bi, _) in rel}
-            return any(
-                dfs(rel | {cand})
-                for cand in candidates
-                if cand[0] not in lefts and row[cand[0]] > 0
-            )
+            for cand in candidates:
+                if cand[0] not in lefts and row[cand[0]] > 0:
+                    found = dfs(rel | {cand})
+                    if found is not None:
+                        return found
+            return None
 
         return dfs(frozenset({query}))
 

@@ -17,6 +17,8 @@ from cml_kit import (
     parse_rate,
     right_tag,
 )
+from cml_kit import kernel as kernel_module
+from cml_kit.harness.generate import KernelGenConfig, gen_kernel
 from cml_kit.models import FIGURES, load_model
 
 S = frozenset
@@ -164,6 +166,15 @@ def test_json_round_trip(fig1):
         ('{"states": ["a"], "rates": {"a": {"b": "1"}}}', "not a state"),
         ('{"states": "a"}', "list of strings"),
         ("{", "not valid JSON"),
+        ('{"states": ["a"], "rates": {"a": {"a": 1}}}', "must be a string literal"),
+        ('{"states": ["a"], "rates": {"a": {"a": null}}}', "must be a string literal"),
+        ('{"states": ["a"], "rates": {"a": {"a": [1]}}}', "must be a string literal"),
+        ('{"states": ["a"], "rates": {"a": {"a": {}}}}', "must be a string literal"),
+        # a repeated malformed literal is reported at its first entry
+        (
+            '{"states": ["a", "b"], "rates": {"a": {"a": "x/y", "b": "x/y"}}}',
+            "rates.a.a",
+        ),
     ],
 )
 def test_loader_diagnostics(text, message):
@@ -204,3 +215,62 @@ def test_parse_rate_matches_fraction(before, token, after):
         assert parse_rate(text) == expected
     with pytest.raises(RateError, match="negative rate"):
         parse_rate(before + "-" + token + after)
+
+
+def test_readme_model_file_example_loads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Model files", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    k = loads_kernel(block)
+    assert k.rate("m", "m1") == 1 and k.rate("m", "m2") == Fraction(3, 2)
+
+
+# literals a model file may repeat: zeros, decimals, fractions, padding
+_literals = st.builds(
+    "{}{}{}".format,
+    _pads,
+    st.one_of(
+        st.sampled_from(["0", "0/5", "0.0", "1", "2", "3/2", "0.25", "1.50", "10/4"]),
+        _digits,
+        st.builds("{}.{}".format, _digits, _digits),
+        st.builds("{}/{}".format, _digits, st.text("123456789", min_size=1, max_size=3)),
+    ),
+    _pads,
+)
+
+
+@given(states_st, st.lists(_literals, min_size=1, max_size=4), st.data())
+def test_loader_matches_entrywise_construction(states, pool, data):
+    # few distinct literals over many entries, so most entries repeat one
+    doc: dict = {}
+    for s in states:
+        for t in states:
+            if data.draw(st.booleans()):
+                doc.setdefault(s, {})[t] = data.draw(st.sampled_from(pool))
+    expected = Kernel(
+        states,
+        {(s, t): parse_rate(lit) for s, row in doc.items() for t, lit in row.items()},
+    )
+    k = loads_kernel(json.dumps({"states": states, "rates": doc}))
+    assert k == expected
+    assert k.rows == expected.rows and k.scale == expected.scale
+
+
+def test_loader_parses_each_distinct_literal_once(monkeypatch):
+    # the density and rate pool of the benchmark's 128-state models
+    source = gen_kernel(KernelGenConfig(128, density=Fraction(1, 4), seed=128000))
+    doc = kernel_to_doc(source)
+    literals = [lit for row in doc["rates"].values() for lit in row.values()]
+    calls = []
+
+    def counting_parse_rate(text):
+        calls.append(text)
+        return parse_rate(text)
+
+    monkeypatch.setattr(kernel_module, "parse_rate", counting_parse_rate)
+    k = loads_kernel(json.dumps(doc))
+    assert len(literals) > 3000
+    assert sorted(calls) == sorted(set(literals))
+    assert k == source

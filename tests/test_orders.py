@@ -230,3 +230,34 @@ def test_essential_path_needs_no_plain_order_or_family(fig1, fig3n, fig3o, monke
     assert holds(fig1, "m", fig3o, "o", EPS, essential=True)
     for e in (Q(1, 100), Q(1, 20), EPS, Q(19, 100)):
         assert not holds(fig1, "m", fig3n, "n", e, essential=True)
+
+
+def test_essential_pairs_skip_pairs_inside_found_witnesses():
+    # a pair inside a witness found earlier is essential without a search
+    # of its own, so the order equals the pair-by-pair search with fewer runs
+    kernel = max(corpus(20, 8, seed=5), key=lambda k: len(k.states))
+    solver = OrderSolver(kernel)
+    searched = []
+    search = solver._witness
+
+    def counting_search(query, candidates, limit):
+        searched.append(query)
+        return search(query, candidates, limit)
+
+    solver._witness = counting_search
+    skipped = 0
+    for e in (Q(0), Q(1, 10), Q(1, 2), Q(1), Q(5, 2)):
+        searched.clear()
+        pairs = solver.essential_pairs(e)
+        limit = solver._limit(e)
+        sums = solver.sums
+        band = [
+            (i, j) for i in range(solver.n_blocks) for j in range(solver.n_blocks)
+            if 0 <= sums[j] - sums[i] <= limit
+        ]
+        assert pairs == frozenset(
+            p for p in band if search(p, band, limit) is not None
+        )
+        assert set(searched) <= set(band) and len(searched) == len(set(searched))
+        skipped += len(band) - len(searched)
+    assert skipped > 0
