@@ -10,7 +10,8 @@ The generator family is grown by saturation on state bitmasks and scaled
 integer rates: starting from the full state set, add the threshold sets
 {m | theta(m)(C) >= r} for every family member C and every achievable measure
 value r, and close under union and intersection. A worklist closes each member
-once. Each member is a union of bisimulation blocks and carries a defining
+once, and the family stops with ``SearchBudgetExceeded`` past ``FAMILY_CAP``
+members. Each member is a union of bisimulation blocks and carries a defining
 positive-fragment formula. Closing under complement too would give every union
 of blocks, so that family is not built.
 """
@@ -22,10 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import KernelError
+from .errors import KernelError, SearchBudgetExceeded
 from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate
+
+# members the definable-set family may hold before SearchBudgetExceeded; the
+# family can grow exponentially with the bisimulation blocks
+FAMILY_CAP = 5_000
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ def generators(kernel: Kernel) -> GeneratorFamily:
     when the later of the two is closed. Members are state bitmasks and rates
     scaled integers w; a threshold's formula gets the index w / D. A defining
     formula's extension is its member at slack 0, and so is that of its
-    ``encode_up`` by e at slack e.
+    ``encode_up`` by e at slack e. Raises ``SearchBudgetExceeded`` once the
+    family holds more than ``FAMILY_CAP`` members.
     """
     scale = kernel.scale
     universe = (1 << len(kernel.states)) - 1
@@ -156,6 +162,10 @@ def generators(kernel: Kernel) -> GeneratorFamily:
         if candidate not in members:
             members[candidate] = build(*args)
             queue.append(candidate)
+            if len(members) > FAMILY_CAP:
+                raise SearchBudgetExceeded(
+                    f"definable-set family exceeded {FAMILY_CAP} members"
+                )
 
     while queue:
         c = queue.popleft()

@@ -8,8 +8,8 @@ and none without it.
 Note on "no-truncation": a negative modal index is semantically equivalent to
 index 0 (a nonnegative measure plus slack always clears a negative bound), so
 no evaluation can observe the difference; the mutation is caught because the
-formula invariant (indices >= 0) raises inside the t2 suite and suites count
-exceptions as failures.
+formula invariant (indices >= 0) raises inside the t2 suite, and the formula
+suites count exceptions as failures.
 """
 
 from __future__ import annotations

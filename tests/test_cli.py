@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cml_kit import equivalence
 from cml_kit.cli import main
 from cml_kit.errors import KernelError
 from cml_kit.models import FIGURES, load_model, model_path
@@ -88,6 +89,16 @@ def test_search_none_exits_one(capsys):
 def test_missing_file_is_usage_error(capsys):
     code = main(["eval", "-m", "/does/not/exist.json", "-f", "T", "-e", "0"])
     assert code == 2
+
+
+def test_distance_past_the_family_cap_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(equivalence, "FAMILY_CAP", 3)
+    argv = ["distance", "-m1", model_path("fig4m"), "-m2", model_path("fig4o"),
+            "-s1", "m", "-s2", "o"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "definable-set family exceeded 3 members" in err
+    assert "Traceback" not in err
 
 
 def test_directory_model_is_usage_error(tmp_path, capsys):

@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import pytest
+
 from cml_kit import (
     Evaluator,
     Kernel,
     bisimilar,
     bisimulation,
+    equivalence,
     generators,
     partition_from_family,
 )
-from cml_kit.harness import EnumerationConfig, enumerate_formulas
+from cml_kit.errors import SearchBudgetExceeded
+from cml_kit.harness import EnumerationConfig, KernelGenConfig, enumerate_formulas, gen_kernel
 from cml_kit.harness.generate import corpus
 from cml_kit.formula import Fragment, encode_up
 
@@ -128,3 +132,11 @@ def test_enumerated_extensions_in_family(fig1):
     for f in full:
         for e in (Q(0), Q(1, 10), Q(1)):
             assert _union_of_blocks(ev.extension(f, e), partition)
+
+
+def test_family_cap_raises_budget_error(monkeypatch):
+    kernel = gen_kernel(KernelGenConfig(max_states=3, density=Q(1), seed=4))
+    assert len(generators(kernel)) > 3
+    monkeypatch.setattr(equivalence, "FAMILY_CAP", 3)
+    with pytest.raises(SearchBudgetExceeded, match="definable-set family exceeded 3 members"):
+        generators(kernel)

@@ -24,7 +24,10 @@ from cml_kit.harness.oracles import (
     transfer_essential,
     transfer_plain,
 )
-from cml_kit.harness.suites import SUITES
+from cml_kit.harness import suites
+from cml_kit.harness.suites import FAILURE_CAP, SUITES
+from cml_kit.metric import Distance, distance
+from cml_kit.orders import union_solver
 
 Q = Fraction
 
@@ -131,6 +134,32 @@ def test_pair_saturation_cap_raises_budget_error(monkeypatch):
     monkeypatch.setattr(oracles, "PAIR_CAP", 3)
     with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 3 pairs"):
         saturate_pairs(kernel, Q(1, 10), negated_literals=True)
+
+
+def test_c2_reports_an_exception_inside_its_check():
+    # under this mutation encode_down builds a negative index and raises
+    clean = run_suite("c2", small_budget())
+    with mutated("encode-down-no-truncation"):
+        report = run_suite("c2", small_budget())
+    assert report.checked == clean.checked
+    assert len(report.failures) == FAILURE_CAP
+    assert report.failures[0].description == (
+        "exception at e=1/10: negative rate Fraction(-1, 10)"
+    )
+
+
+def test_pseudometric_catches_a_distance_one_grid_step_high(monkeypatch):
+    def one_step_high(k1, m, k2, n):
+        d = distance(k1, m, k2, n)
+        if d.value == 0:
+            return d
+        step = Q(1, union_solver(k1, m, k2, n)[0].scale)
+        return Distance(d.value + step, d.attained_at + step)
+
+    monkeypatch.setattr(suites, "distance", one_step_high)
+    report = run_suite("pseudometric", small_budget())
+    assert report.failures
+    assert all("distance not attained" in f.description for f in report.failures)
 
 
 def test_pair_saturation_is_closed():
