@@ -16,6 +16,7 @@ returns frozensets. Nothing is cached: a caller that needs the same
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -26,6 +27,9 @@ from .kernel import Kernel
 from .rational import Rate, ensure_rate
 
 _ZERO = Fraction(0)
+# rates the default search grid may hold before SearchBudgetExceeded; one state
+# alone tries a kernel per rate, so a larger grid outruns any search budget
+GRID_CAP = 1_000
 
 
 def _modal_holds(total: int, e: int, r: int) -> bool:
@@ -121,19 +125,31 @@ def valid_on(kernel: Kernel, f: Formula, e: Rate) -> bool:
 
 
 def default_rate_grid(f: Formula, e: Rate) -> list[Rate]:
-    """0 plus the modal indices of f, closed under pairwise sums up to max+e."""
+    """0 plus the modal indices of f, closed under pairwise sums up to max+e.
+
+    Each rate is joined once with every rate taken before it. Raises
+    ``SearchBudgetExceeded`` once the grid holds more than ``GRID_CAP`` rates.
+    """
     e = ensure_rate(e)
     base = set(modal_indices(f))
     cap = (max(base) if base else _ZERO) + e
     grid = {_ZERO} | base
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(sorted(grid), 2):
+    queue = sorted(grid)
+    joined: list[Rate] = []  # the rates taken so far, ascending
+    while queue:
+        a = queue.pop()
+        for b in joined:
             s = a + b
-            if s <= cap and s not in grid:
+            if s > cap:
+                break
+            if s not in grid:
                 grid.add(s)
-                changed = True
+                queue.append(s)
+                if len(grid) > GRID_CAP:
+                    raise SearchBudgetExceeded(
+                        f"default rate grid exceeded {GRID_CAP} rates"
+                    )
+        bisect.insort(joined, a)
     return sorted(grid)
 
 

@@ -5,9 +5,11 @@ import os
 import re
 import shlex
 import tempfile
+import time
+from datetime import timedelta
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cml_kit import equivalence
 from cml_kit.cli import main
@@ -98,6 +100,18 @@ def test_distance_past_the_family_cap_is_usage_error(monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "definable-set family exceeded 3 members" in err
+    assert "Traceback" not in err
+
+
+def test_search_past_the_grid_cap_is_usage_error(capsys):
+    # the default grid of this formula grows past GRID_CAP long before a search
+    argv = ["search", "-f", "L{1/31} L{1/29} L{10} T", "-e", "0",
+            "--max-states", "1", "--budget", "1"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "default rate grid exceeded" in err
     assert "Traceback" not in err
 
 
@@ -367,6 +381,92 @@ def test_random_model_bytes_exit_cleanly(data):
     assert _bisim_on(data) in (0, 2)
 
 
+# --- formula, rate and flag boundaries of the query commands -----------------
+
+_rate_texts = st.one_of(
+    st.sampled_from(["0", "1", "3/2", "0.25", "1/0", "-1", "x", "", "2/", "1e3", "nan"]),
+    st.from_regex(r"[0-9]{1,3}(\.[0-9]{1,2}|/[0-9]{1,3})?", fullmatch=True),
+)
+_formula_texts = st.one_of(
+    st.recursive(
+        st.sampled_from(["T", "F"]),
+        lambda kids: st.one_of(
+            kids.map("!{}".format),
+            st.tuples(kids, st.sampled_from(["&", "|", "->", ""]), kids).map(
+                lambda t: "({} {} {})".format(*t)
+            ),
+            st.tuples(_rate_texts, kids).map(lambda t: "L{{{}}} {}".format(*t)),
+        ),
+        max_leaves=6,
+    ),
+    st.sampled_from(["", "(", "L{}", "T T", "L{1} ", "!" * 600 + "T"]),
+    st.text(max_size=12),
+)
+_model_paths = st.sampled_from(
+    [model_path(name) for name in sorted(FIGURES)] + ["/does/not/exist.json"]
+)
+_fuzz = settings(deadline=timedelta(seconds=5))
+
+
+def _exit_code(command: str, options: dict, flags=()) -> int:
+    """Exit code of an in-process `cml` run; stderr must hold no traceback."""
+    argv = [command, *(f"--{k}={v}" for k, v in options.items()), *flags]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@_fuzz
+@given(_model_paths, _formula_texts, _rate_texts, st.booleans())
+def test_random_eval_exits_cleanly(model, formula, epsilon, as_json):
+    options = {"model": model, "formula": formula, "epsilon": epsilon}
+    assert _exit_code("eval", options, ["--json"] * as_json) in (0, 2)
+
+
+@_fuzz
+@given(_model_paths, _formula_texts, _rate_texts, st.sampled_from(["m", "m1", "n", ""]))
+def test_random_sat_exits_cleanly(model, formula, epsilon, state):
+    options = {"model": model, "formula": formula, "epsilon": epsilon, "state": state}
+    assert _exit_code("sat", options) in (0, 1, 2)
+
+
+@_fuzz
+@given(_model_paths, _formula_texts, _rate_texts)
+def test_random_valid_exits_cleanly(model, formula, epsilon):
+    options = {"model": model, "formula": formula, "epsilon": epsilon}
+    assert _exit_code("valid", options) in (0, 1, 2)
+
+
+_encode_flags = st.sampled_from(["--down", "--up", "--abs", "--json"])
+
+
+@_fuzz
+@given(_formula_texts, _rate_texts, st.lists(_encode_flags, max_size=2, unique=True))
+def test_random_encode_exits_cleanly(formula, epsilon, flags):
+    assert _exit_code("encode", {"formula": formula, "epsilon": epsilon}, flags) in (0, 2)
+
+
+@_fuzz
+@given(
+    _formula_texts,
+    _rate_texts,
+    st.integers(-1, 2),
+    st.integers(-1, 50),
+    st.none() | st.lists(_rate_texts, max_size=3).map(",".join),
+)
+def test_random_search_exits_cleanly(formula, epsilon, max_states, budget, grid):
+    options = {"formula": formula, "epsilon": epsilon, "max-states": max_states,
+               "budget": budget}
+    if grid is not None:
+        options["grid"] = grid
+    assert _exit_code("search", options) in (0, 1, 2)
+
+
 def test_json_envelope_is_schema_tagged(capsys):
     _, out = run(
         capsys,
@@ -421,3 +521,11 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def test_verify_unknown_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--budget", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --budget: invalid choice: 'bogus' (choose from " in err

@@ -23,6 +23,7 @@ from cml_kit import (
     search_model,
     valid_on,
 )
+from cml_kit import semantics
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
 from cml_kit.formula import Fragment
 
@@ -112,6 +113,16 @@ def test_default_rate_grid():
     # closed under sums up to max index plus slack
     assert Q(2) + Q(0) in grid
     assert all(x <= Q(5, 2) for x in grid)
+
+
+def test_default_rate_grid_stops_past_its_cap(monkeypatch):
+    # 1/7 and 1/5 close under sums up to 1 at 16 rates
+    f = parse("L{1/7} L{1/5} L{1} T")
+    monkeypatch.setattr(semantics, "GRID_CAP", 16)
+    assert len(default_rate_grid(f, 0)) == 16
+    monkeypatch.setattr(semantics, "GRID_CAP", 15)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 15 rates"):
+        default_rate_grid(f, 0)
 
 
 def test_search_finds_single_state_witness():

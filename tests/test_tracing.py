@@ -2,16 +2,18 @@
 
 ``perfbench/tracing.py`` patches functions and methods it looks up by name, so
 renaming or deleting one of them breaks ``perfbench/run.py --trace 1``. This
-test installs the tracer around one evaluation and one transfer oracle, so
-such a change fails here.
+test installs the tracer around one evaluation, one transfer oracle and one
+`cml distance` run, so such a change fails here. The CLI imports `metric` and
+`orders` inside its commands, so the wrappers apply there too.
 """
 
 import importlib.util
 import os
 from fractions import Fraction
 
-from cml_kit import eval_formula, parse, semantics
+from cml_kit import cli, eval_formula, parse, semantics
 from cml_kit.harness import oracles
+from cml_kit.models import model_path
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
 
@@ -44,3 +46,20 @@ def test_benchmark_tracer_installs_and_restores(fig1):
     assert metrics["harness.transfer.calls"][0] == 1
     assert metrics["harness.saturate_pairs.calls"][0] == 1
     assert metrics["harness.saturate_pairs.pairs"][0] == len(pairs)
+
+
+def test_benchmark_tracer_sees_the_cli_commands(capsys):
+    tracer = _tracing_module().Tracer()
+    argv = ["distance", "-m1", model_path("fig4m"), "-m2", model_path("fig4o"),
+            "-s1", "m", "-s2", "o"]
+    try:
+        tracer.install()
+        code = cli.main(argv)
+    finally:
+        tracer.restore()
+    assert code == 0
+    assert '"distance": "3/10"' in capsys.readouterr().out
+    metrics = tracer.metrics([])
+    assert metrics["cli.main.calls"][0] == 1
+    assert metrics["metric.distance.calls"][0] == 1
+    assert metrics["orders.plain_pairs.calls"][0] >= 1
