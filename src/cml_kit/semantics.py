@@ -12,12 +12,21 @@ denominator and passes each state's w, scaled the same way, to
 ``_modal_holds``, the only place the semantics compares rates. ``extension``
 returns frozensets. Nothing is cached: a caller that needs the same
 (formula, e) extension twice keeps the first result.
+
+``search_model`` enumerates rate assignments as tuples of grid indices in
+row-major slot order and tries kernels only up to state relabeling: it builds
+and evaluates an assignment only when no relabeling of the states gives a
+lexicographically smaller tuple. Satisfaction is invariant under relabeling,
+so the first witness in enumeration order is such a canonical assignment and
+the answer is the one a search over every assignment gives. Its budget counts
+every enumerated assignment, the skipped ones included.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -30,6 +39,9 @@ _ZERO = Fraction(0)
 # rates the default search grid may hold before SearchBudgetExceeded; one state
 # alone tries a kernel per rate, so a larger grid outruns any search budget
 GRID_CAP = 1_000
+# sizes a witness search may reach before SearchBudgetExceeded; a one-rate grid
+# tries one kernel per size, so the kernel budget never binds on it
+STATES_CAP = 64
 
 
 def _modal_holds(total: int, e: int, r: int) -> bool:
@@ -153,6 +165,16 @@ def default_rate_grid(f: Formula, e: Rate) -> list[Rate]:
     return sorted(grid)
 
 
+def _relabelings(n: int) -> list:
+    # one getter per non-identity permutation p of n states: on an index tuple
+    # in row-major slot order it gives the tuple of the kernel whose state i is
+    # state p(i), that is slot (i, j) reads slot (p(i), p(j))
+    return [
+        operator.itemgetter(*(p[i] * n + p[j] for i in range(n) for j in range(n)))
+        for p in itertools.islice(itertools.permutations(range(n)), 1, None)
+    ]
+
+
 def search_model(
     f: Formula,
     e: Rate,
@@ -164,8 +186,12 @@ def search_model(
 
     Returns the first (kernel, state) with state satisfying f at slack e, in a
     deterministic enumeration order; None when the bounded space has no
-    witness (which proves nothing beyond the bounds). Raises
-    SearchBudgetExceeded when max_candidates kernels were tried first.
+    witness (which proves nothing beyond the bounds). Kernels are tried up to
+    state relabeling: an assignment of grid rates to the slots is built and
+    evaluated only when no relabeling of its states enumerates earlier, which
+    leaves the first witness unchanged. Raises SearchBudgetExceeded when
+    max_candidates assignments, skipped ones included, were enumerated first,
+    or when the search reaches a size past ``STATES_CAP`` states.
     """
     e = ensure_rate(e)
     if max_states < 1:
@@ -175,17 +201,23 @@ def search_model(
         grid = default_rate_grid(f, e)
     tried = 0
     for n in range(1, max_states + 1):
+        if n > STATES_CAP:
+            raise SearchBudgetExceeded(f"search_model exceeded {STATES_CAP} states")
         states = [f"s{i}" for i in range(n)]
         slots = [(s, t) for s in states for t in states]
-        for assignment in itertools.product(grid, repeat=len(slots)):
+        # one rate gives one assignment per size, canonical by itself; building
+        # no n! maps for it lets that search reach STATES_CAP quickly
+        relabelings = _relabelings(n) if len(grid) > 1 else ()
+        for index in itertools.product(range(len(grid)), repeat=len(slots)):
             tried += 1
             if tried > max_candidates:
                 raise SearchBudgetExceeded(
                     f"search_model exhausted its budget of {max_candidates} kernels"
                 )
-            kernel = Kernel(states, dict(zip(slots, assignment)))
-            extension = eval_formula(kernel, f, e)
-            for s in states:
-                if s in extension:
-                    return kernel, s
+            if any(relabel(index) < index for relabel in relabelings):
+                continue  # a relabeling of an assignment enumerated earlier
+            kernel = Kernel(states, {s: grid[i] for s, i in zip(slots, index)})
+            found = Evaluator(kernel)._walk(f, e)
+            if found:
+                return kernel, states[(found & -found).bit_length() - 1]
     return None

@@ -9,11 +9,12 @@ import time
 from datetime import timedelta
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cml_kit import equivalence
 from cml_kit.cli import main
 from cml_kit.errors import KernelError
+from cml_kit.harness.suites import BUDGETS, SUITES
 from cml_kit.models import FIGURES, load_model, model_path
 from cml_kit.kernel import Kernel, load_kernel
 
@@ -113,6 +114,18 @@ def test_search_past_the_grid_cap_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "default rate grid exceeded" in err
     assert "Traceback" not in err
+
+
+def test_search_past_the_state_cap_is_usage_error(capsys):
+    # a one-rate grid tries one kernel per size, so only the state cap ends it
+    argv = ["search", "-f", "L{1} T", "-e", "0", "--grid", "0", "--max-states"]
+    start = time.perf_counter()
+    assert main(argv + ["100000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "search_model exceeded 64 states" in err
+    assert "Traceback" not in err
+    assert main(argv + ["64"]) == 1
 
 
 def test_directory_model_is_usage_error(tmp_path, capsys):
@@ -465,6 +478,80 @@ def test_random_search_exits_cleanly(formula, epsilon, max_states, budget, grid)
     if grid is not None:
         options["grid"] = grid
     assert _exit_code("search", options) in (0, 1, 2)
+
+
+_state_names = st.one_of(
+    st.sampled_from(["m", "m1", "m5", "n", "n3", "o", "o2", "x", ""]),
+    st.text(max_size=3),
+)
+
+
+@_fuzz
+@given(_model_paths, _model_paths, _state_names, _state_names, _rate_texts, st.booleans())
+def test_random_order_exits_cleanly(model1, model2, state1, state2, epsilon, essential):
+    options = {"model1": model1, "model2": model2, "state1": state1, "state2": state2,
+               "epsilon": epsilon}
+    assert _exit_code("order", options, ["--essential"] * essential) in (0, 1, 2)
+
+
+@_fuzz
+@given(_model_paths, _model_paths, _state_names, _state_names)
+def test_random_distance_exits_cleanly(model1, model2, state1, state2):
+    options = {"model1": model1, "model2": model2, "state1": state1, "state2": state2}
+    assert _exit_code("distance", options) in (0, 2)
+
+
+# mostly well-formed fields, so that a document often reaches the checker
+_proof_formulas = st.one_of(
+    st.sampled_from(["T", "L{1/2} T", "L{1} T", "!L{1} T", "L{1} T -> L{1/2} T"]),
+    _formula_texts,
+    _json_scalars,
+)
+_proof_rates = st.one_of(st.sampled_from(["0", "1/2", "1"]), _rate_texts, _json_scalars)
+_line_numbers = st.integers(-1, 3) | st.lists(st.integers(-1, 3) | _proof_rates, max_size=3)
+_justifications = st.one_of(
+    st.fixed_dictionaries(
+        {"axiom": st.sampled_from(["A1", "A2", "A3", "A4", "A9"]) | _json_scalars},
+        optional={"phi": _proof_formulas, "psi": _proof_formulas, "r": _proof_rates,
+                  "s": _proof_rates},
+    ),
+    st.dictionaries(
+        st.sampled_from(["mp", "r1", "taut", "hyp", "x"]), _line_numbers, max_size=2
+    ),
+    _json_scalars,
+)
+_proof_lines = st.fixed_dictionaries({"formula": _proof_formulas, "by": _justifications})
+_proof_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"epsilon": _proof_rates, "lines": st.lists(_proof_lines, max_size=3),
+         "conclusion": _proof_formulas},
+        optional={"hypotheses": st.lists(_proof_formulas, max_size=2)},
+    ),
+    st.recursive(_json_scalars, lambda kids: st.lists(kids, max_size=3), max_leaves=4),
+)
+
+
+@settings(_fuzz, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_proof_docs)
+def test_random_proofs_exit_cleanly(tmp_path, doc):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(doc))
+    assert _exit_code("prove", {"proof": path}) in (0, 1, 2)
+
+
+# a random name is never that of a suite or budget: "all" or "full" runs for minutes
+_suite_texts = st.just("l5-orders") | st.text(max_size=6).filter(
+    lambda name: name != "all" and name not in SUITES
+)
+_budget_texts = st.just("small") | st.text(max_size=6).filter(
+    lambda name: name not in BUDGETS
+)
+
+
+@settings(_fuzz, max_examples=20)
+@given(_suite_texts, _budget_texts)
+def test_random_verify_exits_cleanly(suite, budget):
+    assert _exit_code("verify", {"suite": suite, "budget": budget}) in (0, 1, 2)
 
 
 def test_json_envelope_is_schema_tagged(capsys):

@@ -1,7 +1,9 @@
+import collections
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cml_kit import (
     And,
@@ -25,7 +27,7 @@ from cml_kit import (
 )
 from cml_kit import semantics
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
-from cml_kit.formula import Fragment
+from cml_kit.formula import Fragment, modal_indices
 
 Q = Fraction
 S = frozenset
@@ -152,6 +154,101 @@ def test_search_budget_reported_distinctly():
 def test_search_default_grid():
     found = search_model(parse("L{2} T"), 0, 1)
     assert found is not None
+
+
+def test_search_stops_at_its_state_cap(monkeypatch):
+    monkeypatch.setattr(semantics, "STATES_CAP", 3)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 3 states"):
+        search_model(parse("F"), 0, 4, [Q(0)])
+    assert search_model(parse("F"), 0, 3, [Q(0)]) is None
+    # the cap is met only by a search that reaches it
+    kernel, witness = search_model(parse("L{1} T"), 0, 100, [Q(0), Q(1)])
+    assert kernel.states == ("s0",) and witness == "s0"
+
+
+def _reference_search(f, e, max_states, grid, max_candidates):
+    """Witness search over every assignment of grid rates, relabelings included:
+    a test oracle for search_model, which skips the relabelings."""
+    tried = 0
+    for n in range(1, max_states + 1):
+        states = [f"s{i}" for i in range(n)]
+        slots = [(s, t) for s in states for t in states]
+        for assignment in itertools.product(grid, repeat=len(slots)):
+            tried += 1
+            if tried > max_candidates:
+                raise SearchBudgetExceeded(
+                    f"search_model exhausted its budget of {max_candidates} kernels"
+                )
+            kernel = Kernel(states, dict(zip(slots, assignment)))
+            extension = eval_formula(kernel, f, e)
+            for s in states:
+                if s in extension:
+                    return kernel, s
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetExceeded:
+        return SearchBudgetExceeded
+
+
+_SEARCH_RATES = [Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3)]
+_search_formulas = st.recursive(
+    st.just(Top()),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(L, st.sampled_from(_SEARCH_RATES), kids),
+    ),
+    max_leaves=6,
+).filter(lambda f: 1 <= len(modal_indices(f)) <= 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    _search_formulas,
+    st.sampled_from([Q(0), Q(1, 10), Q(1, 2)]),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(_SEARCH_RATES), min_size=2, max_size=4, unique=True).map(
+        sorted
+    ),
+    st.integers(1, 600),
+)
+# first witnesses at 3 states: every state satisfies, two do, and only s2 does
+@example(parse("L{3/2} L{3/2} T"), Q(1, 10), 3, [Q(0), Q(1, 2)], 600)
+@example(parse("L{2} L{3} L{1} T"), Q(0), 3, [Q(0), Q(1)], 600)
+@example(parse("L{3} !L{3} T"), Q(1, 10), 3, [Q(0), Q(3, 2)], 600)
+def test_search_matches_the_search_over_every_assignment(f, e, max_states, grid, budget):
+    # budgets up to 600 cover 2 states on 4 rates (260 assignments) and 3 states
+    # on 2 rates (530); the larger spaces end in SearchBudgetExceeded on both sides
+    args = (f, e, max_states, grid, budget)
+    assert _outcome(search_model, *args) == _outcome(_reference_search, *args)
+
+
+def test_search_builds_one_kernel_per_relabeling_class(monkeypatch):
+    sizes = collections.Counter()
+
+    def counted(states, rates):
+        sizes[len(states)] += 1
+        return Kernel(states, rates)
+
+    monkeypatch.setattr(semantics, "Kernel", counted)
+    assert search_model(parse("F"), 0, 2, [Q(0), Q(1), Q(2), Q(3)]) is None
+    # 4^4 = 256 assignments of 2 states: the 16 fixed by the swap and half of the rest
+    assert sizes == {1: 4, 2: 136}
+    sizes.clear()
+    assert search_model(parse("F"), 0, 3, [Q(0), Q(1), Q(2)]) is None
+    # Burnside over the 6 permutations of 3 states: (3^9 + 3 * 3^5 + 2 * 3^3) / 6
+    assert sizes == {1: 3, 2: 45, 3: 3411}
+
+
+def test_search_budget_counts_the_skipped_assignments():
+    grid = [Q(0), Q(1), Q(2), Q(3)]
+    assert search_model(parse("F"), 0, 2, grid, max_candidates=260) is None
+    with pytest.raises(SearchBudgetExceeded, match="budget of 259 kernels"):
+        search_model(parse("F"), 0, 2, grid, max_candidates=259)
 
 
 def test_evaluator_cache_consistency(fig1):
