@@ -157,8 +157,12 @@ def generators(kernel: Kernel) -> GeneratorFamily:
     queue = deque(members)
     closed: list[tuple[int, Formula]] = []
 
+    def at_least(w: int, f: Formula) -> Formula:
+        return L(Fraction(w, scale), f)
+
     def add(candidate: int, build: Callable[..., Formula], *args) -> None:
-        # the defining formula is only built for a new member
+        # the defining formula, with a threshold's Fraction index, is only
+        # built for a new member
         if candidate not in members:
             members[candidate] = build(*args)
             queue.append(candidate)
@@ -173,9 +177,9 @@ def generators(kernel: Kernel) -> GeneratorFamily:
         row = kernel.scaled_measures(c)
         for w in sorted(set(row)):
             threshold = sum([1 << i for i, v in enumerate(row) if v >= w])
-            add(threshold, L, Fraction(w, scale), f)
+            add(threshold, at_least, w, f)
         if max(row, default=0) < top:
-            add(0, L, Fraction(top, scale), f)
+            add(0, at_least, top, f)
         closed.append((c, f))
         for other, g in closed:
             add(c | other, Or, f, g)

@@ -10,12 +10,16 @@ cannot reach, which contradicts the worked examples this module must
 reproduce.
 
 The plain largest order is a greatest fixpoint (the deletion condition is
-monotone in R). The essential condition's lower bound is antitone in R, so
-"largest" is read as membership: (m, n) is essentially ordered when SOME
-essential order contains it. Membership is decided by a backtracking witness
-search over the total-rate band 0 <= s_n - s_m <= e (s the total exit rate),
-with band pairs as the only candidates: one search per band pair that no
-witness found earlier in the same call already contains.
+monotone in R). ``PlainDescent`` computes it from the full relation and keeps
+each live pair's violation, its largest slack above, which deletions only
+raise. The fixpoint only shrinks as the slack falls, so one descent can go on
+to a lower slack from the fixpoint it holds. The essential condition's lower
+bound is antitone in R, so "largest" is read as membership: (m, n) is
+essentially ordered when SOME essential order contains it. Membership is
+decided by a backtracking witness search over the total-rate band
+0 <= s_n - s_m <= e (s the total exit rate), with band pairs as the only
+candidates: one search per band pair that no witness found earlier in the same
+call already contains.
 
 Every essential R is a plain order, so no plain fixpoint is needed: for C a
 union of blocks, theta_n(C) - theta_m(C ∪ R⁻¹C) <= [s_n - theta_m(dom R)] -
@@ -29,8 +33,9 @@ scale D, so every block measure and every slack is an integer multiple of
 1/D. Sets of blocks are bitmasks, onto which the family's state bitmasks are
 projected. A slack x (an integer, in units of 1/D) exceeds e exactly when
 x > floor(e·D), because x is an integer; every comparison with e is made that
-way, so the plain fixpoint depends on e only through floor(e·D). ``metric``
-relies on that. Only ``_theta``, for outside checks, is an unscaled Fraction.
+way, so the plain fixpoint depends on e only through floor(e·D). ``metric``'s
+sweep relies on that: it descends over integer limits only. Only ``_theta``,
+for outside checks, is an unscaled Fraction.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ class OrderSolver:
         ]
         # sums[i]: scaled exit total of block i
         self.sums = [sum(row) for row in self.bm]
+        # _columns[j][i]: bm[i][j], each block's scaled rate into block j
+        self._columns = [list(column) for column in zip(*self.bm)]
         # _masses[i][mask]: scaled theta of block i into the blocks of mask
         self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
         # the generator family and its block projection, built on first use
@@ -96,6 +103,13 @@ class OrderSolver:
             value = sum(row[b] for b in range(self.n_blocks) if mask >> b & 1)
             masses[mask] = value
         return value
+
+    def _masses_into(self, mask: int) -> list[int]:
+        # every block's scaled theta into the blocks of mask, column by column
+        columns = [column for b, column in enumerate(self._columns) if mask >> b & 1]
+        if not columns:
+            return [0] * self.n_blocks
+        return [sum(masses) for masses in zip(*columns)]
 
     def _limit(self, e: Rate) -> int:
         # an integer slack x exceeds e exactly when x > floor(e * scale)
@@ -136,39 +150,9 @@ class OrderSolver:
     # --- plain order: greatest fixpoint ----------------------------------
 
     def plain_pairs(self, e: Rate) -> frozenset:
-        limit = self._limit(ensure_rate(e))
-        masks = self.family_blocks()
-        mass = self._mass
-        n = self.n_blocks
-        # member_theta[j][k]: scaled theta of block j into family member k
-        member_theta = [[mass(j, c) for c in masks] for j in range(n)]
-        pairs = {(i, j) for i in range(n) for j in range(n)}
-        while True:
-            # closures[k]: member k together with the blocks R-related into it
-            into = [0] * n
-            for (i, j) in pairs:
-                into[j] |= 1 << i
-            closures = []
-            for c in masks:
-                closure = c
-                for j in range(n):
-                    if c >> j & 1:
-                        closure |= into[j]
-                closures.append(closure)
-            # closure_mass[i][k]: scaled theta of block i into closures[k]
-            closure_mass = {}
-            violated = set()
-            for (i, j) in pairs:
-                if i not in closure_mass:
-                    closure_mass[i] = [mass(i, closure) for closure in closures]
-                for theta_c, theta_i in zip(member_theta[j], closure_mass[i]):
-                    if theta_c - theta_i > limit:
-                        violated.add((i, j))
-                        break
-            if not violated:
-                break
-            pairs -= violated
-        return frozenset(pairs)
+        descent = PlainDescent(self)
+        descent.descend(self._limit(ensure_rate(e)))
+        return frozenset(descent.violation)
 
     # --- essential order: witness membership -----------------------------
 
@@ -268,6 +252,75 @@ class OrderSolver:
             if state not in index:
                 raise KernelError(f"unknown state {state!r}")
         return (index[m], index[n])
+
+
+class PlainDescent:
+    """The plain greatest fixpoint, lowered one limit at a time.
+
+    It starts from the full relation, the fixpoint at every limit from the
+    largest exit total up. ``violation`` maps each live block pair (i, j) to
+    its violation under the live relation R: the largest theta(j)(C) -
+    theta(i)(C ∪ R⁻¹C) over family members C. R is the fixpoint at every
+    limit from the largest violation up to the last limit descended to.
+    Deleting pairs only shrinks closures, so a violation only grows: after a
+    deletion, each live pair is rechecked against the members whose closure
+    changed, one closure at a time, and keeps the larger violation.
+    """
+
+    def __init__(self, solver: OrderSolver):
+        members = solver.family_blocks()
+        n = solver.n_blocks
+        self._masses_into = solver._masses_into
+        # each member with the blocks it holds
+        self._members = [(c, [j for j in range(n) if c >> j & 1]) for c in members]
+        # theta[k][j]: scaled theta of block j into family member k
+        self._theta = [solver._masses_into(c) for c in members]
+        # into[j]: the blocks R-related into block j
+        everything = (1 << n) - 1
+        self._into = [everything] * n
+        # under the full relation every nonempty member's closure is every block
+        self._closures = [everything if c else 0 for c in members]
+        # every slack of (i, j) is at least -sums[i], so the recheck over
+        # every member leaves each pair's exact violation
+        self.violation: dict[BlockPair, int] = {
+            (i, j): -solver.sums[i] for i in range(n) for j in range(n)
+        }
+        self._recheck(range(len(members)))
+
+    def descend(self, limit: int) -> None:
+        """Delete pairs until every live violation is at most limit."""
+        violation, into = self.violation, self._into
+        over = [p for p, v in violation.items() if v > limit]
+        while over:
+            for (i, j) in over:
+                del violation[(i, j)]
+                into[j] &= ~(1 << i)
+            changed = []
+            for k, (c, blocks) in enumerate(self._members):
+                closure = c
+                for j in blocks:
+                    closure |= into[j]
+                if closure != self._closures[k]:
+                    self._closures[k] = closure
+                    changed.append(k)
+            self._recheck(changed)
+            over = [p for p, v in violation.items() if v > limit]
+
+    def _recheck(self, changed) -> None:
+        # the members that share a closure share its masses, so each live pair
+        # is compared once per closure, with the largest theta into them
+        tops: dict[int, list[int]] = {}
+        for k in changed:
+            closure, row = self._closures[k], self._theta[k]
+            top = tops.get(closure)
+            tops[closure] = row if top is None else list(map(max, top, row))
+        violation = self.violation
+        for closure, top in tops.items():
+            base = self._masses_into(closure)
+            for (i, j), v in violation.items():
+                slack = top[j] - base[i]
+                if slack > v:
+                    violation[(i, j)] = slack
 
 
 def union_solver(

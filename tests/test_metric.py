@@ -1,9 +1,62 @@
+import functools
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from cml_kit import Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
-from cml_kit.harness.generate import corpus
+from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
+from cml_kit.kernel import left_tag, right_tag
 
 Q = Fraction
+
+# the union of test_distance_attained_and_tight, whose scale D is 1001
+GRID_LEFT = Kernel(
+    ["a", "a1", "a2"],
+    {("a", "a1"): Q(3, 7), ("a", "a2"): Q(5, 11), ("a1", "a2"): Q(2, 13)},
+)
+GRID_RIGHT = Kernel(["b", "b1"], {("b", "b1"): Q(6, 7), ("b1", "b1"): Q(1, 11)})
+# the kernel of test_scan_recovers_from_missed_breakpoint
+MISSED_BREAKPOINT = Kernel(
+    ["s0", "s1", "s2", "s3"],
+    {
+        ("s0", "s1"): Q(1, 2),
+        ("s1", "s2"): 1,
+        ("s1", "s3"): 1,
+        ("s2", "s3"): 2,
+        ("s3", "s2"): 2,
+        ("s3", "s3"): 3,
+    },
+)
+
+generated_kernels = st.builds(
+    lambda states, density, pool, seed: gen_kernel(
+        KernelGenConfig(states, rate_pool=pool, density=density, seed=seed)
+    ),
+    st.integers(1, 5),
+    st.sampled_from((Q(1, 4), Q(1, 2), Q(3, 4), Q(1))),
+    st.sampled_from(((Q(0), Q(1), Q(2), Q(3), Q(1, 2)), (Q(1, 3), Q(2, 7), Q(3, 2), Q(5)))),
+    st.integers(0, 1 << 16),
+)
+
+
+def bisection_distance(solver: OrderSolver, i: int, j: int, plain) -> Fraction:
+    """The least k/D at which the block pairs (i, j) and (j, i) both hold, by
+    bisection over the integers up to the largest scaled exit total, as an
+    oracle; plain(k) is the solver's plain fixpoint at k/D."""
+
+    def feasible(k: int) -> bool:
+        pairs = plain(k)
+        return (i, j) in pairs and (j, i) in pairs
+
+    lo, hi = 0, max(solver.sums)
+    assert feasible(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return Fraction(hi, solver.scale)
 
 
 def test_uniform_lift_distance(fig1, fig4o):
@@ -33,11 +86,7 @@ def test_distance_attained_and_tight(fig1, fig4o):
     # a union whose scale D (the least common multiple of the rate
     # denominators) is 1001: the answer sits on the grid k/D and no slack off
     # the grid below it works
-    k1 = Kernel(
-        ["a", "a1", "a2"],
-        {("a", "a1"): Q(3, 7), ("a", "a2"): Q(5, 11), ("a1", "a2"): Q(2, 13)},
-    )
-    k2 = Kernel(["b", "b1"], {("b", "b1"): Q(6, 7), ("b1", "b1"): Q(1, 11)})
+    k1, k2 = GRID_LEFT, GRID_RIGHT
     scale = OrderSolver(disjoint_union(k1, k2)).scale
     assert scale >= 1000
     d = distance(k1, "a", k2, "b")
@@ -80,18 +129,23 @@ def test_scan_recovers_from_missed_breakpoint():
     # regression: the answer 2 is compared as a slack neither in the run at 0
     # nor in the run at the largest exit total, so it must come from the
     # integer grid k/D, not from the slacks those runs compare
-    k = Kernel(
-        ["s0", "s1", "s2", "s3"],
-        {
-            ("s0", "s1"): Q(1, 2),
-            ("s1", "s2"): 1,
-            ("s1", "s3"): 1,
-            ("s2", "s3"): 2,
-            ("s3", "s2"): 2,
-            ("s3", "s3"): 3,
-        },
-    )
+    k = MISSED_BREAKPOINT
     assert distance(k, "s0", k, "s2").value == 2
     assert holds(k, "s0", k, "s2", 2) and holds(k, "s2", k, "s0", 2)
     tight = Q(2) - Q(1, 1000)
     assert not (holds(k, "s0", k, "s2", tight) and holds(k, "s2", k, "s0", tight))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(generated_kernels, generated_kernels)
+@example(GRID_LEFT, GRID_RIGHT)
+@example(MISSED_BREAKPOINT, MISSED_BREAKPOINT)
+def test_sweep_matches_bisection(k1, k2):
+    solver = OrderSolver(disjoint_union(k1, k2))
+    # the bisections of different pairs share their probes
+    plain = functools.cache(lambda k: solver.plain_pairs(Fraction(k, solver.scale)))
+    for m in k1.states:
+        for n in k2.states:
+            d = distance(k1, m, k2, n)
+            i, j = solver.block_pair_of(left_tag(m), right_tag(n))
+            assert d.value == d.attained_at == bisection_distance(solver, i, j, plain)

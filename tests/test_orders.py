@@ -2,15 +2,80 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cml_kit import Kernel, bisimulation, distance, holds
+from cml_kit import Kernel, bisimulation, disjoint_union, distance, holds
 from cml_kit import orders
 from cml_kit.errors import SearchBudgetExceeded
-from cml_kit.harness.generate import corpus
+from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.orders import OrderSolver
 
 Q = Fraction
 EPS = Q(1, 10)
+SLACKS = (Q(0), Q(1, 10), Q(1, 2), Q(1), Q(5, 2))
+
+# gen_kernel kernels of 1-5 states, on the default rate pool or on one whose
+# denominators make the union's scale D larger
+generated_kernels = st.builds(
+    lambda states, density, pool, seed: gen_kernel(
+        KernelGenConfig(states, rate_pool=pool, density=density, seed=seed)
+    ),
+    st.integers(1, 5),
+    st.sampled_from((Q(1, 4), Q(1, 2), Q(3, 4), Q(1))),
+    st.sampled_from(((Q(0), Q(1), Q(2), Q(3), Q(1, 2)), (Q(1, 3), Q(2, 7), Q(3, 2), Q(5)))),
+    st.integers(0, 1 << 16),
+)
+
+
+def round_loop_plain_pairs(solver: OrderSolver, e: Fraction) -> frozenset:
+    """The plain fixpoint in rounds, as an oracle: each round rebuilds every
+    member's closure, rechecks every live pair against every member and
+    deletes the violated pairs, until a round deletes none."""
+    limit = solver._limit(e)
+    masks = solver.family_blocks()
+    mass = solver._mass
+    n = solver.n_blocks
+    member_theta = [[mass(j, c) for c in masks] for j in range(n)]
+    pairs = {(i, j) for i in range(n) for j in range(n)}
+    while True:
+        into = [0] * n
+        for (i, j) in pairs:
+            into[j] |= 1 << i
+        closures = []
+        for c in masks:
+            closure = c
+            for j in range(n):
+                if c >> j & 1:
+                    closure |= into[j]
+            closures.append(closure)
+        closure_mass = {}
+        violated = set()
+        for (i, j) in pairs:
+            if i not in closure_mass:
+                closure_mass[i] = [mass(i, closure) for closure in closures]
+            for theta_c, theta_i in zip(member_theta[j], closure_mass[i]):
+                if theta_c - theta_i > limit:
+                    violated.add((i, j))
+                    break
+        if not violated:
+            break
+        pairs -= violated
+    return frozenset(pairs)
+
+
+def exact_violations(solver: OrderSolver, pairs) -> dict:
+    """Each pair's largest slack theta(j)(C) - theta(i)(C ∪ R⁻¹C) under R = pairs."""
+    out = {}
+    for (i, j) in pairs:
+        slacks = []
+        for c in solver.family_blocks():
+            pull = 0
+            for (bi, bj) in pairs:
+                if c >> bj & 1:
+                    pull |= 1 << bi
+            slacks.append(solver._mass(j, c) - solver._mass(i, c | pull))
+        out[(i, j)] = max(slacks)
+    return out
 
 
 def test_branch_merge_pair_within_double_slack(fig1, fig3n):
@@ -261,3 +326,22 @@ def test_essential_pairs_skip_pairs_inside_found_witnesses():
         assert set(searched) <= set(band) and len(searched) == len(set(searched))
         skipped += len(band) - len(searched)
     assert skipped > 0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(generated_kernels, generated_kernels)
+def test_plain_descent_matches_the_round_loop(k1, k2):
+    # plain_pairs descends once, straight to its limit; one descent walked
+    # down the slacks, as distance walks it, passes the same fixpoints, and
+    # keeps each live pair's exact violation under the live relation
+    solver = OrderSolver(disjoint_union(k1, k2))
+    descent = orders.PlainDescent(solver)
+    full = frozenset(descent.violation)
+    assert len(full) == solver.n_blocks ** 2
+    assert descent.violation == exact_violations(solver, full)
+    for e in reversed(SLACKS):
+        expected = round_loop_plain_pairs(solver, e)
+        assert solver.plain_pairs(e) == expected
+        descent.descend(solver._limit(e))
+        assert frozenset(descent.violation) == expected
+        assert descent.violation == exact_violations(solver, expected)

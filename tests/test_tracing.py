@@ -62,4 +62,5 @@ def test_benchmark_tracer_sees_the_cli_commands(capsys):
     metrics = tracer.metrics([])
     assert metrics["cli.main.calls"][0] == 1
     assert metrics["metric.distance.calls"][0] == 1
-    assert metrics["orders.plain_pairs.calls"][0] >= 1
+    assert metrics["orders.OrderSolver.calls"][0] == 1
+    assert metrics["orders.family_blocks.calls"][0] >= 1
