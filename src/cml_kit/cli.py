@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (CMLError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CMLError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Stochastic bisimulation by partition refinement, and the definable-set families.
+"""Stochastic bisimulation by partition refinement, and the definable-set family.
 
 Refinement starts from one block and repeatedly splits blocks whose members
 assign different measures to some current block; the fixpoint partition is the
@@ -12,8 +12,9 @@ integer rates: starting from the full state set, add the threshold sets
 value r, and close under union and intersection. A worklist closes each member
 once, and the family stops with ``SearchBudgetExceeded`` past ``FAMILY_CAP``
 members. Each member is a union of bisimulation blocks and carries a defining
-positive-fragment formula. Closing under complement too would give every union
-of blocks, so that family is not built.
+positive-fragment formula; the family is one map from each member's state
+bitmask to that formula, in the order members were added. Closing under
+complement too would give every union of blocks, so that family is not built.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Callable, Iterable
 from .errors import KernelError, SearchBudgetExceeded
 from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
-from .rational import Rate
 
 # members the definable-set family may hold before SearchBudgetExceeded; the
 # family can grow exponentially with the bisimulation blocks
@@ -101,39 +101,7 @@ def bisimilar(k1: Kernel, m: str, k2: Kernel, n: str) -> bool:
     return bisimulation(union).same_block(left_tag(m), right_tag(n))
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
-    """Saturation-closed family of definable state sets with defining formulas."""
-
-    kernel: Kernel
-    sets: frozenset
-    formulas: dict
-    # the members of ``sets`` as state bitmasks, in the order they were added
-    masks: tuple[int, ...]
-
-    def __contains__(self, members: frozenset) -> bool:
-        return frozenset(members) in self.sets
-
-    def __iter__(self):
-        return iter(self.sorted_sets())
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def sorted_sets(self) -> list[frozenset]:
-        order = {s: i for i, s in enumerate(self.kernel.states)}
-        return sorted(
-            self.sets, key=lambda c: (len(c), sorted(order[s] for s in c))
-        )
-
-    def achievable_measures(self) -> list[Rate]:
-        """Every theta(x)(C) value over states x and family members C."""
-        kernel = self.kernel
-        values = {w for c in self.masks for w in kernel.scaled_measures(c)}
-        return sorted(Fraction(w, kernel.scale) for w in values)
-
-
-def generators(kernel: Kernel) -> GeneratorFamily:
+def generators(kernel: Kernel) -> dict[int, Formula]:
     """Close the full state set under thresholds, unions and intersections.
 
     A worklist closes each member C once, when it is taken from the queue. It
@@ -147,8 +115,10 @@ def generators(kernel: Kernel) -> GeneratorFamily:
     when the later of the two is closed. Members are state bitmasks and rates
     scaled integers w; a threshold's formula gets the index w / D. A defining
     formula's extension is its member at slack 0, and so is that of its
-    ``encode_up`` by e at slack e. Raises ``SearchBudgetExceeded`` once the
-    family holds more than ``FAMILY_CAP`` members.
+    ``encode_up`` by e at slack e. Returns the map from each member's state
+    bitmask to its defining formula, in the order members were added. Raises
+    ``SearchBudgetExceeded`` once the family holds more than ``FAMILY_CAP``
+    members.
     """
     scale = kernel.scale
     universe = (1 << len(kernel.states)) - 1
@@ -184,13 +154,13 @@ def generators(kernel: Kernel) -> GeneratorFamily:
         for other, g in closed:
             add(c | other, Or, f, g)
             add(c & other, And, f, g)
-    formulas = {kernel.set_of(c): f for c, f in members.items()}
-    return GeneratorFamily(kernel, frozenset(formulas), formulas, tuple(members))
+    return members
 
 
-def partition_from_family(kernel: Kernel, family: Iterable[frozenset]) -> Partition:
-    """Coarsest partition whose members agree on the measure of every family set."""
-    columns = [kernel.scaled_measures(kernel.mask_of(c)) for c in family]
+def partition_from_family(kernel: Kernel, family: Iterable[int]) -> Partition:
+    """Coarsest partition whose states agree on the measure of every family
+    member, a state bitmask."""
+    columns = [kernel.scaled_measures(c) for c in family]
     signatures: dict[tuple, list[str]] = {}
     for i, state in enumerate(kernel.states):
         signatures.setdefault(tuple(col[i] for col in columns), []).append(state)

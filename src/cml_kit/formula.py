@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import FormulaSyntaxError, RateError, SearchBudgetExceeded
 from .rational import Rate, ensure_rate, format_rate
@@ -168,28 +168,25 @@ def _down_index(r: Rate, e: Rate) -> Rate:
 def encode_down(f: Formula, e: Rate) -> Formula:
     """Shift every modal index down by e, truncating at 0; homomorphic elsewhere."""
     e = ensure_rate(e)
-    if isinstance(f, Top):
-        return f
-    if isinstance(f, Not):
-        return Not(encode_down(f.child, e), sugar=f.sugar)
-    if isinstance(f, And):
-        return And(encode_down(f.left, e), encode_down(f.right, e))
-    if isinstance(f, L):
-        return L(_down_index(f.rate, e), encode_down(f.child, e))
-    raise TypeError(f"not a formula node: {f!r}")
+    return _shift(f, lambda r: _down_index(r, e))
 
 
 def encode_up(f: Formula, e: Rate) -> Formula:
     """Shift every modal index up by e; homomorphic elsewhere."""
     e = ensure_rate(e)
+    return _shift(f, lambda r: r + e)
+
+
+def _shift(f: Formula, index: Callable[[Rate], Rate]) -> Formula:
+    # f with every modal index r replaced by index(r); homomorphic elsewhere
     if isinstance(f, Top):
         return f
     if isinstance(f, Not):
-        return Not(encode_up(f.child, e), sugar=f.sugar)
+        return Not(_shift(f.child, index), sugar=f.sugar)
     if isinstance(f, And):
-        return And(encode_up(f.left, e), encode_up(f.right, e))
+        return And(_shift(f.left, index), _shift(f.right, index))
     if isinstance(f, L):
-        return L(f.rate + e, encode_up(f.child, e))
+        return L(index(f.rate), _shift(f.child, index))
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
-from ..equivalence import GeneratorFamily, Partition, generators, partition_from_family
+from ..equivalence import Partition, generators, partition_from_family
 from ..formula import (
     And,
     Formula,
@@ -34,8 +34,7 @@ from ..formula import (
     print_formula,
 )
 from ..kernel import Kernel, kernel_to_doc
-from ..metric import distance
-from ..orders import OrderSolver, union_solver
+from ..orders import OrderSolver, PlainDescent
 from ..proofcheck import (
     Axiom,
     Proof,
@@ -57,8 +56,8 @@ _ZERO = Fraction(0)
 # failures one report keeps; later ones are dropped unshrunk
 FAILURE_CAP = 25
 # State bound of the corpora that run exponential oracles: extension-pair
-# saturation, the essential witness search and the distance scans grow
-# exponentially with the states, so these corpora stay small at every budget.
+# saturation and the essential witness search grow exponentially with the
+# states, so these corpora stay small at every budget.
 ORACLE_STATES = 4
 
 
@@ -173,13 +172,12 @@ def _union_of_blocks(members: frozenset, partition: Partition) -> bool:
 
 
 def _family_grid(
-    family: GeneratorFamily, extra: tuple[Rate, ...] = ()
+    kernel: Kernel, family, extra: tuple[Rate, ...] = (_ZERO,)
 ) -> tuple[Rate, ...]:
-    """Achievable generator-set measures, the separating rate thresholds."""
-    values = set(family.achievable_measures())
-    values.update(extra)
-    values.add(_ZERO)
-    return tuple(sorted(values))
+    """The separating rate thresholds: every theta(x)(C) over states x and
+    family members C, and the rates of ``extra``."""
+    scaled = {w for c in family for w in kernel.scaled_measures(c)}
+    return tuple(sorted({Fraction(w, kernel.scale) for w in scaled}.union(extra)))
 
 
 def _shifted_grid(grid: tuple[Rate, ...], e: Rate) -> tuple[Rate, ...]:
@@ -218,7 +216,7 @@ def _formula_suite(
     truncated = False
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        grid = _family_grid(generators(kernel), extra)
+        grid = _family_grid(kernel, generators(kernel), (_ZERO, *extra))
         formulas, cut = _formulas(budget, grid, fragment)
         truncated |= cut
         for f in formulas:
@@ -315,13 +313,12 @@ def suite_t1(budget: Budget) -> SuiteReport:
     for kernel in _suite_corpus(budget):
         report.checked += 1
         refined = equivalence_mod.bisimulation(kernel)
-        family = generators(kernel).sorted_sets()
+        family = generators(kernel)
         if refined.as_sets() != partition_from_family(kernel, family).as_sets():
             report.fail("partition mismatch", kernel)
-        for member in family:
-            if not _union_of_blocks(member, refined):
-                report.fail("family member is not a union of blocks", kernel)
-                break
+        blocks = [kernel.mask_of(b) for b in refined.blocks]
+        if any(c & b not in (0, b) for c in family for b in blocks):
+            report.fail("family member is not a union of blocks", kernel)
     return report
 
 
@@ -331,20 +328,22 @@ def suite_c1(budget: Budget) -> SuiteReport:
     report = SuiteReport("c1-extensions", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        plain = generators(kernel)
+        family = generators(kernel)
         partition = equivalence_mod.bisimulation(kernel)
-        grid = tuple(plain.achievable_measures()) or (_ZERO,)
+        grid = _family_grid(kernel, family, ()) or (_ZERO,)
         pos, _ = _formulas(budget, grid, Fragment.POSITIVE)
         full, _ = _formulas(budget, grid, Fragment.FULL)
-        for c in plain.sorted_sets():
+        # the members by size, then by state positions
+        bits = range(len(kernel.states))
+        for c in sorted(family, key=lambda c: (c.bit_count(),
+                                               [i for i in bits if c >> i & 1])):
             report.checked += 1
-            if ev.extension(plain.formulas[c], _ZERO) != c:
-                report.fail("defining formula misses its member", kernel,
-                            plain.formulas[c])
+            if kernel.mask_of(ev.extension(family[c], _ZERO)) != c:
+                report.fail("defining formula misses its member", kernel, family[c])
         for f in pos:
             for e in budget.epsilons:
                 report.checked += 1
-                if ev.extension(f, e) not in plain:
+                if kernel.mask_of(ev.extension(f, e)) not in family:
                     report.fail(
                         f"positive extension escapes the family at e={format_rate(e)}",
                         kernel,
@@ -444,12 +443,9 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
     for kernel in _suite_corpus(budget):
         partition = equivalence_mod.bisimulation(kernel)
         family = generators(kernel)
-        base_grid = _family_grid(family)
+        base_grid = _family_grid(kernel, family)
         # each member's defining formula and scaled measure row, once per kernel
-        rows = [
-            (family.formulas[c], kernel.scaled_measures(kernel.mask_of(c)))
-            for c in family.sorted_sets()
-        ]
+        rows = [(phi, kernel.scaled_measures(c)) for c, phi in family.items()]
         for e in budget.epsilons:
             ev = Evaluator(kernel)
             formulas, _ = _formulas(budget, _shifted_grid(base_grid, e), Fragment.FULL)
@@ -504,7 +500,7 @@ def _transfer_suite(
     incomplete = 0
     for kernel in _suite_corpus(budget, ORACLE_STATES):
         solver = OrderSolver(kernel)
-        base_grid = _family_grid(solver.family)
+        base_grid = _family_grid(kernel, solver.family)
         for e in budget.epsilons:
             at = f"at e={format_rate(e)}"
             verdicts, reachable = oracle(kernel, e)
@@ -564,23 +560,34 @@ def suite_generalization(budget: Budget) -> SuiteReport:
     return report
 
 
+def _block_distances(solver: OrderSolver) -> dict[tuple[int, int], Fraction]:
+    """Every block pair's distance, read off one descent of the kernel's own
+    plain fixpoint as ``metric.distance`` reads it off a union's."""
+    peaks = {p: peak for peak, deleted in PlainDescent(solver).stages() for p in deleted}
+    blocks = range(solver.n_blocks)
+    return {
+        (i, j): Fraction(max(peaks.get((i, j), 0), peaks.get((j, i), 0)), solver.scale)
+        for i in blocks for j in blocks
+    }
+
+
 def suite_pseudometric(budget: Budget) -> SuiteReport:
     """Pseudometric axioms, attainment, and the bisimilarity kernel."""
     report = SuiteReport("pseudometric", seed=budget.seed)
     for kernel in _suite_corpus(budget, ORACLE_STATES):
         states = kernel.states
+        solver = OrderSolver(kernel)
+        distances = _block_distances(solver)
         values: dict[tuple[str, str], Fraction] = {}
         for m in states:
             for n in states:
                 report.checked += 1
-                d = distance(kernel, m, kernel, n)
-                values[(m, n)] = d.value
+                i, j = solver.block_pair_of(m, n)
+                d = values[(m, n)] = distances[(i, j)]
                 # both directions hold at d and, for d > 0, not one grid step lower
-                solver, (i, j) = union_solver(kernel, m, kernel, n)
                 both = {(i, j), (j, i)}
-                if not both <= solver.plain_pairs(d.value) or (
-                    d.value > 0
-                    and both <= solver.plain_pairs(d.value - Fraction(1, solver.scale))
+                if not both <= solver.plain_pairs(d) or (
+                    d > 0 and both <= solver.plain_pairs(d - Fraction(1, solver.scale))
                 ):
                     report.fail(f"distance not attained for ({m},{n})", kernel)
         for m in states:
@@ -723,7 +730,7 @@ def suite_deduction(budget: Budget) -> SuiteReport:
     ] or [(Fraction(1, 10), Fraction(1, 3))]
     for kernel in kernels:
         ev = Evaluator(kernel)
-        grid = _family_grid(generators(kernel))
+        grid = _family_grid(kernel, generators(kernel))
         pos, _ = _formulas(budget, grid, Fragment.POSITIVE, depth=1)
         full, _ = _formulas(budget, grid, Fragment.FULL, depth=1)
         for phi in pos[: min(len(pos), 12)]:

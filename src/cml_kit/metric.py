@@ -8,12 +8,11 @@ every k from some least k* up, and d(m, n) = k*/D exactly; the infimum is
 attained there. Every slack is at most the largest exit total, so the full
 relation is the fixpoint at that total scaled by D.
 
-One descending sweep finds k*. The fixpoint R at the current limit is the
-fixpoint at every limit from its largest violation, the peak, upwards. If the
-peak is 0, R is the fixpoint at 0 and k* = 0. Otherwise the sweep descends to
-peak - 1, which deletes at least one pair; if either direction of the pair is
-deleted there, k* is the peak. So the sweep takes at most one stage per block
-pair.
+k* is read off the descent of the plain fixpoint from the full relation
+(``PlainDescent.stages`` in ``orders``): k* is the peak of the stage that
+deletes either direction of the pair, and 0 when no stage does. Each stage
+deletes at least one pair, so the descent takes at most one stage per block
+pair, and it stops at the stage that answers.
 """
 
 from __future__ import annotations
@@ -37,17 +36,13 @@ def distance(k1: Kernel, m: str, k2: Kernel, n: str) -> Distance:
     """d(m, n) = least e with m below n and n below m in the plain e-order."""
     solver, (i, j) = union_solver(k1, m, k2, n)
     descent = PlainDescent(solver)
-    live = descent.violation
     descent.descend(max(solver.sums))
+    live = descent.violation
     if (i, j) not in live or (j, i) not in live:
         raise InternalCheckError(
             "the largest exit total is infeasible; some slack exceeds it"
         )
-    peak = max(live.values())
-    while peak > 0:
-        descent.descend(peak - 1)
-        if (i, j) not in live or (j, i) not in live:
-            break
-        peak = max(live.values())
+    peak = next((peak for peak, deleted in descent.stages()
+                 if (i, j) in deleted or (j, i) in deleted), 0)
     value = Fraction(peak, solver.scale)
     return Distance(value, value)

@@ -13,11 +13,12 @@ The plain largest order is a greatest fixpoint (the deletion condition is
 monotone in R). ``PlainDescent`` computes it from the full relation and keeps
 each live pair's violation, its largest slack above, which deletions only
 raise. The fixpoint only shrinks as the slack falls, so one descent can go on
-to a lower slack from the fixpoint it holds. The essential condition's lower
-bound is antitone in R, so "largest" is read as membership: (m, n) is
-essentially ordered when SOME essential order contains it. Membership is
-decided by a backtracking witness search over the total-rate band
-0 <= s_n - s_m <= e (s the total exit rate), with band pairs as the only
+to a lower slack from the fixpoint it holds; ``metric`` reads distances off
+its ``stages``, which descend one peak violation at a time. The essential
+condition's lower bound is antitone in R, so "largest" is read as membership:
+(m, n) is essentially ordered when SOME essential order contains it.
+Membership is decided by a backtracking witness search over the total-rate
+band 0 <= s_n - s_m <= e (s the total exit rate), with band pairs as the only
 candidates: one search per band pair that no witness found earlier in the same
 call already contains.
 
@@ -33,8 +34,8 @@ scale D, so every block measure and every slack is an integer multiple of
 1/D. Sets of blocks are bitmasks, onto which the family's state bitmasks are
 projected. A slack x (an integer, in units of 1/D) exceeds e exactly when
 x > floor(e·D), because x is an integer; every comparison with e is made that
-way, so the plain fixpoint depends on e only through floor(e·D). ``metric``'s
-sweep relies on that: it descends over integer limits only. Only ``_theta``,
+way, so the plain fixpoint depends on e only through floor(e·D). The stages
+rely on that: they descend over integer limits only. Only ``_theta``,
 for outside checks, is an unscaled Fraction.
 """
 
@@ -42,10 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
-from .equivalence import GeneratorFamily, Partition, bisimulation, generators
+from .equivalence import Partition, bisimulation, generators
 from .errors import InternalCheckError, KernelError, SearchBudgetExceeded
+from .formula import Formula
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
 
@@ -90,7 +92,7 @@ class OrderSolver:
         # _masses[i][mask]: scaled theta of block i into the blocks of mask
         self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
         # the generator family and its block projection, built on first use
-        self._family: Optional[GeneratorFamily] = None
+        self._family: Optional[dict[int, Formula]] = None
         self._family_blocks: Optional[list[int]] = None
 
     # --- exact integer core ----------------------------------------------
@@ -122,8 +124,8 @@ class OrderSolver:
     # --- family at block level -------------------------------------------
 
     @property
-    def family(self) -> GeneratorFamily:
-        """The kernel's generator family, built once per solver."""
+    def family(self) -> dict[int, Formula]:
+        """The kernel's generator family (``generators``), built once per solver."""
         if self._family is None:
             self._family = generators(self.kernel)
         return self._family
@@ -132,7 +134,7 @@ class OrderSolver:
         """The plain generator family, each member as a bitmask of blocks."""
         if self._family_blocks is None:
             family = []
-            for member in self.family.masks:
+            for member in self.family:
                 blocks = covered = 0
                 for i, b in enumerate(self._block_masks):
                     if member & b:
@@ -287,11 +289,13 @@ class PlainDescent:
         }
         self._recheck(range(len(members)))
 
-    def descend(self, limit: int) -> None:
-        """Delete pairs until every live violation is at most limit."""
+    def descend(self, limit: int) -> list[BlockPair]:
+        """Delete pairs until every live violation is at most limit; return them."""
         violation, into = self.violation, self._into
+        deleted: list[BlockPair] = []
         over = [p for p, v in violation.items() if v > limit]
         while over:
+            deleted += over
             for (i, j) in over:
                 del violation[(i, j)]
                 into[j] &= ~(1 << i)
@@ -305,6 +309,17 @@ class PlainDescent:
                     changed.append(k)
             self._recheck(changed)
             over = [p for p, v in violation.items() if v > limit]
+        return deleted
+
+    def stages(self) -> Iterator[tuple[int, list[BlockPair]]]:
+        """While the peak, the largest live violation, is above 0, descend to
+        peak - 1 and yield (peak, the deleted pairs). A pair deleted at a stage
+        holds at exactly the limits from that stage's peak up."""
+        live = self.violation
+        peak = max(live.values())
+        while peak > 0:
+            yield peak, self.descend(peak - 1)
+            peak = max(live.values())
 
     def _recheck(self, changed) -> None:
         # the members that share a closure share its masses, so each live pair

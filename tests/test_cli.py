@@ -104,6 +104,18 @@ def test_distance_past_the_family_cap_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch, capsys):
+    # no documented input raises KeyError, so one is a library fault: it
+    # propagates rather than ending in exit 2 with a bare key as its message
+    def broken(kernel):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(equivalence, "bisimulation", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["bisim", "-m", model_path("fig1")])
+    assert capsys.readouterr().err == ""
+
+
 def test_search_past_the_grid_cap_is_usage_error(capsys):
     # the default grid of this formula grows past GRID_CAP long before a search
     argv = ["search", "-f", "L{1/31} L{1/29} L{10} T", "-e", "0",

@@ -14,7 +14,7 @@ from cml_kit import (
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness import EnumerationConfig, KernelGenConfig, enumerate_formulas, gen_kernel
 from cml_kit.harness.generate import corpus
-from cml_kit.formula import Fragment, encode_up
+from cml_kit.formula import Fragment, Top, encode_up
 
 Q = Fraction
 S = frozenset
@@ -64,36 +64,42 @@ def _union_of_blocks(members, partition):
     return all(b <= members or not (b & members) for b in partition.blocks)
 
 
+def _measures(kernel, family):
+    # every theta(x)(C) over states x and family members C
+    return {kernel.measure(x, kernel.set_of(c)) for c in family for x in kernel.states}
+
+
 def test_single_state_families():
     k = Kernel(["a"], {("a", "a"): 3})
-    plain = generators(k)
-    assert plain.sets == S({S({"a"})})
+    # the family maps each member's state bitmask to its defining formula
+    assert generators(k) == {k.mask_of({"a"}): Top()}
 
 
 def test_branching_kernel_family(fig1):
     plain = generators(fig1)
     # the positive family: nothing below the root is positively isolable
-    assert plain.sets == S(
-        {S(), S({"m"}), S({"m", "m2", "m4"}), fig1.state_set}
-    )
+    assert {fig1.set_of(c) for c in plain} == {
+        S(), S({"m"}), S({"m", "m2", "m4"}), fig1.state_set
+    }
     partition = bisimulation(fig1)
-    for member in plain.sorted_sets():
-        assert _union_of_blocks(member, partition)
+    for member in plain:
+        assert _union_of_blocks(fig1.set_of(member), partition)
 
 
 def test_family_is_closed_and_block_unions():
     for kernel in [*corpus(8, 4, seed=3), *corpus(10, 5, seed=5)]:
         family = generators(kernel)
         partition = bisimulation(kernel)
-        rates = family.achievable_measures()
-        for c in family.sets:
-            assert _union_of_blocks(c, partition)
-            row = {x: kernel.measure(x, c) for x in kernel.states}
+        rates = _measures(kernel, family)
+        for c in family:
+            assert _union_of_blocks(kernel.set_of(c), partition)
+            row = {x: kernel.measure(x, kernel.set_of(c)) for x in kernel.states}
             # the threshold sets of L{r} at slacks 0 and 1/10
             for r in rates:
                 for bound in (r, r - Q(1, 10)):
-                    assert S(x for x, v in row.items() if v >= bound) in family
-            for d in family.sets:
+                    threshold = kernel.mask_of(x for x, v in row.items() if v >= bound)
+                    assert threshold in family
+            for d in family:
                 assert c | d in family and c & d in family
 
 
@@ -101,33 +107,27 @@ def test_defining_formulas_define(fig1):
     # a member's formula defines it at slack 0, and shifted up by e at slack e
     for kernel in [fig1, *corpus(8, 4, seed=3), *corpus(10, 5, seed=5)]:
         ev = Evaluator(kernel)
-        family = generators(kernel)
-        assert {kernel.set_of(c) for c in family.masks} == family.sets
-        for member in family.sorted_sets():
+        for member, phi in generators(kernel).items():
             for e in (Q(0), Q(1, 10), Q(1)):
-                f = encode_up(family.formulas[member], e)
-                assert ev.extension(f, e) == member
+                assert ev.extension(encode_up(phi, e), e) == kernel.set_of(member)
 
 
 def test_family_partition_matches_refinement():
     for kernel in corpus(10, 5, seed=5):
         partition = bisimulation(kernel)
         family = generators(kernel)
-        assert (
-            partition_from_family(kernel, family.sorted_sets()).as_sets()
-            == partition.as_sets()
-        )
+        assert partition_from_family(kernel, family).as_sets() == partition.as_sets()
 
 
 def test_enumerated_extensions_in_family(fig1):
     plain = generators(fig1)
     partition = bisimulation(fig1)
-    grid = tuple(plain.achievable_measures())
+    grid = tuple(sorted(_measures(fig1, plain)))
     ev = Evaluator(fig1)
     pos = enumerate_formulas(EnumerationConfig(2, grid, Fragment.POSITIVE, 400))
     for f in pos:
         for e in (Q(0), Q(1, 10), Q(1)):
-            assert ev.extension(f, e) in plain
+            assert fig1.mask_of(ev.extension(f, e)) in plain
     full = enumerate_formulas(EnumerationConfig(2, grid, Fragment.FULL, 400))
     for f in full:
         for e in (Q(0), Q(1, 10), Q(1)):

@@ -26,8 +26,6 @@ from cml_kit.harness.oracles import (
 )
 from cml_kit.harness import suites
 from cml_kit.harness.suites import FAILURE_CAP, SUITES
-from cml_kit.metric import Distance, distance
-from cml_kit.orders import union_solver
 
 Q = Fraction
 
@@ -149,14 +147,13 @@ def test_c2_reports_an_exception_inside_its_check():
 
 
 def test_pseudometric_catches_a_distance_one_grid_step_high(monkeypatch):
-    def one_step_high(k1, m, k2, n):
-        d = distance(k1, m, k2, n)
-        if d.value == 0:
-            return d
-        step = Q(1, union_solver(k1, m, k2, n)[0].scale)
-        return Distance(d.value + step, d.attained_at + step)
+    block_distances = suites._block_distances
 
-    monkeypatch.setattr(suites, "distance", one_step_high)
+    def one_step_high(solver):
+        step = Q(1, solver.scale)
+        return {p: d + step if d else d for p, d in block_distances(solver).items()}
+
+    monkeypatch.setattr(suites, "_block_distances", one_step_high)
     report = run_suite("pseudometric", small_budget())
     assert report.failures
     assert all("distance not attained" in f.description for f in report.failures)

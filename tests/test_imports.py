@@ -21,7 +21,7 @@ ROOT_API = {
     "formula": "And Bot Formula Fragment Implies L Not Or Top encode_abs "
     "encode_down encode_up in_fragment normal_form parse print_formula strip_sugar",
     "semantics": "Evaluator default_rate_grid eval_formula sat search_model valid_on",
-    "equivalence": "GeneratorFamily Partition bisimilar bisimulation generators "
+    "equivalence": "Partition bisimilar bisimulation generators "
     "partition_from_family",
     "orders": "EpsilonOrder OrderSolver holds",
     "metric": "Distance distance",

@@ -5,7 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from cml_kit import Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
+from cml_kit.harness.suites import _block_distances
 from cml_kit.kernel import left_tag, right_tag
+from cml_kit.models import load_model
 
 Q = Fraction
 
@@ -134,6 +136,21 @@ def test_scan_recovers_from_missed_breakpoint():
     assert holds(k, "s0", k, "s2", 2) and holds(k, "s2", k, "s0", 2)
     tight = Q(2) - Q(1, 1000)
     assert not (holds(k, "s0", k, "s2", tight) and holds(k, "s2", k, "s0", tight))
+
+
+def test_one_descent_reads_every_distance():
+    # the pseudometric suite reads every state pair's distance from one
+    # descent of the kernel's own plain fixpoint; each equals the distance
+    # that metric computes on the union of the kernel with itself
+    figures = [load_model(name) for name in ("fig4m", "fig4n", "fig4o")]
+    unions = [disjoint_union(a, b) for a in figures for b in figures]
+    for kernel in [*corpus(40, 4, seed=7), *unions]:
+        solver = OrderSolver(kernel)
+        distances = _block_distances(solver)
+        for m in kernel.states:
+            for n in kernel.states:
+                own = distances[solver.block_pair_of(m, n)]
+                assert own == distance(kernel, m, kernel, n).value
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
