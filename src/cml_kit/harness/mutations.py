@@ -36,9 +36,12 @@ def _no_truncation(r, e):
 
 
 def _single_round_bisimulation(kernel: Kernel):
-    # degenerate stability check: one refinement round is declared enough
-    refined = equivalence_mod._split_round(kernel, [0] * len(kernel.states))
-    return equivalence_mod._partition(kernel, refined, rounds=1)
+    # degenerate stability check: one refinement round is declared enough, so
+    # states are grouped by their total exit rate alone, in first-state order
+    groups: dict[int, list[str]] = {}
+    for state, row in zip(kernel.states, kernel.rows):
+        groups.setdefault(sum([w for _, w in row]), []).append(state)
+    return equivalence_mod.Partition(tuple(map(frozenset, groups.values())), rounds=1)
 
 
 def _singleton_bisimulation(kernel: Kernel):

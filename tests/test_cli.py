@@ -582,6 +582,20 @@ def test_dot_output(capsys):
     assert '"m" -> "m2" [label="3"];' in out
 
 
+def test_bisim_on_a_long_chain(tmp_path, capsys):
+    # every state of a chain is its own block; refinement and the printed
+    # blocks both stay near linear in the states
+    states = [f"c{i}" for i in range(20_000)]
+    doc = {"states": states, "rates": {s: {t: "1"} for s, t in zip(states, states[1:])}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(capsys, ["bisim", "-m", str(path)])
+    assert code == 0
+    assert json.loads(out)["blocks"] == [[s] for s in states]
+    assert time.perf_counter() - start < 20
+
+
 def test_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     path = tmp_path / "model.json"
     doc = {"states": ['a"b', "c\\"], "rates": {'a"b': {"c\\": "1"}}}

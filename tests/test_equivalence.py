@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cml_kit import (
     Evaluator,
@@ -58,6 +59,69 @@ def test_isomorphic_copies_bisimilar(fig1):
 
 def test_perturbed_roots_not_bisimilar(fig1, fig4o):
     assert not bisimilar(fig1, "m", fig4o, "o")
+
+
+def _round_loop_blocks(kernel):
+    """Refinement in rounds, as an oracle: each round gives every state the
+    signature (its block, block -> scaled rate into the block) and numbers
+    the new blocks by their first states, until a round splits nothing."""
+    index = [0] * len(kernel.states)
+    while True:
+        numbers = {}
+        refined = []
+        for block, row in zip(index, kernel.rows):
+            sums = {}
+            for bit, v in row:
+                target = index[bit.bit_length() - 1]
+                sums[target] = sums.get(target, 0) + v
+            signature = (block, frozenset(sums.items()))
+            refined.append(numbers.setdefault(signature, len(numbers)))
+        if refined == index:
+            break
+        index = refined
+    blocks = [[] for _ in range(max(index, default=-1) + 1)]
+    for state, block in zip(kernel.states, index):
+        blocks[block].append(state)
+    return tuple(map(frozenset, blocks))
+
+
+_RATES = st.sampled_from([1, 2, 3, Q(1, 2), Q(3, 2), Q(2, 3)])
+
+
+@st.composite
+def _random_kernels(draw, max_states=14):
+    n = draw(st.integers(0, max_states))
+    states = [f"s{i}" for i in range(n)]
+    edges = st.tuples(st.sampled_from(states), st.sampled_from(states)) if n else st.nothing()
+    return Kernel(states, draw(st.dictionaries(edges, _RATES, max_size=3 * n)))
+
+
+@st.composite
+def _symmetric_copies(draw):
+    # copies of one kernel with their states shuffled: many equal blocks
+    k = draw(_random_kernels(max_states=5))
+    copies = range(draw(st.integers(2, 3)))
+    states = draw(st.permutations([f"{s}#{c}" for c in copies for s in k.states]))
+    rates = {(f"{s}#{c}", f"{t}#{c}"): r for c in copies for s, t, r in k.rate_items()}
+    return Kernel(states, rates)
+
+
+@st.composite
+def _chains(draw):
+    rates = draw(st.lists(_RATES, max_size=60))
+    states = [f"c{i}" for i in range(len(rates) + 1)]
+    return Kernel(states, {(s, t): r for s, t, r in zip(states, states[1:], rates)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_random_kernels(), _symmetric_copies(), _chains()))
+def test_refinement_matches_the_round_loop(kernel):
+    assert bisimulation(kernel).blocks == _round_loop_blocks(kernel)
+
+
+def test_refinement_matches_the_round_loop_on_the_corpora():
+    for kernel in [*corpus(40, 4, 7), *corpus(40, 5, 3), *corpus(30, 6, 11), *corpus(20, 8, 5)]:
+        assert bisimulation(kernel).blocks == _round_loop_blocks(kernel)
 
 
 def _union_of_blocks(members, partition):

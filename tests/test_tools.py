@@ -1,0 +1,37 @@
+import importlib.util
+import json
+import os
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "dump.py")
+
+
+def _dump_module():
+    spec = importlib.util.spec_from_file_location("dump", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_partition_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["partition", "-o", str(first)]) == 0
+    assert dump.main(["partition", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    lines = first.read_text().splitlines()
+    cases = [json.loads(line)["case"] for line in lines]
+    assert len(cases) == 237 and cases == sorted(set(cases))
+    assert "partition: 237 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "partition: 237 cases identical\n"
+
+
+def test_compare_reports_the_first_differing_case(tmp_path, capsys):
+    dump = _dump_module()
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text('{"blocks":[["x"]],"case":"partition/k1"}\n{"blocks":[],"case":"partition/k2"}\n')
+    b.write_text('{"blocks":[["y"]],"case":"partition/k1"}\n')
+    assert dump.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("partition: 2 of 2 cases differ; first partition/k1\n")
+    assert '  B: {"blocks":[["y"]],"case":"partition/k1"}' in out

@@ -1,0 +1,140 @@
+"""Differential dump: library answers on fixed inputs, one JSON line per case.
+
+    PYTHONPATH=src python tools/dump.py partition -o change.jsonl
+    python tools/dump.py --compare parent.jsonl change.jsonl
+
+A dump runs each named section and writes one line per case, sorted by case
+id, with sorted keys: ``{"case": "<section>/<id>", ...answer}``. A case that
+raises records the exception's type and message instead of an answer. Each
+section reports its case count and wall time on stderr. To check that a change
+keeps the answers of its parent, dump the parent's checkout with the same
+script (set ``PYTHONPATH`` to the parent's ``src``) and compare the two files:
+``--compare`` prints the first differing case of each section and exits 1 if
+any differs.
+
+Sections:
+
+- ``partition``: the ``bisimulation`` blocks, each listing its states in
+  kernel order, on ``corpus(40, 4, 7)``, ``(40, 5, 3)``, ``(30, 6, 11)`` and
+  ``(20, 8, 5)``, the shipped models and their 49 ordered disjoint unions, and
+  chains of 10 to 60 states.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from typing import Callable, Iterator
+
+Case = tuple[str, Callable[[], dict]]
+
+CORPORA = ((40, 4, 7), (40, 5, 3), (30, 6, 11), (20, 8, 5))
+
+
+def _kernels() -> Iterator[tuple[str, object]]:
+    from cml_kit.harness.generate import corpus
+    from cml_kit.kernel import Kernel, disjoint_union
+    from cml_kit.models import FIGURES, load_model
+
+    for args in CORPORA:
+        name = "corpus({},{},{})".format(*args)
+        for i, kernel in enumerate(corpus(*args)):
+            yield f"{name}/{i:02d}", kernel
+    models = {name: load_model(name) for name in FIGURES}
+    for name, kernel in models.items():
+        yield f"model/{name}", kernel
+    for a in FIGURES:
+        for b in FIGURES:
+            yield f"union/{a}+{b}", disjoint_union(models[a], models[b])
+    for length in range(10, 61):
+        states = [f"c{i}" for i in range(length)]
+        chain = Kernel(states, {(s, t): 1 for s, t in zip(states, states[1:])})
+        yield f"chain/{length:02d}", chain
+
+
+def _partition_cases() -> Iterator[Case]:
+    from cml_kit.equivalence import bisimulation
+
+    def blocks(kernel) -> dict:
+        partition = bisimulation(kernel)
+        return {"blocks": [[s for s in kernel.states if s in b] for b in partition.blocks]}
+
+    for case, kernel in _kernels():
+        yield case, lambda kernel=kernel: blocks(kernel)
+
+
+SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {"partition": _partition_cases}
+
+
+def dump(sections: list[str]) -> list[str]:
+    """The lines of the named sections, sorted by case id."""
+    lines: list[tuple[str, str]] = []
+    for section in sections:
+        start = time.perf_counter()
+        count = 0
+        for case, answer in SECTIONS[section]():
+            try:
+                doc = answer()
+            except Exception as exc:  # a raising case is an answer too
+                doc = {"error": type(exc).__name__, "message": str(exc)}
+            doc["case"] = case = f"{section}/{case}"
+            lines.append((case, json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+            count += 1
+        elapsed = time.perf_counter() - start
+        print(f"{section}: {count} cases in {elapsed:.2f} s", file=sys.stderr)
+    return [line for _, line in sorted(lines)]
+
+
+def _cases(path: str) -> dict[str, str]:
+    with open(path, encoding="utf-8") as f:
+        return {json.loads(line)["case"]: line.rstrip("\n") for line in f}
+
+
+def compare(path_a: str, path_b: str) -> tuple[bool, list[str]]:
+    """Whether the dumps agree, and one report line per section: its case
+    count, or its first differing case."""
+    a, b = _cases(path_a), _cases(path_b)
+    sections: dict[str, list[str]] = {}
+    for case in sorted(a.keys() | b.keys()):
+        sections.setdefault(case.split("/", 1)[0], []).append(case)
+    same, report = True, []
+    for section, cases in sections.items():
+        differing = [c for c in cases if a.get(c) != b.get(c)]
+        if not differing:
+            report.append(f"{section}: {len(cases)} cases identical")
+            continue
+        same = False
+        case = differing[0]
+        report.append(
+            f"{section}: {len(differing)} of {len(cases)} cases differ; first {case}\n"
+            f"  A: {a.get(case, '(missing)')}\n  B: {b.get(case, '(missing)')}"
+        )
+    return same, report
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("sections", nargs="*", metavar="SECTION", help=", ".join(SECTIONS))
+    parser.add_argument("-o", "--output", help="write the dump here (default: stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        same, report = compare(*args.compare)
+        print("\n".join(report))
+        return 0 if same else 1
+    unknown = [s for s in args.sections if s not in SECTIONS]
+    if unknown or not args.sections:
+        parser.error(f"name sections to dump from: {', '.join(SECTIONS)}")
+    text = "".join(line + "\n" for line in dump(args.sections))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
