@@ -68,14 +68,12 @@ def bisimulation(kernel: Kernel) -> Partition:
     n = len(kernel.states)
     # preds[t] lists (source position, scaled rate) for every rate into t;
     # sums maps each state to its scaled rate into the current splitter, which
-    # is first the whole state set
+    # is first the whole state set: every state with a nonzero exit total
     preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    sums: dict[int, int] = {}
     for source, row in enumerate(kernel.rows):
         for bit, w in row:
             preds[bit.bit_length() - 1].append((source, w))
-        if row:
-            sums[source] = sum([w for _, w in row])
+    sums = {s: w for s, w in enumerate(kernel.totals) if w}
     block = [0] * n
     members = [set(range(n))]
     queued: set[int] = set()
@@ -160,9 +158,8 @@ def generators(kernel: Kernel) -> dict[int, Formula]:
     members.
     """
     scale = kernel.scale
-    universe = (1 << len(kernel.states)) - 1
-    top = max(kernel.scaled_measures(universe), default=0)
-    members: dict[int, Formula] = {universe: Top()}
+    top = max(kernel.totals, default=0)
+    members: dict[int, Formula] = {kernel.full: Top()}
     queue = deque(members)
     closed: list[tuple[int, Formula]] = []
 

@@ -39,8 +39,8 @@ def _single_round_bisimulation(kernel: Kernel):
     # degenerate stability check: one refinement round is declared enough, so
     # states are grouped by their total exit rate alone, in first-state order
     groups: dict[int, list[str]] = {}
-    for state, row in zip(kernel.states, kernel.rows):
-        groups.setdefault(sum([w for _, w in row]), []).append(state)
+    for state, total in zip(kernel.states, kernel.totals):
+        groups.setdefault(total, []).append(state)
     return equivalence_mod.Partition(tuple(map(frozenset, groups.values())), rounds=1)
 
 

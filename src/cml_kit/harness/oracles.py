@@ -43,7 +43,7 @@ def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -
     literals always, and negated ones too when ``negated_literals``."""
     size = len(kernel.states)
     de = e.denominator
-    into_s0 = [w * de for w in kernel.scaled_measures(pair & ((1 << size) - 1))]
+    into_s0 = [w * de for w in kernel.scaled_measures(pair & kernel.full)]
     into_se = [w * de for w in kernel.scaled_measures(pair >> size)]
     shifted = [v + e.numerator * kernel.scale for v in into_se]
     values = {*into_s0, *into_se, *shifted}
@@ -97,7 +97,7 @@ def _transfer(kernel: Kernel, e: Rate, negated_literals: bool) -> tuple[dict, fr
     states = kernel.states
     size = len(states)
     # allowed[n]: the states m in the transferred side of every pair holding n
-    allowed = [(1 << size) - 1] * size
+    allowed = [kernel.full] * size
     for pair in pairs:
         se = pair >> size
         for n in range(size):

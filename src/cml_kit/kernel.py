@@ -11,9 +11,13 @@ common multiple D of the rate denominators, and each state's row is kept as
 position; bit i stands for the state at position i. The rows and the scale are
 the only copy of the rates. Inside the core a state set is an int bitmask, so
 theta(m)(S) * D is an integer sum over the row and every comparison against a
-rate stays exact. ``scaled_measures`` gives every state's scaled rate into a
-mask. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same rows and
-return Fractions, which with names and frozensets stay the public boundary.
+rate stays exact. Two values are derived from the rows once, in the pass that
+builds them: ``totals``, each state's scaled exit total theta(m)(M) * D, and
+``full``, the mask of every state. ``scaled_measures`` gives every state's
+scaled rate into a mask: the totals for the full mask, a scan of each row for
+any other. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same
+core and return Fractions, which with names and frozensets stay the public
+boundary.
 
 A JSON model file is loaded by ``loads_kernel``/``load_kernel``, which parse
 each distinct rate literal once per file: every later entry with the same
@@ -40,15 +44,16 @@ class Kernel:
     """Immutable finite-state kernel, valid once constructed.
 
     ``rates`` maps (source, target) pairs to rates; each value is coerced
-    exactly once (ints, Fractions or literal strings, never floats) and zero
-    entries are dropped. The constructor raises KernelError for a duplicate
-    state, an endpoint that is not a state or a negative rate, so every
-    ``Kernel`` holds unique states, known endpoints and nonnegative rates.
-    ``rows`` and ``scale``, the integer core described in the module docstring,
-    are the only copy of the rates.
+    exactly once (ints, Fractions or literal strings, never floats), both
+    endpoints are checked, and zero entries are then dropped. The constructor
+    raises KernelError for a duplicate state, an endpoint that is not a state
+    or a negative rate, so every ``Kernel`` holds unique states, known
+    endpoints and nonnegative rates. ``rows`` and ``scale``, the integer core
+    described in the module docstring, are the only copy of the rates;
+    ``totals`` and ``full`` are derived from them once.
     """
 
-    __slots__ = ("states", "_state_set", "_bit", "rows", "scale")
+    __slots__ = ("states", "_state_set", "_bit", "rows", "scale", "totals", "full")
 
     def __init__(
         self,
@@ -72,27 +77,33 @@ class Kernel:
                     r = format_rate(Fraction(value))
                     raise KernelError(f"negative rate {r} on ({s!r}, {t!r})") from None
                 raise
-            n = r.numerator
-            if not n:
-                continue
             source = bit.get(s)
             if source is None:
                 raise KernelError(f"rate source {s!r} is not a state")
             target = bit.get(t)
             if target is None:
                 raise KernelError(f"rate target {t!r} is not a state")
+            n = r.numerator
+            if not n:
+                continue
             d = r.denominator
             entries.append((source, target, n, d))
             if scale % d:
                 scale = scale // gcd(scale, d) * d
         rows: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        totals = [0] * len(rows)
         entries.sort()
         for source, target, n, d in entries:
-            rows[source.bit_length() - 1].append((target, n * (scale // d)))
+            i = source.bit_length() - 1
+            w = n * (scale // d)
+            rows[i].append((target, w))
+            totals[i] += w
         self._state_set = frozenset(self.states)
         self._bit = bit
         self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, rows))
         self.scale = scale
+        self.totals = totals
+        self.full = (1 << len(rows)) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
@@ -114,7 +125,7 @@ class Kernel:
 
     def rate(self, source: str, target: str) -> Rate:
         """theta(source, target); 0 for pairs without a stored entry."""
-        row = self._row(source)
+        row = self.rows[self._position(source)]
         self._check_state(target)
         b = self._bit[target]
         for bit, v in row:
@@ -124,16 +135,19 @@ class Kernel:
 
     def measure(self, source: str, targets: frozenset) -> Rate:
         """theta(source)(targets) = total rate from source into the set."""
-        row = self._row(source)
+        row = self.rows[self._position(source)]
         mask = self.mask_of(targets)
         return Fraction(sum([v for b, v in row if b & mask]), self.scale)
 
     def total(self, source: str) -> Rate:
         """Total exit rate theta(source)(M)."""
-        return Fraction(sum([v for _, v in self._row(source)]), self.scale)
+        return Fraction(self.totals[self._position(source)], self.scale)
 
     def scaled_measures(self, mask: int) -> list[int]:
-        """theta(m)(mask) * scale for every state m, by state position."""
+        """theta(m)(mask) * scale for every state m, by state position; for the
+        full mask this is ``totals`` itself, which callers only read."""
+        if mask == self.full:
+            return self.totals
         return [sum([v for b, v in row if b & mask]) for row in self.rows]
 
     def mask_of(self, members: Iterable[str]) -> int:
@@ -161,9 +175,9 @@ class Kernel:
             for b, v in row
         ]
 
-    def _row(self, state: str) -> tuple[tuple[int, int], ...]:
+    def _position(self, state: str) -> int:
         self._check_state(state)
-        return self.rows[self._bit[state].bit_length() - 1]
+        return self._bit[state].bit_length() - 1
 
     def _check_state(self, state: str) -> None:
         if state not in self._state_set:

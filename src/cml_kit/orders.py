@@ -85,8 +85,8 @@ class OrderSolver:
             [column[(b & -b).bit_length() - 1] for column in columns]
             for b in self._block_masks
         ]
-        # sums[i]: scaled exit total of block i
-        self.sums = [sum(row) for row in self.bm]
+        # sums[i]: scaled exit total of block i, that of its first state
+        self.sums = [kernel.totals[(b & -b).bit_length() - 1] for b in self._block_masks]
         # _columns[j][i]: bm[i][j], each block's scaled rate into block j
         self._columns = [list(column) for column in zip(*self.bm)]
         # _masses[i][mask]: scaled theta of block i into the blocks of mask

@@ -61,7 +61,7 @@ class Evaluator:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self._full = (1 << len(kernel.states)) - 1
+        self._full = kernel.full
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
         return self._compute(f, ensure_rate(e))

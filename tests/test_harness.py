@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cml_kit import Kernel, L, Top, in_fragment, parse, print_formula
+from cml_kit import Kernel, L, Top, eval_formula, in_fragment, parse, print_formula
 from cml_kit.formula import And, Fragment, Not, Or
 from cml_kit.harness import (
     EnumerationConfig,
@@ -125,6 +125,14 @@ def test_mutation_restores_original():
     with mutated("eval-drop-epsilon"):
         assert semantics._modal_holds is not original
     assert semantics._modal_holds is original
+
+
+def test_full_child_step_goes_through_the_modal_seam(fig1):
+    # L{7} T reads the exit totals (m's is 6); only the slack 1 lets m in
+    f, e = L(7, Top()), Q(1)
+    assert eval_formula(fig1, f, e) == {"m"}
+    with mutated("eval-drop-epsilon"):
+        assert eval_formula(fig1, f, e) == set()
 
 
 def test_pair_saturation_cap_raises_budget_error(monkeypatch):

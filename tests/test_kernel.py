@@ -50,6 +50,11 @@ def test_unknown_endpoint_rejected():
         Kernel(["a"], {("a", "b"): 1})
     with pytest.raises(KernelError, match="rate source 'x' is not a state"):
         Kernel(["a"], {("x", "a"): 1})
+    # a zero entry is dropped only after both endpoints are checked
+    with pytest.raises(KernelError, match="rate target 'ghost' is not a state"):
+        Kernel(["a"], {("a", "ghost"): 0})
+    with pytest.raises(KernelError, match="rate source 'ghost' is not a state"):
+        Kernel(["a"], {("ghost", "a"): Fraction(0)})
 
 
 def test_float_rate_rejected():
@@ -125,6 +130,12 @@ def test_measure_additive_over_disjoint_sets(k, data):
     left, right = S(members[:split]), S(members[split:])
     for m in k.states:
         assert k.measure(m, left) + k.measure(m, right) == k.measure(m, left | right)
+    # the integer core: row scans for the halves, the exit totals for the full set
+    for targets in (left, right, left | right):
+        scaled = k.scaled_measures(k.mask_of(targets))
+        assert list(scaled) == [k.measure(m, targets) * k.scale for m in k.states]
+    assert k.mask_of(left | right) == k.full
+    assert [k.total(m) * k.scale for m in k.states] == list(k.totals)
 
 
 @given(kernels(), kernels())
@@ -164,6 +175,9 @@ def test_json_round_trip(fig1):
         ('{"states": ["a"], "rates": {"a": {"a": "-1"}}}', "rates.a.a"),
         ('{"states": ["a"], "rates": {"a": {"a": "x/y"}}}', "rates.a.a"),
         ('{"states": ["a"], "rates": {"a": {"b": "1"}}}', "not a state"),
+        # a zero entry's endpoints are checked too
+        ('{"states": ["a"], "rates": {"ghost": {"a": "0"}}}', "rate source 'ghost'"),
+        ('{"states": ["a"], "rates": {"a": {"ghost": "0/3"}}}', "rate target 'ghost'"),
         ('{"states": "a"}', "list of strings"),
         ("{", "not valid JSON"),
         ('{"states": ["a"], "rates": {"a": {"a": 1}}}', "must be a string literal"),

@@ -26,6 +26,21 @@ def test_partition_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "partition: 237 cases identical\n"
 
 
+def test_load_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["load", "-o", str(first)]) == 0
+    assert dump.main(["load", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = [json.loads(line) for line in first.read_text().splitlines()]
+    cases = [doc["case"] for doc in docs]
+    assert len(cases) == 64 and cases == sorted(set(cases))
+    assert all(len(doc["totals"]) == len(doc["states"]) for doc in docs)
+    assert "load: 64 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "load: 64 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -1,6 +1,6 @@
 """Differential dump: library answers on fixed inputs, one JSON line per case.
 
-    PYTHONPATH=src python tools/dump.py partition -o change.jsonl
+    PYTHONPATH=src python tools/dump.py partition load suites mutations -o change.jsonl
     python tools/dump.py --compare parent.jsonl change.jsonl
 
 A dump runs each named section and writes one line per case, sorted by case
@@ -18,6 +18,13 @@ Sections:
   kernel order, on ``corpus(40, 4, 7)``, ``(40, 5, 3)``, ``(30, 6, 11)`` and
   ``(20, 8, 5)``, the shipped models and their 49 ordered disjoint unions, and
   chains of 10 to 60 states.
+- ``load``: each kernel's states, scale, printed ``rate_items`` and each
+  state's printed ``total``, on the shipped models, their 49 ordered disjoint
+  unions and ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states.
+- ``suites``: each suite's ``to_doc()`` without ``elapsed_s`` at the default
+  budget (seeds 3 and 7) and at the small budget.
+- ``mutations``: each suite's small-budget ``to_doc()`` without ``elapsed_s``
+  under each mutation of ``harness.mutations``.
 """
 
 from __future__ import annotations
@@ -33,21 +40,27 @@ Case = tuple[str, Callable[[], dict]]
 CORPORA = ((40, 4, 7), (40, 5, 3), (30, 6, 11), (20, 8, 5))
 
 
-def _kernels() -> Iterator[tuple[str, object]]:
-    from cml_kit.harness.generate import corpus
-    from cml_kit.kernel import Kernel, disjoint_union
+def _models() -> Iterator[tuple[str, object]]:
+    from cml_kit.kernel import disjoint_union
     from cml_kit.models import FIGURES, load_model
 
-    for args in CORPORA:
-        name = "corpus({},{},{})".format(*args)
-        for i, kernel in enumerate(corpus(*args)):
-            yield f"{name}/{i:02d}", kernel
     models = {name: load_model(name) for name in FIGURES}
     for name, kernel in models.items():
         yield f"model/{name}", kernel
     for a in FIGURES:
         for b in FIGURES:
             yield f"union/{a}+{b}", disjoint_union(models[a], models[b])
+
+
+def _kernels() -> Iterator[tuple[str, object]]:
+    from cml_kit.harness.generate import corpus
+    from cml_kit.kernel import Kernel
+
+    for args in CORPORA:
+        name = "corpus({},{},{})".format(*args)
+        for i, kernel in enumerate(corpus(*args)):
+            yield f"{name}/{i:02d}", kernel
+    yield from _models()
     for length in range(10, 61):
         states = [f"c{i}" for i in range(length)]
         chain = Kernel(states, {(s, t): 1 for s, t in zip(states, states[1:])})
@@ -65,7 +78,66 @@ def _partition_cases() -> Iterator[Case]:
         yield case, lambda kernel=kernel: blocks(kernel)
 
 
-SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {"partition": _partition_cases}
+def _load_cases() -> Iterator[Case]:
+    from fractions import Fraction
+
+    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
+    from cml_kit.rational import format_rate
+
+    def load(kernel) -> dict:
+        return {
+            "states": list(kernel.states),
+            "scale": kernel.scale,
+            "rates": [[s, t, format_rate(r)] for s, t, r in kernel.rate_items()],
+            "totals": [format_rate(kernel.total(s)) for s in kernel.states],
+        }
+
+    def ladder() -> Iterator[tuple[str, object]]:
+        for n in range(16, 129, 16):
+            config = KernelGenConfig(n, density=Fraction(1, 4), seed=1000 * n)
+            yield f"gen/{n:03d}", gen_kernel(config)
+
+    for case, kernel in (*_models(), *ladder()):
+        yield case, lambda kernel=kernel: load(kernel)
+
+
+def _report(name: str, budget) -> dict:
+    from cml_kit.harness.suites import run_suite
+
+    doc = run_suite(name, budget).to_doc()
+    del doc["elapsed_s"]
+    return doc
+
+
+def _suites_cases() -> Iterator[Case]:
+    from cml_kit.harness.suites import SUITES, default_budget, small_budget
+
+    budgets = {"default-3": default_budget(3), "default-7": default_budget(7),
+               "small": small_budget()}
+    for label, budget in budgets.items():
+        for name in SUITES:
+            yield f"{label}/{name}", lambda name=name, budget=budget: _report(name, budget)
+
+
+def _mutations_cases() -> Iterator[Case]:
+    from cml_kit.harness.mutations import REGISTRY, mutated
+    from cml_kit.harness.suites import SUITES, small_budget
+
+    def report(mutation: str, name: str) -> dict:
+        with mutated(mutation):
+            return _report(name, small_budget())
+
+    for mutation in REGISTRY:
+        for name in SUITES:
+            yield f"{mutation}/{name}", lambda m=mutation, name=name: report(m, name)
+
+
+SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
+    "partition": _partition_cases,
+    "load": _load_cases,
+    "suites": _suites_cases,
+    "mutations": _mutations_cases,
+}
 
 
 def dump(sections: list[str]) -> list[str]:
