@@ -20,18 +20,22 @@ integer rates: starting from the full state set, add the threshold sets
 {m | theta(m)(C) >= r} for every family member C and every achievable measure
 value r, and close under union and intersection. A worklist closes each member
 once, and the family stops with ``SearchBudgetExceeded`` past ``FAMILY_CAP``
-members. Each member is a union of bisimulation blocks and carries a defining
-positive-fragment formula; the family is one map from each member's state
-bitmask to that formula, in the order members were added. Closing under
-complement too would give every union of blocks, so that family is not built.
+members. Closing a member makes one pass over its measure row, grouping the
+states into one bitmask per value; a sweep up the values then gives every
+threshold set as the full mask less the states below the value. Each
+candidate, threshold or join, is looked up in the family before anything else,
+so a formula is built only for a new member. Each member is a union of
+bisimulation blocks and carries a defining positive-fragment formula; the
+family is one map from each member's state bitmask to that formula, in the
+order members were added. Closing under complement too would give every union
+of blocks, so that family is not built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import KernelError, SearchBudgetExceeded
 from .formula import And, Formula, L, Or, Top
@@ -141,7 +145,7 @@ def bisimilar(k1: Kernel, m: str, k2: Kernel, n: str) -> bool:
 def generators(kernel: Kernel) -> dict[int, Formula]:
     """Close the full state set under thresholds, unions and intersections.
 
-    A worklist closes each member C once, when it is taken from the queue. It
+    A worklist closes each member C once, in the order members were added. It
     adds the threshold sets {x | theta(x)(C) >= r} for each value r in C's own
     measure row, the empty set when the row's maximum is below the largest
     total rate, and the union and intersection of C with every member closed
@@ -152,44 +156,51 @@ def generators(kernel: Kernel) -> dict[int, Formula]:
     when the later of the two is closed. Members are state bitmasks and rates
     scaled integers w; a threshold's formula gets the index w / D. A defining
     formula's extension is its member at slack 0, and so is that of its
-    ``encode_up`` by e at slack e. Returns the map from each member's state
-    bitmask to its defining formula, in the order members were added. Raises
-    ``SearchBudgetExceeded`` once the family holds more than ``FAMILY_CAP``
-    members.
+    ``encode_up`` by e at slack e.
+
+    One pass over C's measure row groups its states into one bitmask per
+    value, with the largest total rate as a value held by no state when the
+    row stays below it. Sweeping the values upward, each threshold set is the
+    full mask less the states below its value, so the empty set comes last,
+    at that largest rate. Every candidate, threshold or join, is first looked
+    up in the family, and its formula is built only when it is new.
+
+    Returns the map from each member's state bitmask to its defining formula,
+    in the order members were added. Raises ``SearchBudgetExceeded`` once the
+    family holds more than ``FAMILY_CAP`` members.
     """
-    scale = kernel.scale
+    scale, full = kernel.scale, kernel.full
     top = max(kernel.totals, default=0)
-    members: dict[int, Formula] = {kernel.full: Top()}
-    queue = deque(members)
+    members: dict[int, Formula] = {full: Top()}
+    order = [full]
     closed: list[tuple[int, Formula]] = []
 
-    def at_least(w: int, f: Formula) -> Formula:
-        return L(Fraction(w, scale), f)
+    def grow(mask: int, formula: Formula) -> None:
+        members[mask] = formula
+        order.append(mask)
+        if len(members) > FAMILY_CAP:
+            raise SearchBudgetExceeded(
+                f"definable-set family exceeded {FAMILY_CAP} members"
+            )
 
-    def add(candidate: int, build: Callable[..., Formula], *args) -> None:
-        # the defining formula, with a threshold's Fraction index, is only
-        # built for a new member
-        if candidate not in members:
-            members[candidate] = build(*args)
-            queue.append(candidate)
-            if len(members) > FAMILY_CAP:
-                raise SearchBudgetExceeded(
-                    f"definable-set family exceeded {FAMILY_CAP} members"
-                )
-
-    while queue:
-        c = queue.popleft()
+    for c in order:  # the worklist: grow appends to order as it iterates
         f = members[c]
-        row = kernel.scaled_measures(c)
-        for w in sorted(set(row)):
-            threshold = sum([1 << i for i, v in enumerate(row) if v >= w])
-            add(threshold, at_least, w, f)
-        if max(row, default=0) < top:
-            add(0, at_least, top, f)
+        # the states of each value in C's row; top, held by no state when the
+        # row stays below it, gives the empty set
+        values = {top: 0}
+        for i, v in enumerate(kernel.scaled_measures(c)):
+            values[v] = values.get(v, 0) | 1 << i
+        below = 0
+        for w in sorted(values):
+            if (full ^ below) not in members:
+                grow(full ^ below, L(Fraction(w, scale), f))
+            below |= values[w]
         closed.append((c, f))
         for other, g in closed:
-            add(c | other, Or, f, g)
-            add(c & other, And, f, g)
+            if (c | other) not in members:
+                grow(c | other, Or(f, g))
+            if (c & other) not in members:
+                grow(c & other, And(f, g))
     return members
 
 

@@ -13,8 +13,10 @@ from .errors import RateError
 
 Rate = Fraction
 
+# re.ASCII: without it \d, and int() after it, take any script's decimal digits
 _RATE_RE = re.compile(
-    r"(?P<sign>-?)(?:(?P<whole>\d+)(?:\.(?P<frac>\d+))?|(?P<num>\d+)/(?P<den>\d+))"
+    r"(?P<sign>-?)(?:(?P<whole>\d+)(?:\.(?P<frac>\d+))?|(?P<num>\d+)/(?P<den>\d+))",
+    re.ASCII,
 )
 
 
@@ -40,7 +42,8 @@ def ensure_rate(value: object) -> Rate:
 
 
 def parse_rate(text: str) -> Rate:
-    """Parse a rate literal: a decimal ("2", "0.25") or a fraction ("3/2")."""
+    """Parse a rate literal: a decimal ("2", "0.25") or a fraction ("3/2"),
+    in ASCII digits."""
     m = _RATE_RE.fullmatch(text.strip())
     if not m:
         raise RateError(f"malformed rate literal {text!r}")

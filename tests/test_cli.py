@@ -140,6 +140,27 @@ def test_search_past_the_state_cap_is_usage_error(capsys):
     assert main(argv + ["64"]) == 1
 
 
+@pytest.mark.parametrize(
+    "formula, epsilon", [("L{\u0663} T", "0"), ("L{3} T", "\u0660")], ids=["index", "epsilon"]
+)
+def test_non_ascii_digit_is_usage_error(capsys, formula, epsilon):
+    # "L{٣} T" at "٠" once ran as L{3} T at slack 0
+    code = main(["eval", "-m", model_path("fig1"), "-f", formula, "-e", epsilon])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed rate literal" in err
+    assert "Traceback" not in err
+
+
+def test_model_with_a_non_ascii_digit_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"states": ["a", "b"], "rates": {"a": {"b": "\u0662"}}}', encoding="utf-8")
+    assert main(["bisim", "-m", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "rates.a.b: malformed rate literal" in err
+    assert "Traceback" not in err
+
+
 def test_directory_model_is_usage_error(tmp_path, capsys):
     code = main(["eval", "-m", str(tmp_path), "-f", "T", "-e", "0"])
     assert code == 2

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cml_kit import (
     Kernel,
     bisimilar,
     bisimulation,
+    disjoint_union,
     equivalence,
     generators,
     partition_from_family,
@@ -15,7 +17,8 @@ from cml_kit import (
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness import EnumerationConfig, KernelGenConfig, enumerate_formulas, gen_kernel
 from cml_kit.harness.generate import corpus
-from cml_kit.formula import Fragment, Top, encode_up
+from cml_kit.formula import And, Fragment, L, Or, Top, encode_up, print_formula
+from cml_kit.models import FIGURES, load_model
 
 Q = Fraction
 S = frozenset
@@ -89,11 +92,11 @@ _RATES = st.sampled_from([1, 2, 3, Q(1, 2), Q(3, 2), Q(2, 3)])
 
 
 @st.composite
-def _random_kernels(draw, max_states=14):
+def _random_kernels(draw, max_states=14, rates=_RATES):
     n = draw(st.integers(0, max_states))
     states = [f"s{i}" for i in range(n)]
     edges = st.tuples(st.sampled_from(states), st.sampled_from(states)) if n else st.nothing()
-    return Kernel(states, draw(st.dictionaries(edges, _RATES, max_size=3 * n)))
+    return Kernel(states, draw(st.dictionaries(edges, rates, max_size=3 * n)))
 
 
 @st.composite
@@ -204,3 +207,79 @@ def test_family_cap_raises_budget_error(monkeypatch):
     monkeypatch.setattr(equivalence, "FAMILY_CAP", 3)
     with pytest.raises(SearchBudgetExceeded, match="definable-set family exceeded 3 members"):
         generators(kernel)
+
+
+def _worklist_generators(kernel):
+    """The family by a per-candidate worklist, as an oracle: each threshold
+    set is rescanned from the row, and every candidate goes through one
+    insertion call that builds its formula."""
+    scale = kernel.scale
+    top = max(kernel.totals, default=0)
+    members = {kernel.full: Top()}
+    queue = deque(members)
+    closed = []
+
+    def at_least(w, f):
+        return L(Q(w, scale), f)
+
+    def add(candidate, build, *args):
+        if candidate not in members:
+            members[candidate] = build(*args)
+            queue.append(candidate)
+            if len(members) > equivalence.FAMILY_CAP:
+                raise SearchBudgetExceeded(
+                    f"definable-set family exceeded {equivalence.FAMILY_CAP} members"
+                )
+
+    while queue:
+        c = queue.popleft()
+        f = members[c]
+        row = kernel.scaled_measures(c)
+        for w in sorted(set(row)):
+            threshold = sum([1 << i for i, v in enumerate(row) if v >= w])
+            add(threshold, at_least, w, f)
+        if max(row, default=0) < top:
+            add(0, at_least, top, f)
+        closed.append((c, f))
+        for other, g in closed:
+            add(c | other, Or, f, g)
+            add(c & other, And, f, g)
+    return members
+
+
+def _printed(family):
+    return [(mask, print_formula(f)) for mask, f in family.items()]
+
+
+def _same_family(kernel):
+    # both raise past the cap, or both give the same members, formulas and order
+    try:
+        expected = _printed(_worklist_generators(kernel))
+    except SearchBudgetExceeded:
+        with pytest.raises(SearchBudgetExceeded):
+            generators(kernel)
+        return
+    assert _printed(generators(kernel)) == expected
+
+
+_small_kernels = _random_kernels(8, st.sampled_from([0, 1, 2, 3, Q(1, 2), Q(2, 3)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_small_kernels, st.builds(disjoint_union, _small_kernels, _small_kernels)))
+def test_family_matches_the_worklist(kernel):
+    _same_family(kernel)
+
+
+def test_family_matches_the_worklist_on_the_corpora():
+    for kernel in [*corpus(40, 4, 7), *corpus(40, 5, 3), *corpus(30, 6, 11), *corpus(20, 8, 5)]:
+        _same_family(kernel)
+
+
+@pytest.mark.parametrize("cap", range(1, 13))
+def test_family_cap_matches_the_worklist(monkeypatch, cap):
+    models = [load_model(name) for name in FIGURES]
+    kernels = [*models, disjoint_union(models[0], models[-1]), *corpus(10, 5, seed=5)]
+    monkeypatch.setattr(equivalence, "FAMILY_CAP", cap)
+    for kernel in kernels:
+        _same_family(kernel)

@@ -174,6 +174,8 @@ def test_json_round_trip(fig1):
     [
         ('{"states": ["a"], "rates": {"a": {"a": "-1"}}}', "rates.a.a"),
         ('{"states": ["a"], "rates": {"a": {"a": "x/y"}}}', "rates.a.a"),
+        # an Arabic-Indic digit, which int() would read as 2
+        ('{"states": ["a", "b"], "rates": {"a": {"b": "\u0662"}}}', "rates.a.b: malformed"),
         ('{"states": ["a"], "rates": {"a": {"b": "1"}}}', "not a state"),
         # a zero entry's endpoints are checked too
         ('{"states": ["a"], "rates": {"ghost": {"a": "0"}}}', "rate source 'ghost'"),
@@ -229,6 +231,13 @@ def test_parse_rate_matches_fraction(before, token, after):
         assert parse_rate(text) == expected
     with pytest.raises(RateError, match="negative rate"):
         parse_rate(before + "-" + token + after)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "\uff11", "1/\u0662", "0.\u0665"])
+def test_parse_rate_takes_only_ascii_digits(text):
+    # int() reads Arabic-Indic "٣" and fullwidth "１" as 3 and 1
+    with pytest.raises(RateError, match="malformed rate literal"):
+        parse_rate(text)
 
 
 def test_readme_model_file_example_loads():

@@ -41,6 +41,27 @@ def test_load_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "load: 64 cases identical\n"
 
 
+def test_orders_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["orders", "-o", str(first)]) == 0
+    assert dump.main(["orders", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    assert len(docs) == 189 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    # the ladder unions dump their family only
+    ladder = [doc for case, doc in docs.items() if case.startswith("orders/ladder/")]
+    assert [len(doc["family"]) for doc in ladder] == [357, 2784, 1490]
+    assert all(set(doc) == {"case", "family"} for doc in ladder)
+    fig1 = docs["orders/model/fig1"]
+    assert set(fig1["plain"]) == set(fig1["essential"]) == {"0", "1/10", "1/2", "1", "5/2"}
+    assert len(fig1["family"]) == len(fig1["family_blocks"])
+    assert "orders: 189 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "orders: 189 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

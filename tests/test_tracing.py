@@ -1,10 +1,11 @@
 """The benchmark's per-layer tracer wraps library names by hand.
 
 ``perfbench/tracing.py`` patches functions and methods it looks up by name, so
-renaming or deleting one of them breaks ``perfbench/run.py --trace 1``. This
-test installs the tracer around one evaluation, one transfer oracle and one
-`cml distance` run, so such a change fails here. The CLI imports `metric` and
-`orders` inside its commands, so the wrappers apply there too.
+renaming or deleting one of them breaks ``perfbench/run.py --trace 1``. These
+tests install the tracer around one evaluation, one transfer oracle, one
+`cml distance` run and one plain `cml order` run, so such a change fails here.
+The CLI imports `metric` and `orders` inside its commands, so the wrappers
+apply there too.
 """
 
 import importlib.util
@@ -48,19 +49,35 @@ def test_benchmark_tracer_installs_and_restores(fig1):
     assert metrics["harness.saturate_pairs.pairs"][0] == len(pairs)
 
 
-def test_benchmark_tracer_sees_the_cli_commands(capsys):
+def _traced_cli(capsys, argv):
     tracer = _tracing_module().Tracer()
-    argv = ["distance", "-m1", model_path("fig4m"), "-m2", model_path("fig4o"),
-            "-s1", "m", "-s2", "o"]
     try:
         tracer.install()
         code = cli.main(argv)
     finally:
         tracer.restore()
     assert code == 0
-    assert '"distance": "3/10"' in capsys.readouterr().out
-    metrics = tracer.metrics([])
+    return capsys.readouterr().out, tracer.metrics([])
+
+
+def test_benchmark_tracer_sees_the_cli_commands(capsys):
+    argv = ["distance", "-m1", model_path("fig4m"), "-m2", model_path("fig4o"),
+            "-s1", "m", "-s2", "o"]
+    out, metrics = _traced_cli(capsys, argv)
+    assert '"distance": "3/10"' in out
     assert metrics["cli.main.calls"][0] == 1
     assert metrics["metric.distance.calls"][0] == 1
     assert metrics["orders.OrderSolver.calls"][0] == 1
     assert metrics["orders.family_blocks.calls"][0] >= 1
+    assert metrics["equivalence.generators.calls"][0] >= 1
+    assert metrics["equivalence.generators.family_size"][0] > 0
+
+
+def test_benchmark_tracer_sees_the_family_of_cml_order(capsys):
+    # the tracer patches generators in both equivalence and orders
+    argv = ["order", "-m1", model_path("fig3m"), "-m2", model_path("fig3n"),
+            "-s1", "m", "-s2", "n", "-e", "1/5"]
+    out, metrics = _traced_cli(capsys, argv)
+    assert '"holds": true' in out
+    assert metrics["equivalence.generators.calls"][0] >= 1
+    assert metrics["equivalence.generators.family_size"][0] > 0

@@ -21,6 +21,12 @@ Sections:
 - ``load``: each kernel's states, scale, printed ``rate_items`` and each
   state's printed ``total``, on the shipped models, their 49 ordered disjoint
   unions and ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states.
+- ``orders``: on the corpora and the models and their unions, the
+  ``generators`` family as (bitmask, printed formula) pairs in order,
+  ``family_blocks()``, the sorted ``plain_pairs`` and ``essential_pairs`` at
+  the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages of a ``PlainDescent`` as
+  (peak, sorted deleted block pairs); on the unions of two ``gen_kernel``
+  kernels (density 1/2) with 12, 14 and 15 blocks, the family only.
 - ``suites``: each suite's ``to_doc()`` without ``elapsed_s`` at the default
   budget (seeds 3 and 7) and at the small budget.
 - ``mutations``: each suite's small-budget ``to_doc()`` without ``elapsed_s``
@@ -38,6 +44,9 @@ from typing import Callable, Iterator
 Case = tuple[str, Callable[[], dict]]
 
 CORPORA = ((40, 4, 7), (40, 5, 3), (30, 6, 11), (20, 8, 5))
+ORDER_SLACKS = ("0", "1/10", "1/2", "1", "5/2")
+# (states, seed, seed): unions of two gen_kernel kernels with 12, 14 and 15 blocks
+LADDER = ((6, 7, 8), (7, 5, 6), (8, 6, 7))
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -52,14 +61,19 @@ def _models() -> Iterator[tuple[str, object]]:
             yield f"union/{a}+{b}", disjoint_union(models[a], models[b])
 
 
-def _kernels() -> Iterator[tuple[str, object]]:
+def _corpora() -> Iterator[tuple[str, object]]:
     from cml_kit.harness.generate import corpus
-    from cml_kit.kernel import Kernel
 
     for args in CORPORA:
         name = "corpus({},{},{})".format(*args)
         for i, kernel in enumerate(corpus(*args)):
             yield f"{name}/{i:02d}", kernel
+
+
+def _kernels() -> Iterator[tuple[str, object]]:
+    from cml_kit.kernel import Kernel
+
+    yield from _corpora()
     yield from _models()
     for length in range(10, 61):
         states = [f"c{i}" for i in range(length)]
@@ -101,6 +115,40 @@ def _load_cases() -> Iterator[Case]:
         yield case, lambda kernel=kernel: load(kernel)
 
 
+def _orders_cases() -> Iterator[Case]:
+    from fractions import Fraction
+
+    from cml_kit.equivalence import generators
+    from cml_kit.formula import print_formula
+    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
+    from cml_kit.kernel import disjoint_union
+    from cml_kit.orders import OrderSolver, PlainDescent
+    from cml_kit.rational import format_rate
+
+    def family(members: dict) -> dict:
+        return {"family": [[mask, print_formula(f)] for mask, f in members.items()]}
+
+    def orders(kernel) -> dict:
+        solver = OrderSolver(kernel)
+        doc = family(solver.family)
+        doc["family_blocks"] = solver.family_blocks()
+        for kind, pairs in (("plain", solver.plain_pairs), ("essential", solver.essential_pairs)):
+            doc[kind] = {e: sorted(pairs(Fraction(e))) for e in ORDER_SLACKS}
+        doc["stages"] = [
+            [format_rate(Fraction(peak, solver.scale)), sorted(deleted)]
+            for peak, deleted in PlainDescent(solver).stages()
+        ]
+        return doc
+
+    for case, kernel in (*_corpora(), *_models()):
+        yield case, lambda kernel=kernel: orders(kernel)
+    for m, a, b in LADDER:
+        union = disjoint_union(*(
+            gen_kernel(KernelGenConfig(m, density=Fraction(1, 2), seed=seed)) for seed in (a, b)
+        ))
+        yield f"ladder/{m}:{a}+{b}", lambda union=union: family(generators(union))
+
+
 def _report(name: str, budget) -> dict:
     from cml_kit.harness.suites import run_suite
 
@@ -135,6 +183,7 @@ def _mutations_cases() -> Iterator[Case]:
 SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
+    "orders": _orders_cases,
     "suites": _suites_cases,
     "mutations": _mutations_cases,
 }
