@@ -15,7 +15,7 @@ from . import __version__
 from .errors import CMLError, InternalCheckError
 from .formula import encode_abs, encode_down, encode_up, parse, print_formula
 from .kernel import Kernel, kernel_to_doc, load_kernel
-from .rational import format_rate, parse_rate
+from .rational import ASCII_WHITESPACE, format_rate, parse_rate
 from .semantics import eval_formula, sat, search_model, valid_on
 
 SCHEMA = "cml-kit/1"
@@ -68,7 +68,8 @@ def cmd_valid(args) -> int:
 def cmd_search(args) -> int:
     grid = None
     if args.grid is not None:
-        grid = [parse_rate(tok) for tok in args.grid.split(",") if tok.strip()]
+        tokens = args.grid.split(",")
+        grid = [parse_rate(tok) for tok in tokens if tok.strip(ASCII_WHITESPACE)]
     found = search_model(
         parse(args.formula),
         parse_rate(args.epsilon),
@@ -314,7 +315,9 @@ def main(argv=None) -> int:
             )
         if args.budget < 1:
             parser.error(f"argument --budget: must be at least 1, got {args.budget}")
-        if args.grid is not None and not any(tok.strip() for tok in args.grid.split(",")):
+        if args.grid is not None and not any(
+            tok.strip(ASCII_WHITESPACE) for tok in args.grid.split(",")
+        ):
             parser.error(f"argument --grid: holds no rate, got {args.grid!r}")
     try:
         return args.fn(args)

@@ -33,11 +33,10 @@ of blocks, so that family is not built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import KernelError, SearchBudgetExceeded
+from .errors import KernelError, Record, SearchBudgetExceeded
 from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 
@@ -46,8 +45,7 @@ from .kernel import Kernel, disjoint_union, left_tag, right_tag
 FAMILY_CAP = 5_000
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint blocks covering the kernel's states, numbered by their first
     states; ``rounds`` counts the splitters refinement processed."""
 

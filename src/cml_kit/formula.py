@@ -5,7 +5,8 @@ modality L. Disjunction, implication and falsum are parser sugar expanded to
 core nodes; the expansion is remembered in a ``sugar`` tag on the Not node so
 that fragment membership stays decidable and printing round-trips.
 
-Concrete grammar (ASCII), precedence ``!``/``L{r}`` > ``&`` > ``|`` > ``->``:
+Concrete grammar (ASCII, whitespace too), precedence ``!``/``L{r}`` > ``&`` >
+``|`` > ``->``:
 
     phi  ::= "T" | "F" | "!" phi | phi "&" phi | phi "|" phi
            | phi "->" phi | "L{" rate "}" phi | "(" phi ")"
@@ -15,35 +16,62 @@ Concrete grammar (ASCII), precedence ``!``/``L{r}`` > ``&`` > ``|`` > ``->``:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterator
 
-from .errors import FormulaSyntaxError, RateError, SearchBudgetExceeded
+from .errors import FormulaSyntaxError, RateError, Record, SearchBudgetExceeded
 from .rational import Rate, ensure_rate, format_rate
 
 
 class Formula:
-    """Base class; all nodes are immutable and hashable."""
+    """Base class; all nodes are immutable and hashable.
+
+    Each node compares and hashes by its class and its field tuple, and sets
+    its fields once in ``__init__`` through ``object.__setattr__``.
+    """
 
     __slots__ = ()
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Top(Formula):
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __repr__(self) -> str:
         return "Top()"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     child: Formula
     # "or" / "implies" / "bot" when this negation encodes parser sugar
-    sugar: str | None = field(default=None, compare=True)
+    sugar: str | None
+
+    def __init__(self, child: Formula, sugar: str | None = None):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "sugar", sugar)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.child, self.sugar) == (other.child, other.sugar)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.child, self.sugar))
 
     def __repr__(self) -> str:
         if self.sugar:
@@ -51,22 +79,41 @@ class Not(Formula):
         return f"Not({self.child!r})"
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True)
 class L(Formula):
     rate: Fraction
     child: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", ensure_rate(self.rate))
+    def __init__(self, rate: Rate, child: Formula):
+        object.__setattr__(self, "rate", ensure_rate(rate))
+        object.__setattr__(self, "child", child)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.rate, self.child) == (other.rate, other.child)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rate, self.child))
 
     def __repr__(self) -> str:
         return f"L({format_rate(self.rate)!s}, {self.child!r})"
@@ -352,15 +399,21 @@ _TOKEN_RE = re.compile(
   | (?P<lparen>\()
   | (?P<rparen>\))
     """,
-    re.VERBOSE,
+    # re.ASCII: without it \s also skips any script's whitespace
+    re.VERBOSE | re.ASCII,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     value: str
     position: int
+
+    def __init__(self, kind: str, value: str, position: int):
+        # one per token: three stores, not the base's generic argument walk
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "position", position)
 
 
 def _tokenize(text: str) -> Iterator[_Token]:

@@ -17,17 +17,15 @@ pair, and it stops at the stage that answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, Record
 from .kernel import Kernel
 from .orders import PlainDescent, union_solver
 from .rational import Rate
 
 
-@dataclass(frozen=True)
-class Distance:
+class Distance(Record):
     value: Rate
     attained_at: Rate
 

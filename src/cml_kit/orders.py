@@ -41,12 +41,11 @@ for outside checks, is an unscaled Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
 from .equivalence import Partition, bisimulation, generators
-from .errors import InternalCheckError, KernelError, SearchBudgetExceeded
+from .errors import InternalCheckError, KernelError, Record, SearchBudgetExceeded
 from .formula import Formula
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
@@ -57,8 +56,7 @@ BlockPair = tuple[int, int]
 WITNESS_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class EpsilonOrder:
+class EpsilonOrder(Record):
     epsilon: Rate
     relation: frozenset
     essential: bool

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import IO, Union
 
 from .errors import (
@@ -21,6 +20,7 @@ from .errors import (
     ProofCheckError,
     ProofFormatError,
     RateError,
+    Record,
 )
 from .formula import (
     And,
@@ -43,8 +43,7 @@ from .rational import Rate, ensure_rate, format_rate
 MAX_TAUTOLOGY_ATOMS = 16
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     name: str  # A1 | A2 | A3 | A4
     phi: Formula
     psi: Formula | None = None
@@ -52,45 +51,40 @@ class Axiom:
     s: Rate | None = None
 
 
-@dataclass(frozen=True)
-class Tautology:
+class Tautology(Record):
     premises: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ModusPonens:
+class ModusPonens(Record):
     antecedent: int
     implication: int
 
 
-@dataclass(frozen=True)
-class RuleR1:
+class RuleR1(Record):
     line: int
     rate: Rate
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(Record):
     index: int
 
 
 Justification = Union[Axiom, Tautology, ModusPonens, RuleR1, Hypothesis]
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(Record):
     formula: Formula
     by: Justification
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(Record):
     epsilon: Rate
     hypotheses: tuple[Formula, ...]
     lines: tuple[ProofLine, ...]
     conclusion: Formula
 
-    def __post_init__(self):
+    def __init__(self, *args: object, **kwargs: object):
+        super().__init__(*args, **kwargs)
         object.__setattr__(self, "epsilon", ensure_rate(self.epsilon))
 
 

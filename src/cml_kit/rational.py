@@ -13,6 +13,9 @@ from .errors import RateError
 
 Rate = Fraction
 
+# str.strip() without an argument strips any script's whitespace
+ASCII_WHITESPACE = " \t\n\r\v\f"
+
 # re.ASCII: without it \d, and int() after it, take any script's decimal digits
 _RATE_RE = re.compile(
     r"(?P<sign>-?)(?:(?P<whole>\d+)(?:\.(?P<frac>\d+))?|(?P<num>\d+)/(?P<den>\d+))",
@@ -43,8 +46,8 @@ def ensure_rate(value: object) -> Rate:
 
 def parse_rate(text: str) -> Rate:
     """Parse a rate literal: a decimal ("2", "0.25") or a fraction ("3/2"),
-    in ASCII digits."""
-    m = _RATE_RE.fullmatch(text.strip())
+    in ASCII digits, with optional ASCII whitespace around it."""
+    m = _RATE_RE.fullmatch(text.strip(ASCII_WHITESPACE))
     if not m:
         raise RateError(f"malformed rate literal {text!r}")
     sign, whole, frac, num, den = m.group("sign", "whole", "frac", "num", "den")

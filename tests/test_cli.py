@@ -161,6 +161,33 @@ def test_model_with_a_non_ascii_digit_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "-m", model_path("fig1"), "-f", "L{3} T", "-e", "\u00a00"],
+        ["eval", "-m", model_path("fig1"), "-f", "L{3}\u3000T", "-e", "0"],
+        ["search", "-f", "L{3} T", "-e", "1", "--max-states", "1", "--grid", "0,\u30002"],
+        # a token of non-ASCII whitespace only is a malformed rate, not an empty one
+        ["search", "-f", "L{3} T", "-e", "1", "--max-states", "1", "--grid", "2,\u3000"],
+    ],
+    ids=["epsilon", "formula", "grid", "grid-blank"],
+)
+def test_non_ascii_whitespace_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "malformed rate literal" in err or "unexpected character" in err
+    assert "Traceback" not in err
+
+
+def test_model_with_non_ascii_whitespace_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"states": ["a", "b"], "rates": {"a": {"b": "\u00a02"}}}', encoding="utf-8")
+    assert main(["bisim", "-m", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "rates.a.b: malformed rate literal" in err
+    assert "Traceback" not in err
+
+
 def test_directory_model_is_usage_error(tmp_path, capsys):
     code = main(["eval", "-m", str(tmp_path), "-f", "T", "-e", "0"])
     assert code == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cml_kit import (
     Evaluator,
     Kernel,
+    Partition,
     bisimilar,
     bisimulation,
     disjoint_union,
@@ -283,3 +284,13 @@ def test_family_cap_matches_the_worklist(monkeypatch, cap):
     monkeypatch.setattr(equivalence, "FAMILY_CAP", cap)
     for kernel in kernels:
         _same_family(kernel)
+
+
+def test_partition_is_a_value(fig1):
+    a, b = bisimulation(fig1), bisimulation(fig1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Partition(a.blocks, rounds=a.rounds + 1)
+    one = Partition((S({"a"}),), rounds=0)
+    assert repr(one) == "Partition(blocks=(frozenset({'a'}),), rounds=0)"
+    with pytest.raises(AttributeError):
+        a.rounds = 0

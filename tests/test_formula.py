@@ -24,7 +24,7 @@ from cml_kit import (
     parse,
     print_formula,
 )
-from cml_kit.errors import SearchBudgetExceeded
+from cml_kit.errors import RateError, SearchBudgetExceeded
 from cml_kit.formula import (
     DNF_CLAUSE_BUDGET,
     _normal_form,
@@ -292,3 +292,60 @@ def test_normal_form_truth_assignment_oracle():
     for bits in itertools.product([False, True], repeat=len(atoms)):
         env = dict(zip(atoms, bits))
         assert prop_eval(f, env) == prop_eval(nf, env)
+
+
+@pytest.mark.parametrize("text", ["L{1}\u3000T", "T\u00a0& T", "L{\u00a01} T", "L{1\u2003} T"])
+def test_parse_skips_only_ascii_whitespace(text):
+    # without re.ASCII, \s skips the ideographic, no-break and em spaces
+    with pytest.raises(FormulaSyntaxError):
+        parse(text)
+    assert parse(text.replace("\u3000", " ").replace("\u00a0", "\t").replace("\u2003", "\n"))
+
+
+# --- value semantics ---------------------------------------------------------
+
+
+def test_equal_nodes_compare_and_hash_equal():
+    text = "L{1/2} !(T | F) -> T & L{3} T"
+    a, b = parse(text), parse(text)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Top() == Top() and hash(Top()) == hash(())
+    assert hash(L(Q(1, 2), Top())) == hash((Q(1, 2), Top()))
+    assert len({a, b, Top(), Top()}) == 2
+    assert L(Q(1, 2), Top()) != L(Q(1, 3), Top())
+    assert And(Top(), Bot()) != And(Bot(), Top())
+    assert Top() != Not(Top()) and Top() != ()
+
+
+def test_sugar_is_part_of_a_nodes_identity():
+    assert Not(Top()) != Not(Top(), sugar="or")
+    assert hash(Not(Top(), sugar="or")) == hash((Top(), "or"))
+    assert Not(child=Top(), sugar="bot") == Bot()
+    assert And(left=Top(), right=Top()) == And(Top(), Top())
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [(Top(), "child"), (Not(Top()), "child"), (Not(Top()), "sugar"),
+     (And(Top(), Top()), "left"), (L(1, Top()), "rate"), (L(1, Top()), "other")],
+)
+def test_nodes_are_immutable(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, Top())
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+
+
+def test_l_coerces_its_rate():
+    assert L("1/2", Top()).rate == Q(1, 2)
+    assert type(L(2, Top()).rate) is Fraction
+    assert L(rate="1/2", child=Top()) == L(Q(1, 2), Top())
+    with pytest.raises(RateError, match="float rate"):
+        L(0.5, Top())
+
+
+def test_node_reprs():
+    assert repr(parse("L{1/2} !(T | F) -> T & L{3} T")) == (
+        "Not(And(L(1/2, Not(Not(And(Not(Top()), Not(Not(Top(), sugar='bot'))),"
+        " sugar='or'))), Not(And(Top(), L(3, Top())))), sugar='implies')"
+    )

@@ -176,6 +176,8 @@ def test_json_round_trip(fig1):
         ('{"states": ["a"], "rates": {"a": {"a": "x/y"}}}', "rates.a.a"),
         # an Arabic-Indic digit, which int() would read as 2
         ('{"states": ["a", "b"], "rates": {"a": {"b": "\u0662"}}}', "rates.a.b: malformed"),
+        # a no-break space, which str.strip() would drop
+        ('{"states": ["a", "b"], "rates": {"a": {"b": "\u00a02"}}}', "rates.a.b: malformed"),
         ('{"states": ["a"], "rates": {"a": {"b": "1"}}}', "not a state"),
         # a zero entry's endpoints are checked too
         ('{"states": ["a"], "rates": {"ghost": {"a": "0"}}}', "rate source 'ghost'"),
@@ -238,6 +240,14 @@ def test_parse_rate_takes_only_ascii_digits(text):
     # int() reads Arabic-Indic "٣" and fullwidth "１" as 3 and 1
     with pytest.raises(RateError, match="malformed rate literal"):
         parse_rate(text)
+
+
+@pytest.mark.parametrize("text", ["\u00a02", "2\u3000", "\u20031/2", "0.5\u2028"])
+def test_parse_rate_strips_only_ascii_whitespace(text):
+    # str.strip() drops the no-break, ideographic, em and line-separator spaces
+    with pytest.raises(RateError, match="malformed rate literal"):
+        parse_rate(text)
+    assert parse_rate(" \t1/2\n\r\v\f") == Fraction(1, 2)
 
 
 def test_readme_model_file_example_loads():

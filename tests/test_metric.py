@@ -1,9 +1,10 @@
 import functools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cml_kit import Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
+from cml_kit import Distance, Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.harness.suites import _block_distances
 from cml_kit.kernel import left_tag, right_tag
@@ -166,3 +167,13 @@ def test_sweep_matches_bisection(k1, k2):
             d = distance(k1, m, k2, n)
             i, j = solver.block_pair_of(left_tag(m), right_tag(n))
             assert d.value == d.attained_at == bisection_distance(solver, i, j, plain)
+
+
+def test_distance_is_a_value():
+    m, o = load_model("fig4m"), load_model("fig4o")
+    d = distance(m, "m", o, "o")
+    assert d == Distance(Q(3, 10), Q(3, 10)) and hash(d) == hash(Distance(Q(3, 10), Q(3, 10)))
+    assert d != Distance(Q(3, 10), Q(0))
+    assert repr(d) == "Distance(value=Fraction(3, 10), attained_at=Fraction(3, 10))"
+    with pytest.raises(AttributeError):
+        d.value = Q(0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cml_kit import Kernel, bisimulation, disjoint_union, distance, holds
+from cml_kit import EpsilonOrder, Kernel, bisimulation, disjoint_union, distance, holds
 from cml_kit import orders
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
@@ -345,3 +345,16 @@ def test_plain_descent_matches_the_round_loop(k1, k2):
         descent.descend(solver._limit(e))
         assert frozenset(descent.violation) == expected
         assert descent.violation == exact_violations(solver, expected)
+
+
+def test_epsilon_order_is_a_value():
+    order = EpsilonOrder(epsilon=Q(1), relation=frozenset({("a", "a")}), essential=False)
+    same = EpsilonOrder(Q(1), frozenset({("a", "a")}), False)
+    assert order == same and hash(order) == hash(same)
+    assert order != EpsilonOrder(Q(1), frozenset({("a", "a")}), True)
+    assert ("a", "a") in order and ("a", "b") not in order
+    assert repr(order) == (
+        "EpsilonOrder(epsilon=Fraction(1, 1), relation=frozenset({('a', 'a')}), essential=False)"
+    )
+    with pytest.raises(AttributeError):
+        order.essential = True

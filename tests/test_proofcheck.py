@@ -14,6 +14,7 @@ from cml_kit import (
     Proof,
     ProofCheckError,
     ProofLine,
+    RateError,
     RuleR1,
     Tautology,
     Top,
@@ -223,3 +224,32 @@ def test_soundness_of_checked_conclusions():
         check(p)
         for k in kernels:
             assert valid_on(k, p.conclusion, p.epsilon)
+
+
+def test_proof_records_are_values():
+    assert ModusPonens(1, 2) == ModusPonens(antecedent=1, implication=2)
+    assert hash(ModusPonens(1, 2)) == hash(ModusPonens(1, 2)) == hash((1, 2))
+    assert ModusPonens(1, 2) != RuleR1(1, Q(2))
+    assert Axiom("A1", T) == Axiom(name="A1", phi=T, psi=None, r=None, s=None)
+    assert Tautology() == Tautology(()) and Tautology().premises == ()
+    assert Hypothesis(1) != Hypothesis(2)
+    line = ProofLine(L(Q(1, 2), T), Axiom("A1", T))
+    assert repr(line) == (
+        "ProofLine(formula=L(1/2, Top()),"
+        " by=Axiom(name='A1', phi=Top(), psi=None, r=None, s=None))"
+    )
+    assert repr(Tautology()) == "Tautology(premises=())"
+    with pytest.raises(AttributeError):
+        line.by = Hypothesis(1)
+    with pytest.raises(TypeError):
+        ModusPonens(1)
+
+
+def test_proof_coerces_epsilon():
+    lines = [ProofLine(L(Q(1, 2), T), Axiom("A1", T))]
+    p = proof_of("1/2", lines, L(Q(1, 2), T))
+    assert p.epsilon == Q(1, 2) and type(p.epsilon) is Fraction
+    assert p == proof_of(Q(1, 2), lines, L(Q(1, 2), T))
+    assert hash(p) == hash(proof_of(Q(1, 2), lines, L(Q(1, 2), T)))
+    with pytest.raises(RateError):
+        proof_of(0.5, lines, L(Q(1, 2), T))

@@ -62,6 +62,33 @@ def test_orders_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "orders: 189 cases identical\n"
 
 
+def test_metric_dump_is_repeatable(tmp_path, capsys, monkeypatch):
+    dump = _dump_module()
+    # the two smaller corpora keep the two runs near a second; all four take
+    # about 2 s per run
+    monkeypatch.setattr(dump, "CORPORA", dump.CORPORA[:2])
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["metric", "-o", str(first)]) == 0
+    assert dump.main(["metric", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    assert len(docs) == 129 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    unions = [doc for case, doc in docs.items() if case.startswith("metric/union/")]
+    assert len(unions) == 49 and sum(len(doc["distance"]) for doc in unions) == 38 * 38
+    for doc in docs.values():
+        rows = {(m, n): (value, attained) for m, n, value, attained in doc["distance"]}
+        assert all(value == attained for value, attained in rows.values())
+    # a model against itself: each state is at distance 0 from itself, and
+    # the distance is symmetric
+    own = {(m, n): value for m, n, value, _ in docs["metric/union/fig4m+fig4m"]["distance"]}
+    assert all(own[m, m] == "0" and own[m, n] == own[n, m] for m, n in own)
+    assert ["m", "o", "3/10", "3/10"] in docs["metric/union/fig4m+fig4o"]["distance"]
+    assert "metric: 129 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "metric: 129 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -27,6 +27,11 @@ Sections:
   the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages of a ``PlainDescent`` as
   (peak, sorted deleted block pairs); on the unions of two ``gen_kernel``
   kernels (density 1/2) with 12, 14 and 15 blocks, the family only.
+- ``metric``: ``distance`` as its printed ``value`` and ``attained_at`` for
+  every ordered state pair of each corpus kernel, and for each of the 49
+  ordered pairs of shipped models, every state of the first against every
+  state of the second (the pairs across their disjoint union; a model paired
+  with itself covers its own state pairs).
 - ``suites``: each suite's ``to_doc()`` without ``elapsed_s`` at the default
   budget (seeds 3 and 7) and at the small budget.
 - ``mutations``: each suite's small-budget ``to_doc()`` without ``elapsed_s``
@@ -149,6 +154,27 @@ def _orders_cases() -> Iterator[Case]:
         yield f"ladder/{m}:{a}+{b}", lambda union=union: family(generators(union))
 
 
+def _metric_cases() -> Iterator[Case]:
+    from cml_kit.metric import distance
+    from cml_kit.models import FIGURES, load_model
+    from cml_kit.rational import format_rate
+
+    def distances(k1, k2) -> dict:
+        rows = []
+        for m in k1.states:
+            for n in k2.states:
+                d = distance(k1, m, k2, n)
+                rows.append([m, n, format_rate(d.value), format_rate(d.attained_at)])
+        return {"distance": rows}
+
+    for case, kernel in _corpora():
+        yield case, lambda kernel=kernel: distances(kernel, kernel)
+    models = {name: load_model(name) for name in FIGURES}
+    for a in FIGURES:
+        for b in FIGURES:
+            yield f"union/{a}+{b}", lambda a=models[a], b=models[b]: distances(a, b)
+
+
 def _report(name: str, budget) -> dict:
     from cml_kit.harness.suites import run_suite
 
@@ -184,6 +210,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
     "orders": _orders_cases,
+    "metric": _metric_cases,
     "suites": _suites_cases,
     "mutations": _mutations_cases,
 }
