@@ -14,12 +14,34 @@ returns frozensets. Nothing is cached: a caller that needs the same
 (formula, e) extension twice keeps the first result.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
-row-major slot order and tries kernels only up to state relabeling: it builds
-and evaluates an assignment only when no relabeling of the states gives a
+row-major slot order and tries kernels only up to state relabeling: it
+evaluates an assignment only when no relabeling of the states gives a
 lexicographically smaller tuple. Satisfaction is invariant under relabeling,
 so the first witness in enumeration order is such a canonical assignment and
 the answer is the one a search over every assignment gives. Its budget counts
 every enumerated assignment, the skipped ones included.
+
+The canonical candidates are evaluated in batches. A batch is one ``Kernel``
+that holds its n-state candidates side by side, candidate k on the states
+s{k*n} to s{k*n+n-1}, and it is walked once. The answers are those of one
+kernel per candidate, because satisfaction is invariant under disjoint union:
+
+- the walk is state-local: a state's bit depends only on its row and on the
+  bits of the states that row reaches;
+- a batch has no rate between two candidates;
+- the integer core compares exactly at any scale, so the batch's scale (the
+  lcm over all its candidates) changes no comparison.
+
+So the lowest set bit of the batch's extension names the first witnessing
+candidate and its lowest state. A batch ends where its run ends, a run being
+the g**n consecutive assignments that differ only in the last state's row, so
+a batch never holds more than n * g**n states on a g-rate grid. It also ends
+before it would pass ``STATES_CAP`` states, so a batch kernel stays small
+however many rates the grid holds. A batch holds at most as many candidates
+as the search evaluated before it: the first batch is one candidate, and a
+batch of one is the candidate's own kernel. A witness found in a larger batch
+is rebuilt as its own kernel. At the budget's cut the pending batch is
+evaluated before the search gives up.
 """
 
 from __future__ import annotations
@@ -175,6 +197,16 @@ def _relabelings(n: int) -> list:
     ]
 
 
+def _batch_witness(
+    f: Formula, e: Rate, states: list[str], rates: dict[tuple[str, str], Rate]
+) -> Optional[tuple[Kernel, int]]:
+    # the batch's candidates side by side in one kernel, walked once: the
+    # kernel and the position of its lowest state that satisfies f, if any
+    kernel = Kernel(states, rates)
+    found = Evaluator(kernel)._walk(f, e)
+    return (kernel, (found & -found).bit_length() - 1) if found else None
+
+
 def search_model(
     f: Formula,
     e: Rate,
@@ -187,11 +219,15 @@ def search_model(
     Returns the first (kernel, state) with state satisfying f at slack e, in a
     deterministic enumeration order; None when the bounded space has no
     witness (which proves nothing beyond the bounds). Kernels are tried up to
-    state relabeling: an assignment of grid rates to the slots is built and
-    evaluated only when no relabeling of its states enumerates earlier, which
-    leaves the first witness unchanged. Raises SearchBudgetExceeded when
-    max_candidates assignments, skipped ones included, were enumerated first,
-    or when the search reaches a size past ``STATES_CAP`` states.
+    state relabeling: an assignment of grid rates to the slots is evaluated
+    only when no relabeling of its states enumerates earlier, which leaves the
+    first witness unchanged. Candidates are evaluated in batches, one kernel
+    per batch (see the module docstring); a witness found in a batch of more
+    than one is rebuilt as its own kernel on s0 to s{n-1}, so the answer is
+    the one a search that builds each candidate gives. Raises
+    SearchBudgetExceeded when max_candidates assignments, skipped ones
+    included, were enumerated first, or when the search reaches a size past
+    ``STATES_CAP`` states.
     """
     e = ensure_rate(e)
     if max_states < 1:
@@ -199,25 +235,61 @@ def search_model(
     grid = sorted({ensure_rate(r) for r in rate_grid}) if rate_grid is not None else None
     if grid is None:
         grid = default_rate_grid(f, e)
-    tried = 0
+    g = len(grid)
+    tried = evaluated = 0
+    names: list[str] = []  # s0, s1, ...: the states of a batch
     for n in range(1, max_states + 1):
         if n > STATES_CAP:
             raise SearchBudgetExceeded(f"search_model exceeded {STATES_CAP} states")
-        states = [f"s{i}" for i in range(n)]
-        slots = [(s, t) for s in states for t in states]
-        # one rate gives one assignment per size, canonical by itself; building
-        # no n! maps for it lets that search reach STATES_CAP quickly
-        relabelings = _relabelings(n) if len(grid) > 1 else ()
-        for index in itertools.product(range(len(grid)), repeat=len(slots)):
+        # one state has no relabeling, and one rate gives one assignment per
+        # size, canonical by itself; building no n! maps for it lets that
+        # search reach STATES_CAP quickly
+        relabelings = _relabelings(n) if n > 1 and g > 1 else ()
+        places: list[list[tuple[str, str]]] = []  # the slots of each batch position
+        # a run: the g**n assignments that share all but the last state's row
+        head = n * n - n
+        # a batch passes no STATES_CAP states, whatever the grid's size
+        room = STATES_CAP // n
+        batch: list[tuple[int, ...]] = []
+        rates: dict[tuple[str, str], Rate] = {}
+        found = None
+        for index in itertools.product(range(g), repeat=n * n):
             tried += 1
             if tried > max_candidates:
-                raise SearchBudgetExceeded(
-                    f"search_model exhausted its budget of {max_candidates} kernels"
-                )
-            if any(relabel(index) < index for relabel in relabelings):
+                break
+            if relabelings and any(relabel(index) < index for relabel in relabelings):
                 continue  # a relabeling of an assignment enumerated earlier
-            kernel = Kernel(states, {s: grid[i] for s, i in zip(slots, index)})
-            found = Evaluator(kernel)._walk(f, e)
-            if found:
-                return kernel, states[(found & -found).bit_length() - 1]
+            # a batch ends where its run ends or when it holds room
+            # candidates, and holds at most as many candidates as were
+            # evaluated before it
+            k = len(batch)
+            if k and (k >= evaluated or k >= room or index[:head] != run):
+                found = _batch_witness(f, e, names[:k * n], rates)
+                if found:
+                    break
+                evaluated += k
+                batch, rates, k = [], {}, 0
+            if not k:
+                run = index[:head]
+            if k == len(places):
+                names.extend([f"s{i}" for i in range(len(names), k * n + n)])
+                own = names[k * n:k * n + n]
+                places.append([(s, t) for s in own for t in own])
+            for slot, i in zip(places[k], index):
+                rates[slot] = grid[i]
+            batch.append(index)
+        if batch and not found:
+            # the batch pending at the end of the size or at the budget's cut
+            found = _batch_witness(f, e, names[:len(batch) * n], rates)
+        if found:
+            kernel, bit = found
+            k, i = divmod(bit, n)
+            if len(batch) > 1:  # candidate 0's slots are the witness's own
+                kernel = Kernel(names[:n], {s: grid[j] for s, j in zip(places[0], batch[k])})
+            return kernel, names[i]
+        if tried > max_candidates:
+            raise SearchBudgetExceeded(
+                f"search_model exhausted its budget of {max_candidates} kernels"
+            )
+        evaluated += len(batch)
     return None

@@ -112,6 +112,19 @@ def test_tautology_failure_names_assignment():
         check(proof_of(Q(0), [ProofLine(L(1, T), Tautology())], L(1, T)))
 
 
+def test_tautology_failure_names_the_first_failing_assignment():
+    # (a -> b) & !(b & c) fails at 011, 100, 101 and 111 over the atoms a, b, c
+    # in order of first occurrence; the first atom varies slowest, so 011 comes
+    # first, where the other bit order would name 100
+    a, b, c = L(1, T), L(2, T), L(3, T)
+    f = And(Implies(a, b), Not(And(b, c)))
+    with pytest.raises(ProofCheckError) as failure:
+        check(proof_of(Q(0), [ProofLine(f, Tautology())], f))
+    assert str(failure.value) == (
+        "line 1: tautology check failed under assignment L{1} T=0, L{2} T=1, L{3} T=1"
+    )
+
+
 def test_tautology_atom_cap():
     big = L(1, T)
     formula = big

@@ -1,4 +1,3 @@
-import collections
 import itertools
 from fractions import Fraction
 
@@ -220,6 +219,17 @@ _search_formulas = st.recursive(
 @example(parse("L{3/2} L{3/2} T"), Q(1, 10), 3, [Q(0), Q(1, 2)], 600)
 @example(parse("L{2} L{3} L{1} T"), Q(0), 3, [Q(0), Q(1)], 600)
 @example(parse("L{3} !L{3} T"), Q(1, 10), 3, [Q(0), Q(3, 2)], 600)
+# the witness 1/2 shares a batch with 1/3: the batch kernel's scale is 6, which
+# no candidate's own kernel has
+@example(parse("L{1/2} T"), Q(1, 10), 1, [Q(0), Q(1, 4), Q(1, 3), Q(1, 2)], 600)
+# the witness is the 15th enumerated assignment (the 11th of its 2-state run)
+# and the 7th candidate of a batch that holds up to 8: a cut right after it
+# evaluates the pending batch and finds it, a cut right before it finds nothing
+# and raises
+@example(parse("L{2} T & !L{3} T & L{1} !L{1} T"), Q(0), 2, [Q(0), Q(1, 2), Q(1), Q(2)], 15)
+@example(parse("L{2} T & !L{3} T & L{1} !L{1} T"), Q(0), 2, [Q(0), Q(1, 2), Q(1), Q(2)], 14)
+# no rates: no assignment at any size
+@example(parse("T"), Q(0), 2, [], 600)
 def test_search_matches_the_search_over_every_assignment(f, e, max_states, grid, budget):
     # budgets up to 600 cover 2 states on 4 rates (260 assignments) and 3 states
     # on 2 rates (530); the larger spaces end in SearchBudgetExceeded on both sides
@@ -227,21 +237,73 @@ def test_search_matches_the_search_over_every_assignment(f, e, max_states, grid,
     assert _outcome(search_model, *args) == _outcome(_reference_search, *args)
 
 
-def test_search_builds_one_kernel_per_relabeling_class(monkeypatch):
-    sizes = collections.Counter()
+def _built_kernels(monkeypatch):
+    # every kernel the search builds through semantics.Kernel, in order
+    built = []
 
     def counted(states, rates):
-        sizes[len(states)] += 1
-        return Kernel(states, rates)
+        kernel = Kernel(states, rates)
+        built.append(kernel)
+        return kernel
 
     monkeypatch.setattr(semantics, "Kernel", counted)
-    assert search_model(parse("F"), 0, 2, [Q(0), Q(1), Q(2), Q(3)]) is None
+    return built
+
+
+def test_search_evaluates_one_candidate_per_relabeling_class(monkeypatch):
+    built = _built_kernels(monkeypatch)
+
+    def candidates(grid, top):
+        # candidates of each size: a batch holds its candidates side by side
+        # and never mixes sizes, so the states handed to Kernel by a search up
+        # to n states, less those up to n - 1, are n per candidate of size n
+        states, kernels = [0], 0
+        for max_states in range(1, top + 1):
+            built.clear()
+            assert search_model(parse("F"), 0, max_states, grid) is None
+            states.append(sum(len(k.states) for k in built))
+            kernels = len(built)
+        per_size = {n: (states[n] - states[n - 1]) / n for n in range(1, top + 1)}
+        return per_size, kernels
+
     # 4^4 = 256 assignments of 2 states: the 16 fixed by the swap and half of the rest
-    assert sizes == {1: 4, 2: 136}
-    sizes.clear()
-    assert search_model(parse("F"), 0, 3, [Q(0), Q(1), Q(2)]) is None
+    per_size, kernels = candidates([Q(0), Q(1), Q(2), Q(3)], 2)
+    assert per_size == {1: 4, 2: 136}
+    assert kernels == 21 < 140
     # Burnside over the 6 permutations of 3 states: (3^9 + 3 * 3^5 + 2 * 3^3) / 6
-    assert sizes == {1: 3, 2: 45, 3: 3411}
+    per_size, kernels = candidates([Q(0), Q(1), Q(2)], 3)
+    assert per_size == {1: 3, 2: 45, 3: 3411}
+    assert kernels == 320 < 3459
+
+
+def test_search_batch_never_exceeds_a_run_or_the_states_cap(monkeypatch):
+    # a batch ends where its run ends, at most n * g**n states on g rates, or
+    # before it would pass STATES_CAP states, however many rates the grid holds
+    built = _built_kernels(monkeypatch)
+    cases = (
+        (3, [Q(0), Q(1)], 21),
+        (2, [Q(0), Q(1), Q(2), Q(3)], 30),
+        (2, [Q(i, 7) for i in range(200)], semantics.STATES_CAP),
+        (3, [Q(0), Q(1), Q(2)], 63),
+    )
+    for n, grid, largest in cases:
+        built.clear()
+        try:
+            assert search_model(parse("F"), 0, n, grid, max_candidates=5_000) is None
+        except SearchBudgetExceeded:
+            pass  # the larger spaces run out of budget first
+        assert max(len(k.states) for k in built) == largest
+        assert largest <= min(n * len(grid) ** n, semantics.STATES_CAP)
+
+
+def test_search_tiny_example_builds_each_candidate_once(monkeypatch):
+    # the docs example: batches of one are each candidate's own kernel, and
+    # the witness is the second one, returned as built
+    built = _built_kernels(monkeypatch)
+    kernel, witness = search_model(parse("L{3} T"), 1, 1, [Q(0), Q(2)])
+    assert [k.states for k in built] == [("s0",), ("s0",)]
+    assert kernel is built[1] and witness == "s0"
+    assert kernel.rate("s0", "s0") == 2
 
 
 def test_search_budget_counts_the_skipped_assignments():

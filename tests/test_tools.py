@@ -89,6 +89,33 @@ def test_metric_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "metric: 129 cases identical\n"
 
 
+def test_search_dump_is_repeatable(tmp_path, capsys, monkeypatch):
+    dump = _dump_module()
+    monkeypatch.setattr(dump, "SEARCH_CASES", 400)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["search", "-o", str(first)]) == 0
+    assert dump.main(["search", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    assert len(docs) == 428 and list(docs) == sorted(docs)
+    assert docs["search/docs/0"] == {
+        "case": "search/docs/0",
+        "query": ["L{3} T", "1", 1, ["0", "2"], 500_000],
+        "found": {"witness": "s0", "model": {"states": ["s0"], "rates": {"s0": {"s0": "2"}}}},
+    }
+    queries = [doc for case, doc in docs.items() if case.startswith("search/queries/")]
+    assert len(queries) == 24 and all(doc["found"] is None for doc in queries)
+    # the seeded queries end in each of the three outcomes
+    seeded = [doc for case, doc in docs.items() if case.startswith("search/seeded/")]
+    budget = [doc for doc in seeded if "error" in doc]
+    assert all(doc["error"] == "SearchBudgetExceeded" for doc in budget)
+    found = [doc for doc in seeded if doc.get("found")]
+    assert budget and found and len(budget) + len(found) < len(seeded)
+    assert "search: 428 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "search: 428 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -36,6 +36,13 @@ Sections:
   budget (seeds 3 and 7) and at the small budget.
 - ``mutations``: each suite's small-budget ``to_doc()`` without ``elapsed_s``
   under each mutation of ``harness.mutations``.
+- ``search``: ``search_model``'s witness and ``kernel_to_doc`` of its kernel,
+  or null when the bounded space has none, with the query (printed formula,
+  slack, states, grid, budget), on the documented searches, on 24 no-witness
+  searches of the benchmark's shape ``L{a} (body) & !L{b} T`` at 2 states on
+  4-rate grids, and on ``SEARCH_CASES`` seeded queries: formulas of depth at
+  most 3 over ``SEARCH_RATES``, 1 to 3 states, grids of 1 to 4 of those rates
+  and a budget from ``SEARCH_BUDGETS``.
 """
 
 from __future__ import annotations
@@ -52,6 +59,20 @@ CORPORA = ((40, 4, 7), (40, 5, 3), (30, 6, 11), (20, 8, 5))
 ORDER_SLACKS = ("0", "1/10", "1/2", "1", "5/2")
 # (states, seed, seed): unions of two gen_kernel kernels with 12, 14 and 15 blocks
 LADDER = ((6, 7, 8), (7, 5, 6), (8, 6, 7))
+# (formula, slack, states, grid or None for the default grid): docs/examples.md
+# and the README, the two further searches of the cli workload, and the
+# default grid
+DOC_SEARCHES = (
+    ("L{3} T", "1", 1, "0,2"),
+    ("L{3} T & !L{1} T", "0", 2, "0,1,2"),
+    ("L{2} T", "0", 2, "0,1"),
+    ("L{2} T", "0", 1, None),
+)
+SEARCH_RATES = ("0", "1/3", "1/2", "1", "3/2", "2", "3")
+# 259 and 260 cut a 2-state search on 4 rates one assignment short of and at
+# its end (4 + 256 assignments)
+SEARCH_BUDGETS = (5, 17, 100, 259, 260, 600, 2000)
+SEARCH_CASES = 3000
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -206,6 +227,56 @@ def _mutations_cases() -> Iterator[Case]:
             yield f"{mutation}/{name}", lambda m=mutation, name=name: report(m, name)
 
 
+def _search_cases() -> Iterator[Case]:
+    import random
+    from fractions import Fraction
+
+    from cml_kit.formula import And, L, Not, Top, parse, print_formula
+    from cml_kit.kernel import kernel_to_doc
+    from cml_kit.semantics import search_model
+
+    def search(f, e: str, n: int, grid, budget: int = 500_000) -> dict:
+        query = [print_formula(f), e, n, grid, budget]
+        rates = None if grid is None else [Fraction(r) for r in grid]
+        found = search_model(f, Fraction(e), n, rates, budget)
+        if found is not None:
+            kernel, witness = found
+            found = {"witness": witness, "model": kernel_to_doc(kernel)}
+        return {"query": query, "found": found}
+
+    def formula(rng: random.Random, depth: int, positive: bool = False):
+        kinds = ("T", "L", "L", "And") + (() if positive else ("Not",))
+        kind = rng.choice(kinds) if depth else "T"
+        if kind == "L":
+            return L(Fraction(rng.choice(SEARCH_RATES)), formula(rng, depth - 1, positive))
+        if kind == "And":
+            return And(formula(rng, depth - 1, positive), formula(rng, depth - 1, positive))
+        if kind == "Not":
+            return Not(formula(rng, depth - 1))
+        return Top()
+
+    for i, (text, e, n, grid) in enumerate(DOC_SEARCHES):
+        grid = None if grid is None else grid.split(",")
+        yield f"docs/{i}", lambda f=parse(text), e=e, n=n, grid=grid: search(f, e, n, grid)
+    rng = random.Random(25)
+    pool = ("0", "1/2", "1", "2", "3")
+    for i in range(24):
+        # rate a into the body with a total below b <= a: no witness
+        a, b = Fraction(rng.choice("235")), Fraction(rng.choice("12"))
+        f = And(L(a, formula(rng, 2, positive=True)), Not(L(b, Top())))
+        grid = sorted(rng.sample(pool, 4), key=Fraction)
+        e = rng.choice(("0", "1/10", "1/2"))
+        yield f"queries/{i:02d}", lambda f=f, e=e, grid=grid: search(f, e, 2, grid)
+    rng = random.Random(3)
+    for i in range(SEARCH_CASES):
+        f = formula(rng, 3)
+        e = rng.choice(("0", "1/10", "1/2"))
+        n = rng.randint(1, 3)
+        grid = sorted(rng.sample(SEARCH_RATES, rng.randint(1, 4)), key=Fraction)
+        budget = rng.choice(SEARCH_BUDGETS)
+        yield f"seeded/{i:04d}", lambda args=(f, e, n, grid, budget): search(*args)
+
+
 SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
@@ -213,6 +284,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "metric": _metric_cases,
     "suites": _suites_cases,
     "mutations": _mutations_cases,
+    "search": _search_cases,
 }
 
 
