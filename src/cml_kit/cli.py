@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .errors import CMLError, InternalCheckError
 from .formula import encode_abs, encode_down, encode_up, parse, print_formula
-from .kernel import Kernel, kernel_to_doc, load_kernel
+from .kernel import Kernel, kernel_to_doc, left_tag, load_kernel
 from .rational import ASCII_WHITESPACE, format_rate, parse_rate
 from .semantics import eval_formula, sat, search_model, valid_on
 
@@ -134,7 +134,8 @@ def cmd_order(args) -> int:
     )
     answer = pair in pairs
     # the L->R state pairs of the relation: L-states of block i times R-states of j
-    lefts = [sum(1 for x in block if x.startswith("L:")) for block in solver.blocks]
+    tagged = {left_tag(s) for s in k1.states}
+    lefts = [len(block & tagged) for block in solver.blocks]
     witness_size = sum(
         lefts[i] * (len(solver.blocks[j]) - lefts[j]) for (i, j) in pairs
     )

@@ -500,7 +500,7 @@ def _transfer_suite(
     incomplete = 0
     for kernel in _suite_corpus(budget, ORACLE_STATES):
         solver = OrderSolver(kernel)
-        base_grid = _family_grid(kernel, solver.family)
+        base_grid = _family_grid(solver.quotient, solver.family)
         for e in budget.epsilons:
             at = f"at e={format_rate(e)}"
             verdicts, reachable = oracle(kernel, e)

@@ -1,12 +1,13 @@
 """Behavioral pseudometric: the least slack at which both order directions hold.
 
 The order solver of the two kernels' disjoint union compares every slack as an
-integer x > floor(e·D), where D is the union kernel's scale, so the plain
-fixpoint at e depends on e only through floor(e·D) and grows with e. The plain
-order at the integer limit k therefore holds the pair in both directions for
-every k from some least k* up, and d(m, n) = k*/D exactly; the infimum is
-attained there. Every slack is at most the largest exit total, so the full
-relation is the fixpoint at that total scaled by D.
+integer x > floor(e·D), where D is the scale of the union's quotient kernel by
+bisimulation (the solver's ``scale``), so the plain fixpoint at e depends on e
+only through floor(e·D) and grows with e. The plain order at the integer limit
+k therefore holds the pair in both directions for every k from some least k*
+up, and d(m, n) = k*/D exactly; the infimum is attained there. Every slack is
+at most the largest exit total, so the full relation is the fixpoint at that
+total scaled by D.
 
 k* is read off the descent of the plain fixpoint from the full relation
 (``PlainDescent.stages`` in ``orders``): k* is the peak of the stage that

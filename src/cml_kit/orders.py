@@ -29,14 +29,17 @@ the second is >= 0 by the pullback bounds on R⁻¹C̄ ⊇ dom R ∖ R⁻¹C. Th
 is complete: a minimal witness adds only new left blocks, each one for the
 first pair whose total slack is still unmet.
 
-The solver computes on the kernel's integer core (see ``kernel``) at its
-scale D, so every block measure and every slack is an integer multiple of
-1/D. Sets of blocks are bitmasks, onto which the family's state bitmasks are
-projected. A slack x (an integer, in units of 1/D) exceeds e exactly when
-x > floor(e·D), because x is an integer; every comparison with e is made that
-way, so the plain fixpoint depends on e only through floor(e·D). The stages
-rely on that: they descend over integer limits only. Only ``_theta``,
-for outside checks, is an unscaled Fraction.
+Formulas, the orders and the pseudometric cannot tell bisimilar states
+apart, so the solver runs on the quotient kernel: one state per block, each
+block's row being its first state's row summed by target block. It computes
+on the quotient's integer core (see ``kernel``) at its scale D_q, which
+divides the kernel's scale D, so every block measure and every slack is an
+integer multiple of 1/D_q. Sets of blocks are the quotient's state bitmasks,
+and the family is the quotient's. A slack x (an integer, in units of 1/D_q)
+exceeds e exactly when x > floor(e·D_q), because x is an integer; every
+comparison with e is made that way, so the plain fixpoint depends on e only
+through floor(e·D_q). The stages rely on that: they descend over integer
+limits only. Only ``_theta``, for outside checks, is an unscaled Fraction.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .equivalence import Partition, bisimulation, generators
-from .errors import InternalCheckError, KernelError, Record, SearchBudgetExceeded
+from .errors import KernelError, Record, SearchBudgetExceeded
 from .formula import Formula
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
@@ -66,7 +69,8 @@ class EpsilonOrder(Record):
 
 
 class OrderSolver:
-    """Per-kernel solver keeping the partition, family and block measures."""
+    """Per-kernel solver keeping the partition, its quotient kernel and the
+    quotient's family."""
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
@@ -74,24 +78,30 @@ class OrderSolver:
         self.blocks = self.partition.blocks
         self.n_blocks = len(self.blocks)
         self._block_index = {s: i for i, b in enumerate(self.blocks) for s in b}
-        self._block_masks = [kernel.mask_of(b) for b in self.blocks]
-        self.scale = kernel.scale
-        # bm[i][j]: scaled rate of block i's first state into block j; constant
-        # on blocks because blocks are bisimulation classes
-        columns = [kernel.scaled_measures(b) for b in self._block_masks]
-        self.bm = [
-            [column[(b & -b).bit_length() - 1] for column in columns]
-            for b in self._block_masks
-        ]
-        # sums[i]: scaled exit total of block i, that of its first state
-        self.sums = [kernel.totals[(b & -b).bit_length() - 1] for b in self._block_masks]
-        # _columns[j][i]: bm[i][j], each block's scaled rate into block j
-        self._columns = [list(column) for column in zip(*self.bm)]
+        # the quotient kernel: one state per block, named by its first state.
+        # Every state of a block has the same rate into each block, so block
+        # i's row is its first state's row summed by target block
+        block_at = [self._block_index[s] for s in kernel.states]
+        firsts: dict[int, int] = {}
+        for position, i in enumerate(block_at):
+            firsts.setdefault(i, position)
+        names = [kernel.states[firsts[i]] for i in range(self.n_blocks)]
+        rates: dict[tuple[str, str], int] = {}
+        for i, position in firsts.items():
+            for bit, w in kernel.rows[position]:
+                key = (names[i], names[block_at[bit.bit_length() - 1]])
+                rates[key] = rates.get(key, 0) + w
+        self.quotient = Kernel(
+            names, {key: Fraction(w, kernel.scale) for key, w in rates.items()}
+        )
+        # D_q, which divides the kernel's scale D
+        self.scale = self.quotient.scale
+        # sums[i]: scaled exit total of block i
+        self.sums = self.quotient.totals
         # _masses[i][mask]: scaled theta of block i into the blocks of mask
         self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
-        # the generator family and its block projection, built on first use
+        # the generator family of the quotient, built on first use
         self._family: Optional[dict[int, Formula]] = None
-        self._family_blocks: Optional[list[int]] = None
 
     # --- exact integer core ----------------------------------------------
 
@@ -99,17 +109,9 @@ class OrderSolver:
         masses = self._masses[i]
         value = masses.get(mask)
         if value is None:
-            row = self.bm[i]
-            value = sum(row[b] for b in range(self.n_blocks) if mask >> b & 1)
-            masses[mask] = value
+            row = self.quotient.rows[i]
+            value = masses[mask] = sum([w for b, w in row if b & mask])
         return value
-
-    def _masses_into(self, mask: int) -> list[int]:
-        # every block's scaled theta into the blocks of mask, column by column
-        columns = [column for b, column in enumerate(self._columns) if mask >> b & 1]
-        if not columns:
-            return [0] * self.n_blocks
-        return [sum(masses) for masses in zip(*columns)]
 
     def _limit(self, e: Rate) -> int:
         # an integer slack x exceeds e exactly when x > floor(e * scale)
@@ -123,29 +125,15 @@ class OrderSolver:
 
     @property
     def family(self) -> dict[int, Formula]:
-        """The kernel's generator family (``generators``), built once per solver."""
+        """The quotient's generator family (``generators``), keyed by block
+        bitmask and built once per solver."""
         if self._family is None:
-            self._family = generators(self.kernel)
+            self._family = generators(self.quotient)
         return self._family
 
     def family_blocks(self) -> list[int]:
-        """The plain generator family, each member as a bitmask of blocks."""
-        if self._family_blocks is None:
-            family = []
-            for member in self.family:
-                blocks = covered = 0
-                for i, b in enumerate(self._block_masks):
-                    if member & b:
-                        blocks |= 1 << i
-                        covered |= b
-                # members are unions of blocks, so the projection is lossless
-                if covered != member:
-                    raise InternalCheckError(
-                        "generator member is not a union of bisimulation blocks"
-                    )
-                family.append(blocks)
-            self._family_blocks = family
-        return self._family_blocks
+        """The members of ``family``, block bitmasks, in the order added."""
+        return list(self.family)
 
     # --- plain order: greatest fixpoint ----------------------------------
 
@@ -177,7 +165,7 @@ class OrderSolver:
         return frozenset(proved)
 
     def _unmet(self, rel: frozenset, limit: int) -> Optional[list[BlockPair]]:
-        """None if a pullback bound theta_i(R⁻¹b) <= bm[j][b] fails, which no
+        """None if a pullback bound theta_i(R⁻¹b) <= theta_j(b) fails, which no
         added pair repairs (pullbacks only grow); else the pairs of rel, in
         sorted order, whose total slack sums[j] - theta_i(dom R) exceeds limit.
         """
@@ -190,8 +178,7 @@ class OrderSolver:
         mass = self._mass
         unmet = []
         for (i, j) in sorted(rel):
-            row_j = self.bm[j]
-            if any(mass(i, into_b) > row_j[b] for b, into_b in pulled):
+            if any(mass(i, into_b) > mass(j, 1 << b) for b, into_b in pulled):
                 return None
             if self.sums[j] - mass(i, lefts) > limit:
                 unmet.append((i, j))
@@ -223,10 +210,10 @@ class OrderSolver:
                 return None
             if not unmet:
                 return rel
-            row = self.bm[unmet[0][0]]
+            first = unmet[0][0]
             lefts = {bi for (bi, _) in rel}
             for cand in candidates:
-                if cand[0] not in lefts and row[cand[0]] > 0:
+                if cand[0] not in lefts and self._mass(first, 1 << cand[0]) > 0:
                     found = dfs(rel | {cand})
                     if found is not None:
                         return found
@@ -270,11 +257,11 @@ class PlainDescent:
     def __init__(self, solver: OrderSolver):
         members = solver.family_blocks()
         n = solver.n_blocks
-        self._masses_into = solver._masses_into
+        self._measures = solver.quotient.scaled_measures
         # each member with the blocks it holds
         self._members = [(c, [j for j in range(n) if c >> j & 1]) for c in members]
         # theta[k][j]: scaled theta of block j into family member k
-        self._theta = [solver._masses_into(c) for c in members]
+        self._theta = [self._measures(c) for c in members]
         # into[j]: the blocks R-related into block j
         everything = (1 << n) - 1
         self._into = [everything] * n
@@ -329,7 +316,7 @@ class PlainDescent:
             tops[closure] = row if top is None else list(map(max, top, row))
         violation = self.violation
         for closure, top in tops.items():
-            base = self._masses_into(closure)
+            base = self._measures(closure)
             for (i, j), v in violation.items():
                 slack = top[j] - base[i]
                 if slack > v:

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from cml_kit import EpsilonOrder, Kernel, bisimulation, disjoint_union, distance, holds
 from cml_kit import orders
+from cml_kit.equivalence import generators
 from cml_kit.errors import SearchBudgetExceeded
+from cml_kit.formula import print_formula
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.orders import OrderSolver
 
@@ -25,6 +27,24 @@ generated_kernels = st.builds(
     st.sampled_from(((Q(0), Q(1), Q(2), Q(3), Q(1, 2)), (Q(1, 3), Q(2, 7), Q(3, 2), Q(5)))),
     st.integers(0, 1 << 16),
 )
+
+
+def projected_family(kernel: Kernel, solver: OrderSolver) -> list[int]:
+    """The kernel's own family, each member projected from a state bitmask
+    onto the bitmask of the blocks it meets, as an oracle for the family the
+    solver builds on its quotient."""
+    block_masks = [kernel.mask_of(b) for b in solver.blocks]
+    family = []
+    for member in generators(kernel):
+        blocks = covered = 0
+        for i, b in enumerate(block_masks):
+            if member & b:
+                blocks |= 1 << i
+                covered |= b
+        # members are unions of blocks, so the projection is lossless
+        assert covered == member, "generator member is not a union of blocks"
+        family.append(blocks)
+    return family
 
 
 def round_loop_plain_pairs(solver: OrderSolver, e: Fraction) -> frozenset:
@@ -345,6 +365,40 @@ def test_plain_descent_matches_the_round_loop(k1, k2):
         descent.descend(solver._limit(e))
         assert frozenset(descent.violation) == expected
         assert descent.violation == exact_violations(solver, expected)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.one_of(generated_kernels,
+                 st.builds(disjoint_union, generated_kernels, generated_kernels)))
+def test_solver_family_is_the_kernel_family_on_blocks(kernel):
+    # the solver builds the family of its quotient kernel; it is the kernel's
+    # own family projected onto blocks, member for member and formula for
+    # formula, at a scale that divides the kernel's
+    solver = OrderSolver(kernel)
+    assert solver.family_blocks() == projected_family(kernel, solver)
+    assert [print_formula(f) for f in solver.family.values()] == [
+        print_formula(f) for f in generators(kernel).values()
+    ]
+    quotient = bisimulation(solver.quotient).blocks
+    assert len(quotient) == solver.n_blocks and all(len(b) == 1 for b in quotient)
+    assert kernel.scale % solver.scale == 0
+
+
+def test_quotient_scale_can_be_smaller_than_the_kernel_scale():
+    # a's two halves go to the bisimilar deadlocks b and c, so a and d are
+    # bisimilar and the quotient's one rate is 1
+    kernel = Kernel(
+        ["a", "b", "c", "d"], {("a", "b"): "1/2", ("a", "c"): "1/2", ("d", "b"): "1"}
+    )
+    solver = OrderSolver(kernel)
+    assert kernel.scale == 2 and solver.scale == 1
+    assert solver.family_blocks() == projected_family(kernel, solver)
+    assert distance(kernel, "a", kernel, "d").value == 0
+    # the union's scale is 6 and its quotient's 3
+    third = Kernel(["a", "b"], {("a", "b"): "1/3"})
+    assert distance(kernel, "a", third, "a").value == Q(2, 3)
+    assert holds(third, "a", kernel, "a", Q(2, 3))
+    assert not holds(third, "a", kernel, "a", Q(2, 3) - Q(1, 1000))
 
 
 def test_epsilon_order_is_a_value():

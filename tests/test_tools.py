@@ -116,6 +116,35 @@ def test_search_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "search: 428 cases identical\n"
 
 
+def test_proofs_dump_is_repeatable(tmp_path, capsys, monkeypatch):
+    dump = _dump_module()
+    monkeypatch.setattr(dump, "PROOF_CASES", 300)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["proofs", "-o", str(first)]) == 0
+    assert dump.main(["proofs", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    assert len(docs) == 323 and list(docs) == sorted(docs)
+    assert docs["proofs/tests/a1"] == {"case": "proofs/tests/a1", "ok": True, "error": None}
+    assert docs["proofs/tests/taut-first-failing-assignment"]["error"] == (
+        "line 1: tautology check failed under assignment L{1} T=0, L{2} T=1, L{3} T=1"
+    )
+    assert docs["proofs/tests/format-missing-epsilon"]["error"] == "ProofFormatError"
+    # the seeded documents both check and fail, and every failure names an
+    # assignment of the tautology line, which is the last line
+    seeded = [doc for case, doc in docs.items() if case.startswith("proofs/seeded/")]
+    failed = [doc for doc in seeded if not doc["ok"]]
+    assert 0 < len(failed) < len(seeded)
+    for doc in failed:
+        premises, _ = doc["query"]
+        assert doc["error"].startswith(
+            f"line {len(premises) + 1}: tautology check failed under assignment "
+        )
+    assert "proofs: 323 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "proofs: 323 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

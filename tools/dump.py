@@ -21,12 +21,13 @@ Sections:
 - ``load``: each kernel's states, scale, printed ``rate_items`` and each
   state's printed ``total``, on the shipped models, their 49 ordered disjoint
   unions and ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states.
-- ``orders``: on the corpora and the models and their unions, the
-  ``generators`` family as (bitmask, printed formula) pairs in order,
-  ``family_blocks()``, the sorted ``plain_pairs`` and ``essential_pairs`` at
-  the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages of a ``PlainDescent`` as
-  (peak, sorted deleted block pairs); on the unions of two ``gen_kernel``
-  kernels (density 1/2) with 12, 14 and 15 blocks, the family only.
+- ``orders``: on the corpora and the models and their unions, the kernel's
+  ``generators`` family as (state bitmask, printed formula) pairs in order,
+  the solver's ``family_blocks()``, the sorted ``plain_pairs`` and
+  ``essential_pairs`` at the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages
+  of a ``PlainDescent`` as (peak, sorted deleted block pairs); on the unions
+  of two ``gen_kernel`` kernels (density 1/2) with 12, 14 and 15 blocks, the
+  family only.
 - ``metric``: ``distance`` as its printed ``value`` and ``attained_at`` for
   every ordered state pair of each corpus kernel, and for each of the 49
   ordered pairs of shipped models, every state of the first against every
@@ -43,6 +44,12 @@ Sections:
   4-rate grids, and on ``SEARCH_CASES`` seeded queries: formulas of depth at
   most 3 over ``SEARCH_RATES``, 1 to 3 states, grids of 1 to 4 of those rates
   and a budget from ``SEARCH_BUDGETS``.
+- ``proofs``: ``check_result`` (ok flag and error text) of each proof
+  document loaded by ``loads_proof``, or the load's error: the documents the
+  proof-checker and CLI tests build, and ``PROOF_CASES`` seeded documents,
+  each premises as hypotheses and one ``Tautology`` line over them, with
+  formulas over 1 to 6 atoms ``L{r} T`` (r from ``SEARCH_RATES``) and the
+  query (printed premises and conclusion).
 """
 
 from __future__ import annotations
@@ -73,6 +80,7 @@ SEARCH_RATES = ("0", "1/3", "1/2", "1", "3/2", "2", "3")
 # its end (4 + 256 assignments)
 SEARCH_BUDGETS = (5, 17, 100, 259, 260, 600, 2000)
 SEARCH_CASES = 3000
+PROOF_CASES = 3000
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -156,7 +164,7 @@ def _orders_cases() -> Iterator[Case]:
 
     def orders(kernel) -> dict:
         solver = OrderSolver(kernel)
-        doc = family(solver.family)
+        doc = family(generators(kernel))
         doc["family_blocks"] = solver.family_blocks()
         for kind, pairs in (("plain", solver.plain_pairs), ("essential", solver.essential_pairs)):
             doc[kind] = {e: sorted(pairs(Fraction(e))) for e in ORDER_SLACKS}
@@ -277,6 +285,118 @@ def _search_cases() -> Iterator[Case]:
         yield f"seeded/{i:04d}", lambda args=(f, e, n, grid, budget): search(*args)
 
 
+def _proofs_cases() -> Iterator[Case]:
+    import random
+    from fractions import Fraction
+
+    from cml_kit.formula import And, Implies, L, Not, Or, Top, print_formula
+    from cml_kit.proofcheck import axiom_instance, check_result, loads_proof
+
+    def prove(doc: object) -> dict:
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        ok, error = check_result(loads_proof(text))
+        return {"ok": ok, "error": error}
+
+    def document(e: str, lines: list, conclusion: str, hypotheses=()) -> dict:
+        lines = [{"formula": f, "by": by} for f, by in lines]
+        return {"epsilon": e, "hypotheses": list(hypotheses), "lines": lines,
+                "conclusion": conclusion}
+
+    a3 = print_formula(axiom_instance("A3", Fraction(1), Top(), Not(Top()), Fraction(1),
+                                      Fraction(0)))
+    a4 = print_formula(axiom_instance("A4", Fraction(1, 3), Top(), L(Fraction(1), Top()),
+                                      Fraction(1), Fraction(2)))
+    cap = " & ".join(f"L{{{r}}} T" for r in range(1, 19))  # 18 atoms
+    a2 = {"axiom": "A2", "phi": "T", "r": "1", "s": "2"}
+    for name, doc in (
+        ("a1", document("1/2", [("L{1/2} T", {"axiom": "A1", "phi": "T"})], "L{1/2} T")),
+        ("a1-mismatch", document("1/2", [("L{1} T", {"axiom": "A1", "phi": "T"})],
+                                 "L{1/2} T")),
+        ("a1-schema-mismatch", document("0", [("L{2} T", {"axiom": "A1"})], "L{2} T")),
+        ("a2-mp-from-hypothesis", document(
+            "0", [("L{3} T", {"hyp": 0}), ("L{3} T -> L{1} T", a2),
+                  ("L{1} T", {"mp": [1, 2]})], "L{1} T", ["L{3} T"])),
+        ("a2-sugar", document("0", [("!(L{3} T & !L{1} T)", a2)], "L{3} T -> L{1} T")),
+        ("a2-soundness", document("1/3", [("L{2} T -> L{1} T",
+                                           {"axiom": "A2", "r": "1", "s": "1"})],
+                                  "L{2} T -> L{1} T")),
+        ("a3-negative-index", document(
+            "1", [("T", {"axiom": "A3", "phi": "T", "psi": "T", "r": "0", "s": "0"})], "T")),
+        ("a3-boundary", document(
+            "1", [(a3, {"axiom": "A3", "phi": "T", "psi": "!T", "r": "1", "s": "0"})], a3)),
+        ("a4-soundness", document(
+            "1/3", [(a4, {"axiom": "A4", "phi": "T", "psi": "L{1} T", "r": "1", "s": "2"})],
+            a4)),
+        ("dangling-reference", document("0", [("T", {"mp": [1, 2]})], "T")),
+        ("mp-not-an-implication", document(
+            "0", [("L{0} T", {"axiom": "A1"}), ("L{0} T", {"axiom": "A1"}),
+                  ("T", {"mp": [1, 2]})], "T")),
+        ("r1", document("0", [("T & T -> T", {"taut": []}),
+                              ("L{2} (T & T) -> L{2} T", {"r1": [1, "2"]})],
+                        "L{2} (T & T) -> L{2} T")),
+        ("taut-premises", document(
+            "0", [("L{1} T", {"hyp": 0}), ("L{1} T -> L{1} T", {"taut": []}),
+                  ("L{1} T & L{1} T", {"taut": [1]})], "L{1} T & L{1} T", ["L{1} T"])),
+        ("taut-fails", document("0", [("L{1} T", {"taut": []})], "L{1} T")),
+        ("taut-first-failing-assignment", document(
+            "0", [("(L{1} T -> L{2} T) & !(L{2} T & L{3} T)", {"taut": []})],
+            "(L{1} T -> L{2} T) & !(L{2} T & L{3} T)")),
+        ("taut-atom-cap", document("0", [(f"{cap} -> {cap}", {"taut": []})],
+                                   f"{cap} -> {cap}")),
+        ("conclusion-differs", document("0", [("L{0} T", {"axiom": "A1"})], "T")),
+        ("format-top-level-list", [{"formula": "T", "by": {"taut": []}}]),
+        ("format-mp-one-number", {"epsilon": "0", "lines": [
+            {"formula": "T", "by": {"mp": [1]}}], "conclusion": "T"}),
+        ("format-mp-not-numbers", {"epsilon": "0", "lines": [
+            {"formula": "T", "by": {"mp": ["x", "y"]}}], "conclusion": "T"}),
+        ("format-taut-not-list", {"epsilon": "0", "lines": [
+            {"formula": "T", "by": {"taut": 5}}], "conclusion": "T"}),
+        ("format-missing-epsilon", {"lines": [{"formula": "T", "by": {"taut": []}}],
+                                    "conclusion": "T"}),
+        ("format-deeply-nested", "[" * 100_000),
+    ):
+        yield f"tests/{name}", lambda doc=doc: prove(doc)
+
+    def formula(rng: random.Random, atoms: list, depth: int):
+        kind = rng.choice(("atom", "And", "Or", "Implies", "Not")) if depth else "atom"
+        if kind == "atom":
+            return rng.choice(atoms)
+        if kind == "Not":
+            return Not(formula(rng, atoms, depth - 1))
+        build = {"And": And, "Or": Or, "Implies": Implies}[kind]
+        return build(formula(rng, atoms, depth - 1), formula(rng, atoms, depth - 1))
+
+    def tautology(premises: list, conclusion) -> dict:
+        # the premises as hypotheses, then one Tautology line over them
+        lines = [(print_formula(p), {"hyp": i}) for i, p in enumerate(premises)]
+        lines.append((print_formula(conclusion), {"taut": list(range(1, len(premises) + 1))}))
+        doc = document("0", lines, print_formula(conclusion), map(print_formula, premises))
+        answer = prove(doc)
+        answer["query"] = [[print_formula(p) for p in premises], print_formula(conclusion)]
+        return answer
+
+    rng = random.Random(11)
+    for i in range(PROOF_CASES):
+        rates = rng.sample(SEARCH_RATES, rng.randint(1, 6))
+        atoms = [L(Fraction(r), Top()) for r in rates]
+        f, g = formula(rng, atoms, 2), formula(rng, atoms, 2)
+        # random premises and conclusion, which mostly fail, half the time;
+        # else one of four shapes, three of which always hold
+        shape = rng.randrange(8)
+        if shape < 4:
+            premises = [formula(rng, atoms, 2) for _ in range(rng.randint(0, 2))]
+            conclusion = formula(rng, atoms, 3)
+        elif shape == 4:
+            premises, conclusion = [], Implies(f, Or(f, g))
+        elif shape == 5:
+            premises, conclusion = [f, Implies(f, g)], g
+        elif shape == 6:
+            premises, conclusion = [And(f, g)], And(g, f)
+        else:
+            premises, conclusion = [Or(f, g)], f
+        yield f"seeded/{i:04d}", lambda args=(premises, conclusion): tautology(*args)
+
+
 SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
@@ -285,6 +405,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "suites": _suites_cases,
     "mutations": _mutations_cases,
     "search": _search_cases,
+    "proofs": _proofs_cases,
 }
 
 
