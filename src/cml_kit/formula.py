@@ -257,9 +257,9 @@ def normal_form(f: Formula) -> Formula:
 DNF_CLAUSE_BUDGET = 512
 
 # The deepest a normal form may nest: its Or chain, one clause's And chain and
-# the literal below it, whose body nests again. The printer and ``encode_abs``
-# recurse once per level, and a single clause of many literals is not bounded
-# by the clause count. DNF_CLAUSE_BUDGET + MAX_DEPTH levels: room for the
+# the literal below it, whose body nests again. The printer and the evaluator
+# recurse once per level of the result, and a single clause of many literals
+# is not bounded by the clause count. DNF_CLAUSE_BUDGET + MAX_DEPTH levels: room for the
 # longest Or chain the clause budget allows and MAX_DEPTH more, well inside
 # the interpreter's recursion limit of 1000.
 NF_NESTING_BUDGET = 768
@@ -267,7 +267,7 @@ NF_NESTING_BUDGET = 768
 
 def _normal_form(f: Formula) -> tuple[Formula, int]:
     # the normal form and its disjunctions, unrolled through the modal bodies
-    clauses, inner = _clauses(f, True)
+    clauses, inner = _clauses(f, True, 0)
     return _join(clauses)[0], len(clauses) - 1 + inner
 
 
@@ -283,26 +283,28 @@ def _join(clauses: list[tuple[list[Formula], int]]) -> tuple[Formula, int]:
 
 
 def _clauses(
-    f: Formula, positive: bool
+    f: Formula, positive: bool, e: Rate
 ) -> tuple[list[tuple[list[Formula], int]], int]:
     # the clauses of the normal form of f (of !f when not positive), each with
     # the nesting of its deepest literal, and the disjunctions inside their
-    # literals' bodies, counted per occurrence
+    # literals' bodies, counted per occurrence; a negated modal literal's
+    # index moves up by e, at every modal depth
     if isinstance(f, Top):
         return [([Top() if positive else Bot()], 0)], 0
     if isinstance(f, Not):
-        return _clauses(f.child, not positive)
+        return _clauses(f.child, not positive, e)
     if isinstance(f, L):
-        clauses, inner = _clauses(f.child, True)
+        clauses, inner = _clauses(f.child, True, e)
         body, nesting = _join(clauses)
-        lit = L(f.rate, body)
-        if not positive:
-            lit, nesting = Not(lit), nesting + 1
+        if positive:
+            lit = L(f.rate, body)
+        else:
+            lit, nesting = Not(L(f.rate + e, body)), nesting + 1
         return [([lit], nesting + 1)], len(clauses) - 1 + inner
     if not isinstance(f, And):
         raise TypeError(f"not a formula node: {f!r}")
-    left, left_inner = _clauses(f.left, positive)
-    right, right_inner = _clauses(f.right, positive)
+    left, left_inner = _clauses(f.left, positive, e)
+    right, right_inner = _clauses(f.right, positive, e)
     if positive:
         # every left clause joins every right clause, and so repeats the
         # bodies of its literals once per right clause
@@ -324,30 +326,12 @@ def _clauses(
 def encode_abs(f: Formula, e: Rate) -> Formula:
     """Asymmetric index shift on the normal form: negated modal literals move up.
 
-    The input is first brought to NNF/DNF over modal literals; then L r psi
-    maps to L r |psi|, !L r psi maps to !L (r+e) |psi|, and T, F, &, | are
-    homomorphic.
+    The input is brought to NNF/DNF over modal literals, as ``normal_form``
+    does, and in the same pass L r psi maps to L r |psi|, !L r psi maps to
+    !L (r+e) |psi|, and T, F, &, | are homomorphic.
     """
-    e = ensure_rate(e)
-    return _abs_clauses(normal_form(f), e)
-
-
-def _abs_clauses(f: Formula, e: Rate) -> Formula:
-    if isinstance(f, Top):
-        return f
-    if is_bot(f):
-        return f
-    operands = or_operands(f)
-    if operands is not None:
-        return Or(_abs_clauses(operands[0], e), _abs_clauses(operands[1], e))
-    if isinstance(f, And):
-        return And(_abs_clauses(f.left, e), _abs_clauses(f.right, e))
-    if isinstance(f, L):
-        return L(f.rate, _abs_clauses(f.child, e))
-    if isinstance(f, Not) and isinstance(f.child, L):
-        inner = f.child
-        return Not(L(inner.rate + e, _abs_clauses(inner.child, e)))
-    raise TypeError(f"normal form violated at {f!r}")
+    clauses, _ = _clauses(f, True, ensure_rate(e))
+    return _join(clauses)[0]
 
 
 # --- propositional atoms (modal subformulas treated as opaque) ---------------
@@ -369,19 +353,6 @@ def modal_atoms(f: Formula) -> list[L]:
 
     walk(f)
     return list(seen)
-
-
-def prop_eval(f: Formula, assignment: dict) -> bool:
-    """Truth value with each outermost L-atom read from the assignment."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, L):
-        return assignment[f]
-    if isinstance(f, Not):
-        return not prop_eval(f.child, assignment)
-    if isinstance(f, And):
-        return prop_eval(f.left, assignment) and prop_eval(f.right, assignment)
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -29,9 +29,10 @@ from ..rational import Rate, ensure_rate
 PAIR_CAP = 20_000
 
 
-def pair_mask(kernel: Kernel, s0: frozenset, se: frozenset) -> int:
-    """The mask of the extension pair (s0, se)."""
-    return kernel.mask_of(s0) | kernel.mask_of(se) << len(kernel.states)
+def pair_mask(kernel: Kernel, s0: int, se: int) -> int:
+    """The mask of the extension pair (s0, se), given as state masks: s0 in
+    the low |S| bits and se above them."""
+    return s0 | se << len(kernel.states)
 
 
 def _at_least(values: list[int], r: int) -> int:

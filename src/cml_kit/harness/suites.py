@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
-from ..equivalence import Partition, generators, partition_from_family
+from ..equivalence import generators, partition_from_family
 from ..formula import (
     And,
     Formula,
@@ -167,8 +167,9 @@ def _suite_corpus(budget: Budget, cap: Optional[int] = None) -> list[Kernel]:
     return corpus(kernels=budget.kernels, max_states=max_states, seed=budget.seed)
 
 
-def _union_of_blocks(members: frozenset, partition: Partition) -> bool:
-    return all(b <= members or not (b & members) for b in partition.blocks)
+def _union_of_blocks(members: int, blocks: list[int]) -> bool:
+    """Whether the state mask ``members`` is a union of the block masks."""
+    return all(members & b in (0, b) for b in blocks)
 
 
 def _family_grid(
@@ -236,9 +237,9 @@ def _formula_suite(
 
 def _t2_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
     at = f"at e={format_rate(e)}, e'={format_rate(e2)}"
-    if ev.extension(f, e + e2) != ev.extension(encode_down(f, e2), e):
+    if ev.mask(f, e + e2) != ev.mask(encode_down(f, e2), e):
         return [f"transfer (down) broken {at}"]
-    if ev.extension(f, e) != ev.extension(encode_up(f, e2), e + e2):
+    if ev.mask(f, e) != ev.mask(encode_up(f, e2), e + e2):
         return [f"transfer (up) broken {at}"]
     return []
 
@@ -253,11 +254,11 @@ def suite_t2(budget: Budget) -> SuiteReport:
 
 
 def _c2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
-    ext = ev.extension(f, e)
+    ext = ev.mask(f, e)
     if (
-        ext == ev.extension(encode_down(f, e), _ZERO)
-        and ev.extension(f, _ZERO) == ev.extension(encode_up(f, e), e)
-        and ev.extension(Not(f), e) == ev.kernel.state_set - ext
+        ext == ev.mask(encode_down(f, e), _ZERO)
+        and ev.mask(f, _ZERO) == ev.mask(encode_up(f, e), e)
+        and ev.mask(Not(f), e) == ev.kernel.full ^ ext
     ):
         return []
     return [f"0-transfer or complementation broken at e={format_rate(e)}"]
@@ -274,9 +275,9 @@ def suite_c2(budget: Budget) -> SuiteReport:
 def _l1_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
     at = f"at e={format_rate(e)}, e'={format_rate(e2)}"
     problems = []
-    if not ev.extension(f, e) <= ev.extension(f, e + e2):
+    if ev.mask(f, e) & ~ev.mask(f, e + e2):
         problems.append(f"positive monotonicity broken {at}")
-    if not ev.extension(Not(f), e + e2) <= ev.extension(Not(f), e):
+    if ev.mask(Not(f), e + e2) & ~ev.mask(Not(f), e):
         problems.append(f"negative antitonicity broken {at}")
     return problems
 
@@ -291,9 +292,9 @@ def suite_l1(budget: Budget) -> SuiteReport:
 def _l2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
     margin = ev.stability_margin(f, e)
     probes = [margin / 2, margin / 3] if margin is not None else [Fraction(1), Fraction(5)]
-    base = ev.extension(f, e)
+    base = ev.mask(f, e)
     for delta in probes:
-        if ev.extension(f, e + delta) != base:
+        if ev.mask(f, e + delta) != base:
             return [f"extension moved within the stability margin at "
                     f"e={format_rate(e)}, delta={format_rate(delta)}"]
     return []
@@ -317,7 +318,7 @@ def suite_t1(budget: Budget) -> SuiteReport:
         if refined.as_sets() != partition_from_family(kernel, family).as_sets():
             report.fail("partition mismatch", kernel)
         blocks = [kernel.mask_of(b) for b in refined.blocks]
-        if any(c & b not in (0, b) for c in family for b in blocks):
+        if not all(_union_of_blocks(c, blocks) for c in family):
             report.fail("family member is not a union of blocks", kernel)
     return report
 
@@ -329,7 +330,7 @@ def suite_c1(budget: Budget) -> SuiteReport:
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
         family = generators(kernel)
-        partition = equivalence_mod.bisimulation(kernel)
+        blocks = [kernel.mask_of(b) for b in equivalence_mod.bisimulation(kernel).blocks]
         grid = _family_grid(kernel, family, ()) or (_ZERO,)
         pos, _ = _formulas(budget, grid, Fragment.POSITIVE)
         full, _ = _formulas(budget, grid, Fragment.FULL)
@@ -338,12 +339,12 @@ def suite_c1(budget: Budget) -> SuiteReport:
         for c in sorted(family, key=lambda c: (c.bit_count(),
                                                [i for i in bits if c >> i & 1])):
             report.checked += 1
-            if kernel.mask_of(ev.extension(family[c], _ZERO)) != c:
+            if ev.mask(family[c], _ZERO) != c:
                 report.fail("defining formula misses its member", kernel, family[c])
         for f in pos:
             for e in budget.epsilons:
                 report.checked += 1
-                if kernel.mask_of(ev.extension(f, e)) not in family:
+                if ev.mask(f, e) not in family:
                     report.fail(
                         f"positive extension escapes the family at e={format_rate(e)}",
                         kernel,
@@ -352,7 +353,7 @@ def suite_c1(budget: Budget) -> SuiteReport:
         for f in full:
             for e in budget.epsilons:
                 report.checked += 1
-                if not _union_of_blocks(ev.extension(f, e), partition):
+                if not _union_of_blocks(ev.mask(f, e), blocks):
                     report.fail(
                         f"extension is not a union of blocks at e={format_rate(e)}",
                         kernel,
@@ -459,8 +460,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                     same = partition.same_block(m, n)
                     if same:
                         if extensions is None:
-                            extensions = [ev.extension(f, e) for f in formulas]
-                        if not all((m in ext) == (n in ext) for ext in extensions):
+                            extensions = [ev.mask(f, e) for f in formulas]
+                        if not all(ext >> i & 1 == ext >> j & 1 for ext in extensions):
                             report.fail(
                                 f"bisimilar pair {m},{n} distinguished at "
                                 f"e={format_rate(e)}",
@@ -474,8 +475,8 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                             continue
                         body = encode_up(phi, e)
                         candidate = L(Fraction(max(wm, wn), kernel.scale) + e, body)
-                        ext = ev.extension(candidate, e)
-                        if (m in ext) != (n in ext):
+                        ext = ev.mask(candidate, e)
+                        if ext >> i & 1 != ext >> j & 1:
                             witness = candidate
                             break
                     if witness is None:
@@ -521,7 +522,7 @@ def _transfer_suite(
             for f in formulas:
                 report.checked += 1
                 side = f if encode is None else encode(f, e)
-                pair = pair_mask(kernel, ev.extension(f, _ZERO), ev.extension(side, e))
+                pair = pair_mask(kernel, ev.mask(f, _ZERO), ev.mask(side, e))
                 if pair not in reachable:
                     report.fail(f"enumerated {encoded}behavior escapes the saturation "
                                 f"{at}", kernel, f)
@@ -738,15 +739,14 @@ def suite_deduction(budget: Budget) -> SuiteReport:
                 for e2, e in positive_pairs:
                     report.checked += 1
                     level = e2 + e
-                    premise = ev.extension(phi, e2)
-                    conclusion = ev.extension(psi, level)
-                    direct = ev.extension(Implies(phi, psi), level) & premise
-                    if not direct <= conclusion:
+                    premise = ev.mask(phi, e2)
+                    conclusion = ev.mask(psi, level)
+                    if ev.mask(Implies(phi, psi), level) & premise & ~conclusion:
                         report.fail(
                             "pointwise detachment broken", kernel, Implies(phi, psi)
                         )
-                    contra = ev.extension(Implies(Not(psi), Not(phi)), level) & premise
-                    if not contra <= conclusion:
+                    contra = ev.mask(Implies(Not(psi), Not(phi)), level)
+                    if contra & premise & ~conclusion:
                         report.fail(
                             "pointwise contrapositive detachment broken",
                             kernel,

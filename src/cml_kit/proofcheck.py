@@ -10,7 +10,6 @@ not representable here.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import IO, Union
 
@@ -28,6 +27,7 @@ from .formula import (
     Implies,
     L,
     Not,
+    Top,
     encode_down,
     encode_up,
     implies_operands,
@@ -35,7 +35,6 @@ from .formula import (
     modal_indices,
     parse,
     print_formula,
-    prop_eval,
     strip_sugar,
 )
 from .rational import Rate, ensure_rate, format_rate
@@ -204,30 +203,48 @@ def _check_line(
 
 
 def _check_tautology(number: int, premises: list[Formula], formula: Formula) -> None:
-    atoms: dict = {}
-    for g in premises + [formula]:
-        for atom in modal_atoms(g):
-            atoms.setdefault(atom, None)
-    atom_list = list(atoms)
+    atom_list = list(dict.fromkeys(a for g in [*premises, formula] for a in modal_atoms(g)))
     if len(atom_list) > MAX_TAUTOLOGY_ATOMS:
         raise ProofCheckError(
             number,
             f"tautology check over {len(atom_list)} modal atoms exceeds the "
             f"limit of {MAX_TAUTOLOGY_ATOMS}",
         )
-    for bits in itertools.product((False, True), repeat=len(atom_list)):
-        assignment = dict(zip(atom_list, bits))
-        if all(prop_eval(p, assignment) for p in premises) and not prop_eval(
-            formula, assignment
-        ):
-            raise ProofCheckError(
-                number,
-                "tautology check failed under assignment "
-                + ", ".join(
-                    f"{print_formula(a)}={'1' if assignment[a] else '0'}"
-                    for a in atom_list
-                ),
-            )
+    # Truth tables as integers over the 2**k assignments x of the k atoms, in
+    # itertools.product order: atom i is bit k-1-i of x, and bit x of a
+    # formula's table is its truth value under x. Each step adds an atom that
+    # varies slower than those before it: it holds on the upper half of the
+    # doubled assignments, and every earlier table repeats there.
+    size, full, tables = 1, 1, []
+    for _ in atom_list:
+        tables = [full << size] + [t | t << size for t in tables]
+        full |= full << size
+        size *= 2
+    tables = dict(zip(atom_list, tables))
+    failures = full ^ _truth_table(formula, tables, full)
+    for p in premises:
+        failures &= _truth_table(p, tables, full)
+    if failures:
+        # the lowest failing assignment is the first one in product order
+        x = (failures & -failures).bit_length() - 1
+        raise ProofCheckError(
+            number,
+            "tautology check failed under assignment "
+            + ", ".join(f"{print_formula(a)}={tables[a] >> x & 1}" for a in atom_list),
+        )
+
+
+def _truth_table(f: Formula, tables: dict, full: int) -> int:
+    # the table of f, with each outermost L-atom's table read from tables
+    if isinstance(f, Top):
+        return full
+    if isinstance(f, L):
+        return tables[f]
+    if isinstance(f, Not):
+        return full ^ _truth_table(f.child, tables, full)
+    if isinstance(f, And):
+        return _truth_table(f.left, tables, full) & _truth_table(f.right, tables, full)
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 # --- translation between slack levels ----------------------------------------
@@ -327,10 +344,11 @@ def _rate_field(value: object, path: str) -> Rate:
 
 
 def _index(value: object) -> int | None:
-    # a line or hypothesis reference: an integer, or a string of digits
+    # a line or hypothesis reference: an integer, or a string of ASCII digits;
+    # str.isdigit() alone also takes superscripts and any script's digits
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str) and value.isdigit():
+    if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     return None
 

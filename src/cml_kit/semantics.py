@@ -9,8 +9,11 @@ recursion over the formula tree: a subformula's extension is a state bitmask,
 and an ``L r phi`` node takes each state's scaled rate w = theta(m)(phi) * D
 into the child's mask. It scales r and e once to integers over a common
 denominator and passes each state's w, scaled the same way, to
-``_modal_holds``, the only place the semantics compares rates. ``extension``
-returns frozensets. Nothing is cached: a caller that needs the same
+``_modal_holds``, the only place the semantics compares rates. ``mask``
+returns that bitmask, and every caller inside the package reads it: ``sat``,
+``valid_on`` and the property suites test bits and compare masks.
+``extension`` and ``eval_formula`` return frozensets, for the CLI and other
+callers outside the package. Nothing is cached: a caller that needs the same
 (formula, e) extension twice keeps the first result.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
@@ -75,7 +78,9 @@ def _modal_holds(total: int, e: int, r: int) -> bool:
 class Evaluator:
     """Extensions on one kernel; it holds the kernel and its full mask only.
 
-    ``extension`` computes every call with one walk over the formula tree,
+    ``mask`` gives an extension as a state bitmask (bit i is state i of the
+    kernel) and ``extension`` as a frozenset of state names. Both compute
+    every call with one walk over the formula tree,
     ``_walk``, and keeps no table: a repeated formula or subformula is
     evaluated again wherever it occurs, which costs less than hashing it to
     look it up.
@@ -84,6 +89,9 @@ class Evaluator:
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._full = kernel.full
+
+    def mask(self, f: Formula, e: Rate) -> int:
+        return self._walk(f, ensure_rate(e))
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
         return self._compute(f, ensure_rate(e))
@@ -150,12 +158,12 @@ def eval_formula(kernel: Kernel, f: Formula, e: Rate) -> frozenset:
 def sat(kernel: Kernel, state: str, f: Formula, e: Rate) -> bool:
     if state not in kernel.state_set:
         raise KernelError(f"unknown state {state!r}")
-    return state in eval_formula(kernel, f, e)
+    return bool(Evaluator(kernel).mask(f, e) & kernel.mask_of((state,)))
 
 
 def valid_on(kernel: Kernel, f: Formula, e: Rate) -> bool:
     """True when every state of this kernel satisfies f at slack e."""
-    return eval_formula(kernel, f, e) == kernel.state_set
+    return Evaluator(kernel).mask(f, e) == kernel.full
 
 
 def default_rate_grid(f: Formula, e: Rate) -> list[Rate]:

@@ -2,8 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from cml_kit import Kernel
+from cml_kit import And, Kernel, L, Not, Top
 from cml_kit.models import load_model
+
+
+def prop_eval(f, assignment: dict) -> bool:
+    """Truth value with each outermost L-atom read from the assignment: the
+    test oracle for propositional reasoning over modal atoms."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, L):
+        return assignment[f]
+    if isinstance(f, Not):
+        return not prop_eval(f.child, assignment)
+    if isinstance(f, And):
+        return prop_eval(f.left, assignment) and prop_eval(f.right, assignment)
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 @pytest.fixture(scope="session")

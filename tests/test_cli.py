@@ -297,9 +297,13 @@ _LINE = {"formula": "T", "by": {"taut": []}}
         ({"epsilon": "0", "lines": [{"formula": "T", "by": {"taut": 5}}], "conclusion": "T"},
          "lines[1].by.taut: expected a list of line numbers"),
         ({"lines": [_LINE], "conclusion": "T"}, "epsilon: missing field"),
+        # a superscript two is a digit to str.isdigit() but not to int()
+        ({"epsilon": "0", "lines": [{"formula": "T", "by": {"taut": ["\u00b2"]}}],
+          "conclusion": "T"},
+         "lines[1].by.taut: expected a list of line numbers"),
     ],
     ids=["top-level-list", "mp-one-number", "mp-not-numbers", "taut-not-list",
-         "missing-epsilon"],
+         "missing-epsilon", "taut-superscript-digit"],
 )
 def test_malformed_proof_is_usage_error(tmp_path, capsys, doc, path):
     proof = tmp_path / "proof.json"

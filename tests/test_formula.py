@@ -30,9 +30,9 @@ from cml_kit.formula import (
     _normal_form,
     modal_atoms,
     modal_indices,
-    prop_eval,
 )
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
+from conftest import prop_eval
 
 Q = Fraction
 

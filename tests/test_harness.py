@@ -182,8 +182,8 @@ def test_pair_saturation_is_closed():
 
 def test_pair_mask_puts_the_transferred_side_above_the_states():
     kernel = Kernel(["a", "b", "c"])
-    assert pair_mask(kernel, frozenset({"a"}), frozenset({"b", "c"})) == 0b110_001
-    assert pair_mask(kernel, frozenset(), frozenset()) == 0
+    assert pair_mask(kernel, 0b001, 0b110) == 0b110_001
+    assert pair_mask(kernel, 0, 0) == 0
 
 
 def test_transfer_plain_exact_boundary():
@@ -207,7 +207,7 @@ def test_transfer_plain_exact_boundary():
 def test_pair_saturation_on_the_empty_kernel(negated):
     kernel = Kernel([])
     pairs = saturate_pairs(kernel, Q(1, 10), negated_literals=negated)
-    assert pairs == {pair_mask(kernel, frozenset(), frozenset())}
+    assert pairs == {pair_mask(kernel, 0, 0)}
     transfer = transfer_essential if negated else transfer_plain
     assert transfer(kernel, Q(1, 10)) == ({}, pairs)
 

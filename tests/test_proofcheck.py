@@ -1,7 +1,9 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cml_kit import (
     And,
@@ -11,8 +13,10 @@ from cml_kit import (
     L,
     ModusPonens,
     Not,
+    Or,
     Proof,
     ProofCheckError,
+    ProofFormatError,
     ProofLine,
     RateError,
     RuleR1,
@@ -22,10 +26,13 @@ from cml_kit import (
     check,
     check_result,
     loads_proof,
+    print_formula,
     translate_proof,
     valid_on,
 )
+from cml_kit.formula import modal_atoms
 from cml_kit.harness.generate import corpus
+from conftest import prop_eval
 
 Q = Fraction
 T = Top()
@@ -125,6 +132,58 @@ def test_tautology_failure_names_the_first_failing_assignment():
     )
 
 
+def test_tautology_failure_reads_the_premises():
+    # (a & c) | !d fails at 0001, 0011, 0101, 0111, 1001 and 1101 over the
+    # atoms a, b, c, d; the premises rule out 0001 and 0011, and the other bit
+    # order would name 1001
+    a, b, c, d = (L(r, T) for r in (1, 2, 3, 4))
+    premises = [Or(a, b), Implies(c, d)]
+    f = Or(And(a, c), Not(d))
+    lines = [ProofLine(p, Hypothesis(i)) for i, p in enumerate(premises)]
+    lines.append(ProofLine(f, Tautology((1, 2))))
+    with pytest.raises(ProofCheckError) as failure:
+        check(proof_of(Q(0), lines, f, hypotheses=premises))
+    assert str(failure.value) == (
+        "line 3: tautology check failed under assignment "
+        "L{1} T=0, L{2} T=1, L{3} T=0, L{4} T=1"
+    )
+
+
+def _first_failure(premises, f):
+    # the loop over every assignment in itertools.product order that the
+    # checker's integer truth tables replace
+    atoms = list(dict.fromkeys(a for g in [*premises, f] for a in modal_atoms(g)))
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        env = dict(zip(atoms, bits))
+        if all(prop_eval(p, env) for p in premises) and not prop_eval(f, env):
+            return ", ".join(f"{print_formula(a)}={int(env[a])}" for a in atoms)
+    return None
+
+
+_props = st.recursive(
+    st.sampled_from([T] + [L(r, T) for r in range(1, 6)]),
+    lambda kids: st.one_of(
+        st.builds(Not, kids), st.builds(And, kids, kids), st.builds(Or, kids, kids),
+        st.builds(Implies, kids, kids),
+    ),
+    max_leaves=10,
+)
+
+
+@given(st.lists(_props, max_size=2), _props)
+def test_tautology_tables_match_the_assignment_loop(premises, f):
+    lines = [ProofLine(p, Hypothesis(i)) for i, p in enumerate(premises)]
+    lines.append(ProofLine(f, Tautology(tuple(range(1, len(premises) + 1)))))
+    ok, error = check_result(proof_of(Q(0), lines, f, hypotheses=premises))
+    expected = _first_failure(premises, f)
+    if expected is None:
+        assert ok
+    else:
+        assert error == (
+            f"line {len(lines)}: tautology check failed under assignment {expected}"
+        )
+
+
 def test_tautology_atom_cap():
     big = L(1, T)
     formula = big
@@ -154,6 +213,27 @@ def test_sugar_insensitive_comparison():
         "conclusion": "L{3} T -> L{1} T",
     }
     check(loads_proof(json.dumps(doc)))
+
+
+_REFERENCES = {
+    "mp": (lambda ref: [ref, 1], "mp: expected two line numbers"),
+    "r1": (lambda ref: [ref, "2"], "r1: expected a line number and a rate"),
+    "taut": (lambda ref: [ref], "taut: expected a list of line numbers"),
+    "hyp": (lambda ref: ref, "hyp: expected a hypothesis number"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REFERENCES))
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"], ids=["superscript-two", "arabic-one"])
+def test_line_references_take_only_ascii_digits(key, digit):
+    # str.isdigit() holds for both; int() rejects the superscript and reads
+    # the Arabic-Indic digit as 1
+    reference, message = _REFERENCES[key]
+    doc = {"epsilon": "0", "hypotheses": ["T"],
+           "lines": [{"formula": "T", "by": {key: reference(digit)}}], "conclusion": "T"}
+    with pytest.raises(ProofFormatError) as failure:
+        loads_proof(json.dumps(doc))
+    assert str(failure.value) == f"lines[1].by.{message}"
 
 
 def test_json_round_trip():

@@ -61,6 +61,9 @@ def test_single_state_negated_threshold():
 def test_sat_unknown_state(fig1):
     with pytest.raises(KernelError, match="unknown state"):
         sat(fig1, "zz", Top(), 0)
+    # the empty kernel's extensions are all the empty mask
+    with pytest.raises(KernelError, match="unknown state 's0'"):
+        sat(Kernel([]), "s0", Not(Top()), 0)
 
 
 def test_validities(fig1):
@@ -396,4 +399,5 @@ def test_integer_core_matches_fraction_definitions(k, formulas, e):
     ev = Evaluator(k)
     for f in formulas:
         assert ev.extension(f, e) == _fraction_extension(k, f, e)
+        assert ev.mask(f, e) == k.mask_of(ev.extension(f, e))
     assert bisimulation(k).as_sets() == _fraction_bisimulation(k)

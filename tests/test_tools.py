@@ -145,6 +145,35 @@ def test_proofs_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "proofs: 323 cases identical\n"
 
 
+def test_oracles_dump_is_repeatable(tmp_path, capsys, monkeypatch):
+    dump = _dump_module()
+    monkeypatch.setattr(dump, "ORACLE_SEEDS", (3,))
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["oracles", "-o", str(first)]) == 0
+    assert dump.main(["oracles", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    # 10 kernels, 2 oracles, 5 slacks
+    assert len(docs) == 100 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    slacks = ("0", "1/10", "1/3", "1", "5/2")
+    for i in range(10):
+        plain = [docs[f"oracles/corpus(10,4,3)/{i:02d}/plain/e={e}"] for e in slacks]
+        # the plain order is reflexive and grows with the slack
+        states = {m for doc in plain for pair in doc["true"] for m in pair}
+        assert all([m, m] in plain[0]["true"] for m in states)
+        for lo, hi in zip(plain, plain[1:]):
+            assert set(map(tuple, lo["true"])) <= set(map(tuple, hi["true"]))
+    # the first kernel has the one state s0; its pairs are the empty and the
+    # full pair
+    first_case = docs["oracles/corpus(10,4,3)/00/plain/e=0"]
+    assert first_case == {"case": "oracles/corpus(10,4,3)/00/plain/e=0",
+                          "pairs": [0, 3], "true": [["s0", "s0"]]}
+    assert "oracles: 100 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "oracles: 100 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -50,6 +50,11 @@ Sections:
   each premises as hypotheses and one ``Tautology`` line over them, with
   formulas over 1 to 6 atoms ``L{r} T`` (r from ``SEARCH_RATES``) and the
   query (printed premises and conclusion).
+- ``oracles``: ``transfer_plain`` and ``transfer_essential`` on
+  ``corpus(10, 4, seed)`` for each seed of ``ORACLE_SEEDS``, at the five
+  slacks of the default suite budget, one case per kernel, oracle and slack:
+  the sorted (m, n) pairs whose verdict is true and the sorted saturated pair
+  masks. A saturation past its cap records ``SearchBudgetExceeded``.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ SEARCH_RATES = ("0", "1/3", "1/2", "1", "3/2", "2", "3")
 SEARCH_BUDGETS = (5, 17, 100, 259, 260, 600, 2000)
 SEARCH_CASES = 3000
 PROOF_CASES = 3000
+ORACLE_SEEDS = (3, 7)
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -397,6 +403,25 @@ def _proofs_cases() -> Iterator[Case]:
         yield f"seeded/{i:04d}", lambda args=(premises, conclusion): tautology(*args)
 
 
+def _oracles_cases() -> Iterator[Case]:
+    from cml_kit.harness.generate import corpus
+    from cml_kit.harness.oracles import transfer_essential, transfer_plain
+    from cml_kit.harness.suites import default_budget
+    from cml_kit.rational import format_rate
+
+    def transfer(oracle, kernel, e) -> dict:
+        verdicts, pairs = oracle(kernel, e)
+        return {"true": sorted(pair for pair, holds in verdicts.items() if holds),
+                "pairs": sorted(pairs)}
+
+    for seed in ORACLE_SEEDS:
+        for i, kernel in enumerate(corpus(10, 4, seed)):
+            for kind, oracle in (("plain", transfer_plain), ("essential", transfer_essential)):
+                for e in default_budget().epsilons:
+                    yield (f"corpus(10,4,{seed})/{i:02d}/{kind}/e={format_rate(e)}",
+                           lambda args=(oracle, kernel, e): transfer(*args))
+
+
 SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
@@ -406,6 +431,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "mutations": _mutations_cases,
     "search": _search_cases,
     "proofs": _proofs_cases,
+    "oracles": _oracles_cases,
 }
 
 
