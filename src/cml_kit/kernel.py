@@ -19,9 +19,14 @@ any other. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same
 core and return Fractions, which with names and frozensets stay the public
 boundary.
 
+The constructor coerces and scales each distinct rate object once: a table
+keyed by the object's id gives every later entry holding the same object its
+scaled weight, so the per-entry work is two state lookups and one sort key.
 A JSON model file is loaded by ``loads_kernel``/``load_kernel``, which parse
 each distinct rate literal once per file: every later entry with the same
-text reuses the first entry's Fraction.
+text reuses the first entry's Fraction. ``rate_items`` likewise returns one
+Fraction per distinct rate, so a kernel built from another kernel's items (a
+disjoint union, a shrunk kernel) takes the same path.
 """
 
 from __future__ import annotations
@@ -43,14 +48,15 @@ _ZERO = Fraction(0)
 class Kernel:
     """Immutable finite-state kernel, valid once constructed.
 
-    ``rates`` maps (source, target) pairs to rates; each value is coerced
-    exactly once (ints, Fractions or literal strings, never floats), both
-    endpoints are checked, and zero entries are then dropped. The constructor
-    raises KernelError for a duplicate state, an endpoint that is not a state
-    or a negative rate, so every ``Kernel`` holds unique states, known
-    endpoints and nonnegative rates. ``rows`` and ``scale``, the integer core
-    described in the module docstring, are the only copy of the rates;
-    ``totals`` and ``full`` are derived from them once.
+    ``rates`` maps (source, target) pairs to rates; each distinct value
+    object is coerced exactly once (ints, Fractions or literal strings, never
+    floats), both endpoints of every entry are checked, and zero entries are
+    then dropped. The constructor raises KernelError for a duplicate state,
+    an endpoint that is not a state or a negative rate, so every ``Kernel``
+    holds unique states, known endpoints and nonnegative rates. ``rows`` and
+    ``scale``, the integer core described in the module docstring, are the
+    only copy of the rates; ``totals`` and ``full`` are derived from them
+    once.
     """
 
     __slots__ = ("states", "_state_set", "_bit", "rows", "scale", "totals", "full")
@@ -61,44 +67,58 @@ class Kernel:
         rates: Mapping[tuple[str, str], object] | None = None,
     ):
         self.states: tuple[str, ...] = tuple(states)
+        states = self.states
+        position: dict[str, int] = {}
         bit: dict[str, int] = {}
-        for i, s in enumerate(self.states):
-            if s in bit:
+        rows: list[list[tuple[int, int]]] = []
+        for i, s in enumerate(states):
+            if s in position:
                 raise KernelError(f"duplicate state {s!r}")
+            position[s] = i
             bit[s] = 1 << i
-        # (source bit, target bit, numerator, denominator), scaled once D is known
-        entries = []
+            rows.append([])
+        # Each distinct rate object is coerced at its first entry, so a bad
+        # one raises at the entry where a check of every entry would. Its
+        # slot, keyed by id, is [numerator, denominator, the object]: holding
+        # the object for the whole loop keeps a fresh value that a Mapping
+        # yields from taking over its id. Once D is known, the object's
+        # scaled weight replaces it.
+        slot_of: dict[int, list] = {}
+        # (source position, target bit, slot): a pair listed twice sorts by
+        # its slots' (numerator, denominator)
+        keys = []
         scale = 1
         for (s, t), value in (rates or {}).items():
+            key = id(value)
+            slot = slot_of.get(key)
+            if slot is None:
+                try:
+                    r = ensure_rate(value)
+                except RateError:
+                    if isinstance(value, (int, Fraction)) and value < 0:
+                        r = format_rate(Fraction(value))
+                        raise KernelError(f"negative rate {r} on ({s!r}, {t!r})") from None
+                    raise
+                n, d = r.as_integer_ratio()
+                slot = slot_of[key] = [n, d, value]
+                if scale % d:
+                    scale = scale // gcd(scale, d) * d
             try:
-                r = ensure_rate(value)
-            except RateError:
-                if isinstance(value, (int, Fraction)) and value < 0:
-                    r = format_rate(Fraction(value))
-                    raise KernelError(f"negative rate {r} on ({s!r}, {t!r})") from None
-                raise
-            source = bit.get(s)
-            if source is None:
-                raise KernelError(f"rate source {s!r} is not a state")
-            target = bit.get(t)
-            if target is None:
-                raise KernelError(f"rate target {t!r} is not a state")
-            n = r.numerator
-            if not n:
-                continue
-            d = r.denominator
-            entries.append((source, target, n, d))
-            if scale % d:
-                scale = scale // gcd(scale, d) * d
-        rows: list[list[tuple[int, int]]] = [[] for _ in self.states]
+                keys.append((position[s], bit[t], slot))
+            except KeyError:
+                if s not in position:
+                    raise KernelError(f"rate source {s!r} is not a state") from None
+                raise KernelError(f"rate target {t!r} is not a state") from None
+        for slot in slot_of.values():
+            slot[2] = slot[0] * (scale // slot[1])
         totals = [0] * len(rows)
-        entries.sort()
-        for source, target, n, d in entries:
-            i = source.bit_length() - 1
-            w = n * (scale // d)
-            rows[i].append((target, w))
-            totals[i] += w
-        self._state_set = frozenset(self.states)
+        keys.sort()
+        for source, target, slot in keys:
+            w = slot[2]
+            if w:  # zero entries are dropped
+                rows[source].append((target, w))
+                totals[source] += w
+        self._state_set = frozenset(states)
         self._bit = bit
         self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, rows))
         self.scale = scale
@@ -157,7 +177,8 @@ class Kernel:
         for s in members:
             b = bit.get(s)
             if b is None:
-                unknown = sorted(set(members) - self._state_set)
+                # s and what is left of members: an iterator is not read twice
+                unknown = sorted({s, *members} - self._state_set)
                 raise KernelError(f"set member not in kernel: {unknown!r}")
             mask |= b
         return mask
@@ -169,11 +190,17 @@ class Kernel:
     def rate_items(self) -> list[tuple[str, str, Rate]]:
         """Nonzero entries sorted by state order; deterministic."""
         states, scale = self.states, self.scale
-        return [
-            (s, states[b.bit_length() - 1], Fraction(v, scale))
-            for s, row in zip(states, self.rows)
-            for b, v in row
-        ]
+        # one Fraction per distinct rate, so a Kernel built from the items
+        # coerces and scales each rate once
+        rate: dict[int, Fraction] = {}
+        items = []
+        for s, row in zip(states, self.rows):
+            for b, v in row:
+                r = rate.get(v)
+                if r is None:
+                    r = rate[v] = Fraction(v, scale)
+                items.append((s, states[b.bit_length() - 1], r))
+        return items
 
     def _position(self, state: str) -> int:
         self._check_state(state)
@@ -197,12 +224,13 @@ def disjoint_union(k1: Kernel, k2: Kernel) -> Kernel:
 
     Cross rates are 0 and each side's rates are preserved under its tag.
     """
-    states = [left_tag(s) for s in k1.states] + [right_tag(s) for s in k2.states]
+    states: list[str] = []
     rates: dict[tuple[str, str], Fraction] = {}
-    for s, t, r in k1.rate_items():
-        rates[(left_tag(s), left_tag(t))] = r
-    for s, t, r in k2.rate_items():
-        rates[(right_tag(s), right_tag(t))] = r
+    for kernel, tag in ((k1, left_tag), (k2, right_tag)):
+        tagged = {s: tag(s) for s in kernel.states}
+        states += tagged.values()
+        for s, t, r in kernel.rate_items():
+            rates[(tagged[s], tagged[t])] = r
     return Kernel(states, rates)
 
 

@@ -86,14 +86,20 @@ class OrderSolver:
         for position, i in enumerate(block_at):
             firsts.setdefault(i, position)
         names = [kernel.states[firsts[i]] for i in range(self.n_blocks)]
-        rates: dict[tuple[str, str], int] = {}
+        rates: dict[tuple[str, str], int | Fraction] = {}
         for i, position in firsts.items():
             for bit, w in kernel.rows[position]:
                 key = (names[i], names[block_at[bit.bit_length() - 1]])
                 rates[key] = rates.get(key, 0) + w
-        self.quotient = Kernel(
-            names, {key: Fraction(w, kernel.scale) for key, w in rates.items()}
-        )
+        # each summed weight becomes its Fraction, one per distinct value,
+        # which the constructor coerces once
+        fractions: dict[int, Fraction] = {}
+        for key, w in rates.items():
+            r = fractions.get(w)
+            if r is None:
+                r = fractions[w] = Fraction(w, kernel.scale)
+            rates[key] = r
+        self.quotient = Kernel(names, rates)
         # D_q, which divides the kernel's scale D
         self.scale = self.quotient.scale
         # sums[i]: scaled exit total of block i

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from cml_kit import And, Kernel, L, Not, Top
+from cml_kit import And, Kernel, KernelError, L, Not, RateError, Top
 from cml_kit.models import load_model
+from cml_kit.rational import ensure_rate, format_rate
 
 
 def prop_eval(f, assignment: dict) -> bool:
@@ -18,6 +20,51 @@ def prop_eval(f, assignment: dict) -> bool:
     if isinstance(f, And):
         return prop_eval(f.left, assignment) and prop_eval(f.right, assignment)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def entrywise_core(states, rates) -> tuple:
+    """(rows, scale, totals, full) of ``Kernel(states, rates)``, each entry
+    coerced and checked on its own, with the same errors in the same order:
+    the test oracle for the constructor, which handles each distinct rate
+    object once."""
+    states = tuple(states)
+    bit: dict = {}
+    for i, s in enumerate(states):
+        if s in bit:
+            raise KernelError(f"duplicate state {s!r}")
+        bit[s] = 1 << i
+    entries = []
+    scale = 1
+    for (s, t), value in (rates or {}).items():
+        try:
+            r = ensure_rate(value)
+        except RateError:
+            if isinstance(value, (int, Fraction)) and value < 0:
+                r = format_rate(Fraction(value))
+                raise KernelError(f"negative rate {r} on ({s!r}, {t!r})") from None
+            raise
+        source = bit.get(s)
+        if source is None:
+            raise KernelError(f"rate source {s!r} is not a state")
+        target = bit.get(t)
+        if target is None:
+            raise KernelError(f"rate target {t!r} is not a state")
+        n = r.numerator
+        if not n:
+            continue
+        d = r.denominator
+        entries.append((source, target, n, d))
+        if scale % d:
+            scale = scale // gcd(scale, d) * d
+    rows: list = [[] for _ in states]
+    totals = [0] * len(rows)
+    entries.sort()
+    for source, target, n, d in entries:
+        i = source.bit_length() - 1
+        w = n * (scale // d)
+        rows[i].append((target, w))
+        totals[i] += w
+    return tuple(map(tuple, rows)), scale, totals, (1 << len(rows)) - 1
 
 
 @pytest.fixture(scope="session")

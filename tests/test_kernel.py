@@ -1,10 +1,11 @@
 import json
 import os
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cml_kit import (
     Kernel,
@@ -20,6 +21,8 @@ from cml_kit import (
 from cml_kit import kernel as kernel_module
 from cml_kit.harness.generate import KernelGenConfig, gen_kernel
 from cml_kit.models import FIGURES, load_model
+from cml_kit.rational import ensure_rate
+from conftest import entrywise_core
 
 S = frozenset
 
@@ -80,6 +83,14 @@ def test_measure_unknown_member(fig1):
         fig1.measure("m", S({"zz"}))
     with pytest.raises(KernelError, match="unknown state"):
         fig1.measure("zz", S())
+
+
+def test_unknown_members_of_an_iterator_are_named(fig1):
+    # the message names every unknown member, although an iterator is read once
+    with pytest.raises(KernelError, match=re.escape("not in kernel: ['yy', 'zz']")):
+        fig1.mask_of(iter(["m", "zz", "yy"]))
+    with pytest.raises(KernelError, match=re.escape("not in kernel: ['zz']")):
+        fig1.measure("m", iter(["zz"]))
 
 
 def test_union_of_singletons():
@@ -307,3 +318,113 @@ def test_loader_parses_each_distinct_literal_once(monkeypatch):
     assert len(literals) > 3000
     assert sorted(calls) == sorted(set(literals))
     assert k == source
+
+
+# --- the constructor against the entrywise oracle ---------------------------
+
+# ints, Fractions and literal strings, zeros among them
+_values = st.one_of(
+    st.integers(0, 6),
+    st.fractions(min_value=0, max_value=5, max_denominator=6),
+    st.sampled_from(["0", "0/5", "1", "2", "3/2", "0.25", "1.50", "10/4", "7/3"]),
+)
+_bad_values = st.sampled_from([-1, Fraction(-1, 2), 0.5, True, None, "abc", "-2", "1/0"])
+
+
+def _fresh(value):
+    """An equal value as a new object, so that it does not share the id of
+    the value it was made from (small ints are shared by the interpreter)."""
+    if isinstance(value, Fraction):
+        return Fraction(value.numerator, value.denominator)
+    if isinstance(value, str):
+        return " " + value
+    return value
+
+
+def _core(states, rates) -> tuple:
+    k = Kernel(states, rates)
+    return k.rows, k.scale, k.totals, k.full
+
+
+def _outcome(build, states, rates):
+    try:
+        return build(states, rates)
+    except Exception as exc:  # the first fault is part of the answer
+        return type(exc), str(exc)
+
+
+@st.composite
+def _rate_maps(draw, values=_values, endpoints=()):
+    """(states, rates): entries drawn from a small pool of value objects, each
+    entry the pool's object itself or an equal fresh one."""
+    states = draw(states_st)
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    names = st.sampled_from([*states, *endpoints])
+    pairs = draw(st.lists(st.tuples(names, names), max_size=16, unique=True))
+    rates = {}
+    for pair in pairs:
+        value = draw(st.sampled_from(pool))
+        rates[pair] = _fresh(value) if draw(st.booleans()) else value
+    return states, rates
+
+
+@given(_rate_maps())
+def test_constructor_matches_the_entrywise_oracle(case):
+    states, rates = case
+    assert _core(states, rates) == entrywise_core(states, rates)
+
+
+class _FreshRates(Mapping):
+    """A rate map whose items() builds a new Fraction on every read."""
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+
+    def __getitem__(self, key):
+        return Fraction(*self._entries[key])
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+def test_constructor_keeps_fresh_values_alive():
+    # every read makes a new Fraction, and a freed one's id is reused by a
+    # later one: only a table that holds its objects keeps the rates apart
+    states = [f"s{i}" for i in range(12)]
+    entries = {(s, t): (i * 7 % 5, i % 3 + 1)
+               for i, (s, t) in enumerate((s, t) for s in states for t in states)}
+    rates = _FreshRates(entries)
+    assert _core(states, rates) == entrywise_core(states, rates)
+    assert all(Kernel(states, rates).rate(s, t) == Fraction(n, d)
+               for (s, t), (n, d) in entries.items())
+
+
+@given(_rate_maps(st.one_of(_values, _bad_values), endpoints=["ghost"]), st.booleans())
+@example((["a", "b"], {("a", "ghost"): "abc", ("a", "b"): -1, ("b", "a"): 0.5}), True)
+@example((["a", "b"], {("a", "b"): 1, ("ghost", "a"): 0, ("a", "a"): "1/0"}), False)
+@example((["a"], {("a", "a"): 2, ("ghost", "ghost"): None, ("a", "ghost"): 1}), False)
+def test_first_fault_matches_the_oracle(case, duplicate):
+    states, rates = case
+    if duplicate:
+        states = [*states, states[-1]]
+    expected = _outcome(entrywise_core, states, rates)
+    assert _outcome(_core, states, rates) == expected
+
+
+def test_rates_built_from_a_kernel_share_one_fraction_per_value(monkeypatch):
+    k = gen_kernel(KernelGenConfig(12, density=Fraction(1, 2), seed=5))
+    items = k.rate_items()
+    assert len({id(r) for _, _, r in items}) == len({r for _, _, r in items}) < len(items)
+    calls = []
+
+    def counting_ensure_rate(value):
+        calls.append(value)
+        return ensure_rate(value)
+
+    monkeypatch.setattr(kernel_module, "ensure_rate", counting_ensure_rate)
+    disjoint_union(k, k)
+    # one coercion per distinct rate of each side
+    assert len(calls) == 2 * len({r for _, _, r in items})

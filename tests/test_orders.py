@@ -401,6 +401,23 @@ def test_quotient_scale_can_be_smaller_than_the_kernel_scale():
     assert not holds(third, "a", kernel, "a", Q(2, 3) - Q(1, 1000))
 
 
+def test_quotient_coerces_each_distinct_rate_once(monkeypatch):
+    from cml_kit import kernel as kernel_module
+    from cml_kit.rational import ensure_rate
+
+    kernel = gen_kernel(KernelGenConfig(12, density=Q(1, 2), seed=5))
+    calls = []
+
+    def counting_ensure_rate(value):
+        calls.append(value)
+        return ensure_rate(value)
+
+    monkeypatch.setattr(kernel_module, "ensure_rate", counting_ensure_rate)
+    solver = OrderSolver(kernel)
+    rates = {w for row in solver.quotient.rows for _, w in row}
+    assert len(calls) == len(rates) < sum(map(len, solver.quotient.rows))
+
+
 def test_epsilon_order_is_a_value():
     order = EpsilonOrder(epsilon=Q(1), relation=frozenset({("a", "a")}), essential=False)
     same = EpsilonOrder(Q(1), frozenset({("a", "a")}), False)

@@ -34,11 +34,17 @@ def test_load_dump_is_repeatable(tmp_path, capsys):
     assert first.read_text() == second.read_text()
     docs = [json.loads(line) for line in first.read_text().splitlines()]
     cases = [doc["case"] for doc in docs]
-    assert len(cases) == 64 and cases == sorted(set(cases))
-    assert all(len(doc["totals"]) == len(doc["states"]) for doc in docs)
-    assert "load: 64 cases in" in capsys.readouterr().err
+    assert len(cases) == 400 and cases == sorted(set(cases))
+    loaded = [doc for doc in docs if "error" not in doc]
+    assert all(len(doc["totals"]) == len(doc["states"]) for doc in loaded)
+    assert sum(doc["case"].startswith("load/pool/") for doc in loaded) == 36
+    # the malformed documents: all but two are errors; the two hold only the
+    # valid literal " 2 " as their fault
+    malformed = [doc for doc in docs if doc["case"].startswith("load/malformed/")]
+    assert len(malformed) == 300 and sum("error" in doc for doc in malformed) == 298
+    assert "load: 400 cases in" in capsys.readouterr().err
     assert dump.main(["--compare", str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "load: 64 cases identical\n"
+    assert capsys.readouterr().out == "load: 400 cases identical\n"
 
 
 def test_orders_dump_is_repeatable(tmp_path, capsys):

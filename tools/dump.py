@@ -20,7 +20,14 @@ Sections:
   chains of 10 to 60 states.
 - ``load``: each kernel's states, scale, printed ``rate_items`` and each
   state's printed ``total``, on the shipped models, their 49 ordered disjoint
-  unions and ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states.
+  unions, ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states and each
+  distinct model document of the ``queries`` and ``orders`` pools of
+  ``perfbench/pools.py`` (loaded by ``loads_kernel``); and the error of
+  ``loads_kernel`` on ``MALFORMED_CASES`` seeded model documents, each a
+  small valid document with one to three faults (bad or non-string rate
+  literals, unknown endpoints, duplicate or non-string states, wrong field
+  types, unknown fields) in shuffled entry order, some cut short or wrapped
+  in a list.
 - ``orders``: on the corpora and the models and their unions, the kernel's
   ``generators`` family as (state bitmask, printed formula) pairs in order,
   the solver's ``family_blocks()``, the sorted ``plain_pairs`` and
@@ -60,7 +67,9 @@ Sections:
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import os
 import sys
 import time
 from typing import Callable, Iterator
@@ -87,6 +96,10 @@ SEARCH_BUDGETS = (5, 17, 100, 259, 260, 600, 2000)
 SEARCH_CASES = 3000
 PROOF_CASES = 3000
 ORACLE_SEEDS = (3, 7)
+MALFORMED_CASES = 300
+# rate literals a malformed document may hold; " 2 " and "0.25" are valid
+BAD_LITERALS = ("-1", "1/0", "abc", "1e3", "", " 2 ", "0.25", "\u0663", "1.", ".5", "1/-2")
+BAD_VALUES = (0.5, 1, None, True, ["1"])
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -136,6 +149,7 @@ def _load_cases() -> Iterator[Case]:
     from fractions import Fraction
 
     from cml_kit.harness.generate import KernelGenConfig, gen_kernel
+    from cml_kit.kernel import loads_kernel
     from cml_kit.rational import format_rate
 
     def load(kernel) -> dict:
@@ -153,6 +167,87 @@ def _load_cases() -> Iterator[Case]:
 
     for case, kernel in (*_models(), *ladder()):
         yield case, lambda kernel=kernel: load(kernel)
+    for case, text in (*_pool_documents(), *_malformed_documents()):
+        yield case, lambda text=text: load(loads_kernel(text))
+
+
+def _pool_documents() -> Iterator[tuple[str, str]]:
+    # perfbench/pools.py is read from its file; it imports only the standard
+    # library
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "pools.py")
+    spec = importlib.util.spec_from_file_location("perfbench_pools", path)
+    pools = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = pools  # dataclasses look their module up
+    spec.loader.exec_module(pools)
+    for name in ("queries", "orders"):
+        seen: set[str] = set()
+        for item in getattr(pools, f"{name}_pool")():
+            for text in item.args:
+                if isinstance(text, str) and text.startswith("{") and text not in seen:
+                    yield f"pool/{name}/{len(seen):02d}-{item.cls}", text
+                    seen.add(text)
+
+
+def _malformed_documents() -> Iterator[tuple[str, str]]:
+    import random
+
+    def shuffled(rng: random.Random, mapping: dict) -> dict:
+        items = list(mapping.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    def add_fault(rng: random.Random, doc: dict) -> None:
+        states = doc["states"] if isinstance(doc["states"], list) else ["s0"]
+        rates = doc["rates"] if isinstance(doc["rates"], dict) else {}
+        s, t = rng.choice(states), rng.choice(states)
+        row = rates.setdefault(s, {})
+        row = row if isinstance(row, dict) else {}
+        # faults in one entry (0 to 4) three times as often as in the document
+        kind = rng.choices(range(10), weights=(3, 3, 3, 3, 3, 1, 1, 1, 1, 1))[0]
+        if kind == 0:
+            row[t] = rng.choice(BAD_LITERALS)
+        elif kind == 1:
+            row[t] = rng.choice(BAD_VALUES)
+        elif kind == 2:
+            row["ghost"] = "1"
+        elif kind == 3:
+            rates["ghost"] = {t: "1"}
+        elif kind == 4:
+            doc["states"] = [*states, s]
+        elif kind == 5:
+            doc["states"] = [*states, 3]
+        elif kind == 6:
+            doc["states"] = "s0"
+        elif kind == 7:
+            rates[s] = ["1"]
+        elif kind == 8:
+            doc["rates"] = []
+        else:
+            doc["weights"] = {}
+
+    rng = random.Random(28)
+    for i in range(MALFORMED_CASES):
+        states = [f"s{j}" for j in range(rng.randint(1, 4))]
+        doc: dict = {"states": states, "rates": {}}
+        for s in states:
+            for t in states:
+                if rng.random() < 0.5:
+                    doc["rates"].setdefault(s, {})[t] = rng.choice(("0", "1", "1/2", "3/4"))
+        for _ in range(rng.randint(1, 3)):
+            add_fault(rng, doc)
+        if isinstance(doc["rates"], dict):
+            doc["rates"] = shuffled(rng, {
+                s: shuffled(rng, row) if isinstance(row, dict) else row
+                for s, row in doc["rates"].items()
+            })
+        text = json.dumps(doc)
+        shape = rng.randrange(20)
+        if shape == 0:
+            text = text[:rng.randrange(len(text))]
+        elif shape == 1:
+            text = f"[{text}]"
+        yield f"malformed/{i:03d}", text
 
 
 def _orders_cases() -> Iterator[Case]:
