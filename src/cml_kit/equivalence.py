@@ -4,7 +4,8 @@ Refinement starts from one block and splits blocks whose members assign
 different measures to some block; the coarsest stable partition is the largest
 bisimulation. The whole state set is the first splitter, and a queue holds the
 blocks still to be used as splitters. For a splitter C, each predecessor of a
-state of C sums its scaled integer rates into C (see ``kernel``), and every
+state of C sums its scaled integer rates into C, read from the columns of C's
+states, which are the kernel's predecessor lists (see ``kernel``), and every
 block it touches splits by that sum; the states of a block with no rate into C
 are never scanned and keep the block's number. A split queues every part but
 the largest, or every part if the block was still queued: a state's rate into
@@ -20,11 +21,12 @@ integer rates: starting from the full state set, add the threshold sets
 {m | theta(m)(C) >= r} for every family member C and every achievable measure
 value r, and close under union and intersection. A worklist closes each member
 once, and the family stops with ``SearchBudgetExceeded`` past ``FAMILY_CAP``
-members. Closing a member makes one pass over its measure row, grouping the
-states into one bitmask per value; a sweep up the values then gives every
-threshold set as the full mask less the states below the value. Each
-candidate, threshold or join, is looked up in the family before anything else,
-so a formula is built only for a new member. Each member is a union of
+members. Closing a member makes one pass over its measure row, the sum of
+its states' columns (``Kernel.scaled_measures``), grouping the states into one
+bitmask per value; a sweep up the values then gives every threshold set as
+the full mask less the states below the value. Each candidate, threshold or
+join, is looked up in the family before anything else, so a formula is built
+only for a new member. Each member is a union of
 bisimulation blocks and carries a defining positive-fragment formula; the
 family is one map from each member's state bitmask to that formula, in the
 order members were added. Closing under complement too would give every union
@@ -68,13 +70,8 @@ class Partition(Record):
 def bisimulation(kernel: Kernel) -> Partition:
     """Partition of the largest stochastic bisimulation."""
     n = len(kernel.states)
-    # preds[t] lists (source position, scaled rate) for every rate into t;
     # sums maps each state to its scaled rate into the current splitter, which
     # is first the whole state set: every state with a nonzero exit total
-    preds: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for source, row in enumerate(kernel.rows):
-        for bit, w in row:
-            preds[bit.bit_length() - 1].append((source, w))
     sums = {s: w for s, w in enumerate(kernel.totals) if w}
     block = [0] * n
     members = [set(range(n))]
@@ -117,7 +114,8 @@ def bisimulation(kernel: Kernel) -> Partition:
         rounds += 1
         sums = {}
         for t in members[c]:
-            for s, w in preds[t]:
+            # the kernel's column of t lists the predecessors of t
+            for s, w in kernel.cols[t]:
                 sums[s] = sums.get(s, 0) + w
     # number the blocks by their first states
     numbers: dict[int, int] = {}

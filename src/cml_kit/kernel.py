@@ -6,22 +6,28 @@ relations are frozensets of (state, state) pairs. A kernel is checked once,
 when it is constructed, so every ``Kernel`` that exists is valid.
 
 The integer core: at construction every rate is scaled by ``scale``, the least
-common multiple D of the rate denominators, and each state's row is kept as
-(target bit, rate * D) integer pairs sorted by target bit, indexed by state
-position; bit i stands for the state at position i. The rows and the scale are
-the only copy of the rates. Inside the core a state set is an int bitmask, so
-theta(m)(S) * D is an integer sum over the row and every comparison against a
-rate stays exact. Two values are derived from the rows once, in the pass that
-builds them: ``totals``, each state's scaled exit total theta(m)(M) * D, and
-``full``, the mask of every state. ``scaled_measures`` gives every state's
-scaled rate into a mask: the totals for the full mask, a scan of each row for
-any other. ``rate``, ``measure``, ``total`` and ``rate_items`` read the same
-core and return Fractions, which with names and frozensets stay the public
-boundary.
+common multiple D of the rate denominators, and the rates into each state are
+kept as its column: (source position, rate * D) integer pairs sorted by
+source, indexed by the target's position. Inside the core a state set is an
+int bitmask, where bit i stands for the state at position i. The columns and
+the scale are the only copy of the rates, in one layout whatever the size.
+Every question the semantics asks of a kernel is a rate into a set,
+theta(m)(S) * D, an integer sum over the columns of S, so every comparison
+against a rate stays exact. Two values are derived from the columns once, in
+the pass that builds them: ``totals``, each state's scaled exit total
+theta(m)(M) * D, and ``full``, the mask of every state. ``scaled_measures``
+gives every state's scaled rate into a mask: the totals for the full mask,
+else the sum of the columns of the mask's set bits, so it reads only the
+entries into the mask. ``rate`` scans the target's column, ``measure`` reads
+``scaled_measures``, ``total`` the totals, and ``rate_items`` regroups the
+columns by source in one pass, in (source, target) state order; they return
+Fractions, which with names and frozensets stay the public boundary.
 
 The constructor coerces and scales each distinct rate object once: a table
 keyed by the object's id gives every later entry holding the same object its
 scaled weight, so the per-entry work is two state lookups and one sort key.
+The keys are source-major, as model files list their entries, so their sort
+is almost free, and the columns are filled from them in that order.
 A JSON model file is loaded by ``loads_kernel``/``load_kernel``, which parse
 each distinct rate literal once per file: every later entry with the same
 text reuses the first entry's Fraction. ``rate_items`` likewise returns one
@@ -39,9 +45,6 @@ from typing import IO, Iterable, Mapping, Union
 from .errors import KernelError, RateError
 from .rational import Rate, ensure_rate, format_rate, parse_rate
 
-StateSet = frozenset
-Relation = frozenset
-
 _ZERO = Fraction(0)
 
 
@@ -53,13 +56,14 @@ class Kernel:
     floats), both endpoints of every entry are checked, and zero entries are
     then dropped. The constructor raises KernelError for a duplicate state,
     an endpoint that is not a state or a negative rate, so every ``Kernel``
-    holds unique states, known endpoints and nonnegative rates. ``rows`` and
+    holds unique states, known endpoints and nonnegative rates. ``cols`` and
     ``scale``, the integer core described in the module docstring, are the
-    only copy of the rates; ``totals`` and ``full`` are derived from them
-    once.
+    only copy of the rates: ``cols[t]`` lists (source position, scaled rate)
+    for every nonzero rate into the state at position t, sorted by source.
+    ``totals`` and ``full`` are derived from them once.
     """
 
-    __slots__ = ("states", "_state_set", "_bit", "rows", "scale", "totals", "full")
+    __slots__ = ("states", "_state_set", "_bit", "cols", "scale", "totals", "full")
 
     def __init__(
         self,
@@ -70,13 +74,11 @@ class Kernel:
         states = self.states
         position: dict[str, int] = {}
         bit: dict[str, int] = {}
-        rows: list[list[tuple[int, int]]] = []
         for i, s in enumerate(states):
             if s in position:
                 raise KernelError(f"duplicate state {s!r}")
             position[s] = i
             bit[s] = 1 << i
-            rows.append([])
         # Each distinct rate object is coerced at its first entry, so a bad
         # one raises at the entry where a check of every entry would. Its
         # slot, keyed by id, is [numerator, denominator, the object]: holding
@@ -84,8 +86,8 @@ class Kernel:
         # yields from taking over its id. Once D is known, the object's
         # scaled weight replaces it.
         slot_of: dict[int, list] = {}
-        # (source position, target bit, slot): a pair listed twice sorts by
-        # its slots' (numerator, denominator)
+        # (source position, target position, slot): a pair listed twice sorts
+        # by its slots' (numerator, denominator)
         keys = []
         scale = 1
         for (s, t), value in (rates or {}).items():
@@ -104,39 +106,41 @@ class Kernel:
                 if scale % d:
                     scale = scale // gcd(scale, d) * d
             try:
-                keys.append((position[s], bit[t], slot))
+                keys.append((position[s], position[t], slot))
             except KeyError:
                 if s not in position:
                     raise KernelError(f"rate source {s!r} is not a state") from None
                 raise KernelError(f"rate target {t!r} is not a state") from None
         for slot in slot_of.values():
             slot[2] = slot[0] * (scale // slot[1])
-        totals = [0] * len(rows)
+        cols: list[list[tuple[int, int]]] = [[] for _ in states]
+        totals = [0] * len(states)
+        # source-major, so each column is filled in source order
         keys.sort()
         for source, target, slot in keys:
             w = slot[2]
             if w:  # zero entries are dropped
-                rows[source].append((target, w))
+                cols[target].append((source, w))
                 totals[source] += w
         self._state_set = frozenset(states)
         self._bit = bit
-        self.rows: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, rows))
+        self.cols: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, cols))
         self.scale = scale
         self.totals = totals
-        self.full = (1 << len(rows)) - 1
+        self.full = (1 << len(states)) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
             return NotImplemented
-        return (self.states, self.scale, self.rows) == (
-            other.states, other.scale, other.rows
+        return (self.states, self.scale, self.cols) == (
+            other.states, other.scale, other.cols
         )
 
     def __hash__(self) -> int:
-        return hash((self.states, self.scale, self.rows))
+        return hash((self.states, self.scale, self.cols))
 
     def __repr__(self) -> str:
-        entries = sum(map(len, self.rows))
+        entries = sum(map(len, self.cols))
         return f"Kernel(states={list(self.states)!r}, rates={entries} entries)"
 
     @property
@@ -145,30 +149,35 @@ class Kernel:
 
     def rate(self, source: str, target: str) -> Rate:
         """theta(source, target); 0 for pairs without a stored entry."""
-        row = self.rows[self._position(source)]
-        self._check_state(target)
-        b = self._bit[target]
-        for bit, v in row:
-            if bit == b:
-                return Fraction(v, self.scale)
+        i = self._position(source)
+        for s, w in self.cols[self._position(target)]:
+            if s == i:
+                return Fraction(w, self.scale)
         return _ZERO
 
     def measure(self, source: str, targets: frozenset) -> Rate:
         """theta(source)(targets) = total rate from source into the set."""
-        row = self.rows[self._position(source)]
-        mask = self.mask_of(targets)
-        return Fraction(sum([v for b, v in row if b & mask]), self.scale)
+        i = self._position(source)
+        return Fraction(self.scaled_measures(self.mask_of(targets))[i], self.scale)
 
     def total(self, source: str) -> Rate:
         """Total exit rate theta(source)(M)."""
         return Fraction(self.totals[self._position(source)], self.scale)
 
     def scaled_measures(self, mask: int) -> list[int]:
-        """theta(m)(mask) * scale for every state m, by state position; for the
-        full mask this is ``totals`` itself, which callers only read."""
+        """theta(m)(mask) * scale for every state m, by state position: the sum
+        of the columns of mask's states. For the full mask this is ``totals``
+        itself, which callers only read."""
         if mask == self.full:
             return self.totals
-        return [sum([v for b, v in row if b & mask]) for row in self.rows]
+        sums = [0] * len(self.states)
+        cols = self.cols
+        while mask:
+            low = mask & -mask
+            for s, w in cols[low.bit_length() - 1]:
+                sums[s] += w
+            mask ^= low
+        return sums
 
     def mask_of(self, members: Iterable[str]) -> int:
         """The bitmask of a state set; every member must be a state."""
@@ -188,27 +197,24 @@ class Kernel:
         return frozenset([s for s, b in self._bit.items() if b & mask])
 
     def rate_items(self) -> list[tuple[str, str, Rate]]:
-        """Nonzero entries sorted by state order; deterministic."""
+        """Nonzero entries sorted by state order, source first; deterministic."""
         states, scale = self.states, self.scale
         # one Fraction per distinct rate, so a Kernel built from the items
         # coerces and scales each rate once
         rate: dict[int, Fraction] = {}
-        items = []
-        for s, row in zip(states, self.rows):
-            for b, v in row:
-                r = rate.get(v)
+        rows: list[list] = [[] for _ in states]
+        for t, col in zip(states, self.cols):
+            for s, w in col:
+                r = rate.get(w)
                 if r is None:
-                    r = rate[v] = Fraction(v, scale)
-                items.append((s, states[b.bit_length() - 1], r))
-        return items
+                    r = rate[w] = Fraction(w, scale)
+                rows[s].append((states[s], t, r))
+        return [item for row in rows for item in row]
 
     def _position(self, state: str) -> int:
-        self._check_state(state)
-        return self._bit[state].bit_length() - 1
-
-    def _check_state(self, state: str) -> None:
-        if state not in self._state_set:
+        if state not in self._bit:
             raise KernelError(f"unknown state {state!r}")
+        return self._bit[state].bit_length() - 1
 
 
 def left_tag(state: str) -> str:
@@ -297,8 +303,12 @@ def _kernel_from_doc(doc: object) -> Kernel:
 
 def kernel_to_doc(kernel: Kernel, comment: str | None = None) -> dict:
     rates: dict[str, dict[str, str]] = {}
-    for s, t, r in kernel.rate_items():
-        rates.setdefault(s, {})[t] = format_rate(r)
+    # items holds one Fraction per distinct rate, so each is printed once,
+    # keyed by its id while items keeps it alive
+    items = kernel.rate_items()
+    printed = {id(r): format_rate(r) for r in {id(r): r for _, _, r in items}.values()}
+    for s, t, r in items:
+        rates.setdefault(s, {})[t] = printed[id(r)]
     doc: dict = {"states": list(kernel.states), "rates": rates}
     if comment is not None:
         doc["comment"] = comment

@@ -31,15 +31,17 @@ first pair whose total slack is still unmet.
 
 Formulas, the orders and the pseudometric cannot tell bisimilar states
 apart, so the solver runs on the quotient kernel: one state per block, each
-block's row being its first state's row summed by target block. It computes
-on the quotient's integer core (see ``kernel``) at its scale D_q, which
-divides the kernel's scale D, so every block measure and every slack is an
-integer multiple of 1/D_q. Sets of blocks are the quotient's state bitmasks,
-and the family is the quotient's. A slack x (an integer, in units of 1/D_q)
-exceeds e exactly when x > floor(e·D_q), because x is an integer; every
-comparison with e is made that way, so the plain fixpoint depends on e only
-through floor(e·D_q). The stages rely on that: they descend over integer
-limits only. Only ``_theta``, for outside checks, is an unscaled Fraction.
+block's rate into a block being its first state's, summed over the target
+block's columns. It computes on the quotient's integer core (see ``kernel``)
+at its scale D_q, which divides the kernel's scale D, so every block measure
+and every slack is an integer multiple of 1/D_q. Sets of blocks are the
+quotient's state bitmasks, and the family is the quotient's; every block
+measure is one ``scaled_measures`` of the quotient. A slack x (an integer,
+in units of 1/D_q) exceeds e exactly when x > floor(e·D_q), because x is an
+integer; every comparison with e is made that way, so the plain fixpoint
+depends on e only through floor(e·D_q). The stages rely on that: they
+descend over integer limits only. Only ``_theta``, for outside checks, is an
+unscaled Fraction.
 """
 
 from __future__ import annotations
@@ -80,44 +82,42 @@ class OrderSolver:
         self._block_index = {s: i for i, b in enumerate(self.blocks) for s in b}
         # the quotient kernel: one state per block, named by its first state.
         # Every state of a block has the same rate into each block, so block
-        # i's row is its first state's row summed by target block
+        # i's rate into block j is its first state's, summed over j's columns
         block_at = [self._block_index[s] for s in kernel.states]
         firsts: dict[int, int] = {}
         for position, i in enumerate(block_at):
             firsts.setdefault(i, position)
         names = [kernel.states[firsts[i]] for i in range(self.n_blocks)]
-        rates: dict[tuple[str, str], int | Fraction] = {}
-        for i, position in firsts.items():
-            for bit, w in kernel.rows[position]:
-                key = (names[i], names[block_at[bit.bit_length() - 1]])
-                rates[key] = rates.get(key, 0) + w
+        leads = {position: names[i] for i, position in firsts.items()}
+        rates: dict[tuple[str, str], int] = {}
+        for t, col in enumerate(kernel.cols):
+            target = names[block_at[t]]
+            for s, w in col:
+                if s in leads:
+                    key = (leads[s], target)
+                    rates[key] = rates.get(key, 0) + w
         # each summed weight becomes its Fraction, one per distinct value,
         # which the constructor coerces once
-        fractions: dict[int, Fraction] = {}
-        for key, w in rates.items():
-            r = fractions.get(w)
-            if r is None:
-                r = fractions[w] = Fraction(w, kernel.scale)
-            rates[key] = r
-        self.quotient = Kernel(names, rates)
+        fractions = {w: Fraction(w, kernel.scale) for w in set(rates.values())}
+        self.quotient = Kernel(names, {key: fractions[w] for key, w in rates.items()})
         # D_q, which divides the kernel's scale D
         self.scale = self.quotient.scale
         # sums[i]: scaled exit total of block i
         self.sums = self.quotient.totals
-        # _masses[i][mask]: scaled theta of block i into the blocks of mask
-        self._masses: list[dict[int, int]] = [{} for _ in self.blocks]
+        # _masses[mask]: scaled theta of every block into the blocks of mask
+        self._masses: dict[int, list[int]] = {}
         # the generator family of the quotient, built on first use
         self._family: Optional[dict[int, Formula]] = None
 
     # --- exact integer core ----------------------------------------------
 
     def _mass(self, i: int, mask: int) -> int:
-        masses = self._masses[i]
-        value = masses.get(mask)
-        if value is None:
-            row = self.quotient.rows[i]
-            value = masses[mask] = sum([w for b, w in row if b & mask])
-        return value
+        # the essential search asks the same few masks of many blocks, so each
+        # mask's measures, one sum of its columns, are kept for every block
+        masses = self._masses.get(mask)
+        if masses is None:
+            masses = self._masses[mask] = self.quotient.scaled_measures(mask)
+        return masses[i]
 
     def _limit(self, e: Rate) -> int:
         # an integer slack x exceeds e exactly when x > floor(e * scale)

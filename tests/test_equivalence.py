@@ -67,17 +67,22 @@ def test_perturbed_roots_not_bisimilar(fig1, fig4o):
 
 def _round_loop_blocks(kernel):
     """Refinement in rounds, as an oracle: each round gives every state the
-    signature (its block, block -> scaled rate into the block) and numbers
-    the new blocks by their first states, until a round splits nothing."""
+    signature (its block, block -> rate into the block) and numbers the new
+    blocks by their first states, until a round splits nothing. It reads the
+    rates from ``rate_items()``, not from the kernel's columns."""
+    position = {s: i for i, s in enumerate(kernel.states)}
+    rows = [[] for _ in kernel.states]
+    for s, t, r in kernel.rate_items():
+        rows[position[s]].append((position[t], r))
     index = [0] * len(kernel.states)
     while True:
         numbers = {}
         refined = []
-        for block, row in zip(index, kernel.rows):
+        for block, row in zip(index, rows):
             sums = {}
-            for bit, v in row:
-                target = index[bit.bit_length() - 1]
-                sums[target] = sums.get(target, 0) + v
+            for t, r in row:
+                target = index[t]
+                sums[target] = sums.get(target, 0) + r
             signature = (block, frozenset(sums.items()))
             refined.append(numbers.setdefault(signature, len(numbers)))
         if refined == index:

@@ -30,7 +30,7 @@ S = frozenset
 def test_smallest_legal_kernel():
     k = Kernel(["m"], {("m", "m"): 0})
     assert k.rate("m", "m") == 0
-    assert k.rows == ((),) and k.scale == 1
+    assert k.rate_items() == [] and k.scale == 1 and k.totals == [0]
 
 
 def test_duplicate_state_rejected():
@@ -134,6 +134,26 @@ def kernels(draw):
     return Kernel(states, entries)
 
 
+def brute_scaled_measures(k: Kernel, mask: int) -> list:
+    """theta(m)(mask) * scale for every state m, summed entry by entry over
+    ``rate_items()``: the test oracle for ``Kernel.scaled_measures``."""
+    position = {s: i for i, s in enumerate(k.states)}
+    sums = [0] * len(k.states)
+    for s, t, r in k.rate_items():
+        if mask >> position[t] & 1:
+            sums[position[s]] += r * k.scale
+    return sums
+
+
+@given(kernels(), st.data())
+def test_scaled_measures_match_the_entrywise_sum(k, data):
+    # the empty set, each single state, every state and random subsets
+    singles = [1 << i for i in range(len(k.states))]
+    subsets = data.draw(st.lists(st.integers(0, k.full), max_size=8))
+    for mask in (0, *singles, k.full, *subsets):
+        assert k.scaled_measures(mask) == brute_scaled_measures(k, mask)
+
+
 @given(kernels(), st.data())
 def test_measure_additive_over_disjoint_sets(k, data):
     members = sorted(k.state_set)
@@ -141,10 +161,11 @@ def test_measure_additive_over_disjoint_sets(k, data):
     left, right = S(members[:split]), S(members[split:])
     for m in k.states:
         assert k.measure(m, left) + k.measure(m, right) == k.measure(m, left | right)
-    # the integer core: row scans for the halves, the exit totals for the full set
+    # the integer core: column sums for the halves, the exit totals for the
+    # full set, each against the entrywise sum
     for targets in (left, right, left | right):
-        scaled = k.scaled_measures(k.mask_of(targets))
-        assert list(scaled) == [k.measure(m, targets) * k.scale for m in k.states]
+        mask = k.mask_of(targets)
+        assert k.scaled_measures(mask) == brute_scaled_measures(k, mask)
     assert k.mask_of(left | right) == k.full
     assert [k.total(m) * k.scale for m in k.states] == list(k.totals)
 
@@ -164,7 +185,7 @@ def test_rate_order_gives_equal_kernels(k, rng):
     again = Kernel(k.states, dict(items))
     assert again == k
     assert hash(again) == hash(k)
-    assert again.rows == k.rows and again.scale == k.scale
+    assert again.rate_items() == k.rate_items() and again.scale == k.scale
 
 
 @pytest.mark.parametrize("name", FIGURES)
@@ -299,7 +320,7 @@ def test_loader_matches_entrywise_construction(states, pool, data):
     )
     k = loads_kernel(json.dumps({"states": states, "rates": doc}))
     assert k == expected
-    assert k.rows == expected.rows and k.scale == expected.scale
+    assert k.rate_items() == expected.rate_items() and k.scale == expected.scale
 
 
 def test_loader_parses_each_distinct_literal_once(monkeypatch):
@@ -343,7 +364,12 @@ def _fresh(value):
 
 def _core(states, rates) -> tuple:
     k = Kernel(states, rates)
-    return k.rows, k.scale, k.totals, k.full
+    # the columns transposed into the oracle's rows of (target bit, weight)
+    rows: list = [[] for _ in k.states]
+    for t, col in enumerate(k.cols):
+        for s, w in col:
+            rows[s].append((1 << t, w))
+    return tuple(map(tuple, rows)), k.scale, k.totals, k.full
 
 
 def _outcome(build, states, rates):

@@ -414,8 +414,8 @@ def test_quotient_coerces_each_distinct_rate_once(monkeypatch):
 
     monkeypatch.setattr(kernel_module, "ensure_rate", counting_ensure_rate)
     solver = OrderSolver(kernel)
-    rates = {w for row in solver.quotient.rows for _, w in row}
-    assert len(calls) == len(rates) < sum(map(len, solver.quotient.rows))
+    items = solver.quotient.rate_items()
+    assert len(calls) == len({r for _, _, r in items}) < len(items)
 
 
 def test_epsilon_order_is_a_value():

@@ -180,6 +180,32 @@ def test_oracles_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "oracles: 100 cases identical\n"
 
 
+def test_measures_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["measures", "-o", str(first)]) == 0
+    assert dump.main(["measures", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    # 7 models, 49 unions, 130 corpus kernels, 8 gen_kernel and 3 ladder unions
+    assert len(docs) == 197 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    for doc in docs.values():
+        masks = [mask for mask, _ in doc["measures"]]
+        n = len(doc["measures"][0][1])
+        full = (1 << n) - 1
+        assert masks[:n + 2] == [0, *(1 << i for i in range(n)), full]
+        assert len(masks) == n + 2 + dump.MEASURE_MASKS
+        assert all(0 <= mask <= full for mask in masks)
+        # the empty mask has no mass, and the single states' add up to the full mask's
+        measures = [m for _, m in doc["measures"]]
+        assert measures[0] == [0] * n
+        assert list(map(sum, zip(*measures[1:n + 1]))) == measures[n + 1]
+    assert "measures: 197 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "measures: 197 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -62,6 +62,11 @@ Sections:
   slacks of the default suite budget, one case per kernel, oracle and slack:
   the sorted (m, n) pairs whose verdict is true and the sorted saturated pair
   masks. A saturation past its cap records ``SearchBudgetExceeded``.
+- ``measures``: the kernel's scale and ``scaled_measures`` of the empty mask,
+  each single state, the full mask and ``MEASURE_MASKS`` seeded random masks,
+  as (mask, list) pairs, on the shipped models, their 49 ordered disjoint
+  unions, the corpora, the ``gen_kernel`` ladder of ``load`` and the unions
+  of the ``orders`` ladder.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ SEARCH_CASES = 3000
 PROOF_CASES = 3000
 ORACLE_SEEDS = (3, 7)
 MALFORMED_CASES = 300
+MEASURE_MASKS = 20
 # rate literals a malformed document may hold; " 2 " and "0.25" are valid
 BAD_LITERALS = ("-1", "1/0", "abc", "1e3", "", " 2 ", "0.25", "\u0663", "1.", ".5", "1/-2")
 BAD_VALUES = (0.5, 1, None, True, ["1"])
@@ -134,6 +140,29 @@ def _kernels() -> Iterator[tuple[str, object]]:
         yield f"chain/{length:02d}", chain
 
 
+def _gen_ladder() -> Iterator[tuple[str, object]]:
+    from fractions import Fraction
+
+    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
+
+    for n in range(16, 129, 16):
+        config = KernelGenConfig(n, density=Fraction(1, 4), seed=1000 * n)
+        yield f"gen/{n:03d}", gen_kernel(config)
+
+
+def _ladder_unions() -> Iterator[tuple[str, object]]:
+    from fractions import Fraction
+
+    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
+    from cml_kit.kernel import disjoint_union
+
+    for m, a, b in LADDER:
+        union = disjoint_union(*(
+            gen_kernel(KernelGenConfig(m, density=Fraction(1, 2), seed=seed)) for seed in (a, b)
+        ))
+        yield f"ladder/{m}:{a}+{b}", union
+
+
 def _partition_cases() -> Iterator[Case]:
     from cml_kit.equivalence import bisimulation
 
@@ -146,9 +175,6 @@ def _partition_cases() -> Iterator[Case]:
 
 
 def _load_cases() -> Iterator[Case]:
-    from fractions import Fraction
-
-    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
     from cml_kit.kernel import loads_kernel
     from cml_kit.rational import format_rate
 
@@ -160,12 +186,7 @@ def _load_cases() -> Iterator[Case]:
             "totals": [format_rate(kernel.total(s)) for s in kernel.states],
         }
 
-    def ladder() -> Iterator[tuple[str, object]]:
-        for n in range(16, 129, 16):
-            config = KernelGenConfig(n, density=Fraction(1, 4), seed=1000 * n)
-            yield f"gen/{n:03d}", gen_kernel(config)
-
-    for case, kernel in (*_models(), *ladder()):
+    for case, kernel in (*_models(), *_gen_ladder()):
         yield case, lambda kernel=kernel: load(kernel)
     for case, text in (*_pool_documents(), *_malformed_documents()):
         yield case, lambda text=text: load(loads_kernel(text))
@@ -255,8 +276,6 @@ def _orders_cases() -> Iterator[Case]:
 
     from cml_kit.equivalence import generators
     from cml_kit.formula import print_formula
-    from cml_kit.harness.generate import KernelGenConfig, gen_kernel
-    from cml_kit.kernel import disjoint_union
     from cml_kit.orders import OrderSolver, PlainDescent
     from cml_kit.rational import format_rate
 
@@ -277,11 +296,8 @@ def _orders_cases() -> Iterator[Case]:
 
     for case, kernel in (*_corpora(), *_models()):
         yield case, lambda kernel=kernel: orders(kernel)
-    for m, a, b in LADDER:
-        union = disjoint_union(*(
-            gen_kernel(KernelGenConfig(m, density=Fraction(1, 2), seed=seed)) for seed in (a, b)
-        ))
-        yield f"ladder/{m}:{a}+{b}", lambda union=union: family(generators(union))
+    for case, union in _ladder_unions():
+        yield case, lambda union=union: family(generators(union))
 
 
 def _metric_cases() -> Iterator[Case]:
@@ -517,6 +533,22 @@ def _oracles_cases() -> Iterator[Case]:
                            lambda args=(oracle, kernel, e): transfer(*args))
 
 
+def _measures_cases() -> Iterator[Case]:
+    import random
+
+    def measures(kernel, masks: list[int]) -> dict:
+        return {"scale": kernel.scale,
+                "measures": [[mask, kernel.scaled_measures(mask)] for mask in masks]}
+
+    rng = random.Random(29)
+    kernels = (*_models(), *_corpora(), *_gen_ladder(), *_ladder_unions())
+    for case, kernel in kernels:
+        n = len(kernel.states)
+        randoms = [rng.getrandbits(n) for _ in range(MEASURE_MASKS)]
+        masks = [0, *(1 << i for i in range(n)), kernel.full, *randoms]
+        yield case, lambda kernel=kernel, masks=masks: measures(kernel, masks)
+
+
 SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "partition": _partition_cases,
     "load": _load_cases,
@@ -527,6 +559,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "search": _search_cases,
     "proofs": _proofs_cases,
     "oracles": _oracles_cases,
+    "measures": _measures_cases,
 }
 
 
