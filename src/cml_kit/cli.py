@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .errors import CMLError, InternalCheckError
@@ -193,20 +194,23 @@ def cmd_verify(args) -> int:
     budget = BUDGETS[args.budget](args.seed)
     reports = []
     failed = False
-    for name in names:
-        report = run_suite(name, budget)
-        reports.append(report.to_doc())
-        status = "ok" if report.ok else f"{len(report.failures)} FAILURES"
-        print(
-            f"{report.suite}: {status} ({report.checked} checks, "
-            f"{report.elapsed_s:.1f}s)"
-        )
-        for failure in report.failures[:5]:
-            print(f"  - {failure.description}")
-        failed = failed or not report.ok
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    # the report is opened before the first suite runs, so an unwritable path
+    # fails at once rather than after the whole run
+    with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
+        for name in names:
+            report = run_suite(name, budget)
+            reports.append(report.to_doc())
+            status = "ok" if report.ok else f"{len(report.failures)} FAILURES"
+            print(
+                f"{report.suite}: {status} ({report.checked} checks, "
+                f"{report.elapsed_s:.1f}s)"
+            )
+            for failure in report.failures[:5]:
+                print(f"  - {failure.description}")
+            failed = failed or not report.ok
+        if fh is not None:
             json.dump({"schema": SCHEMA, "reports": reports}, fh, indent=2)
+    if args.report:
         print(f"report written to {args.report}")
     return 1 if failed else 0
 

@@ -7,14 +7,18 @@ are classical: negation is exact complement at every e.
 Extensions are computed on the kernel's integer core (see ``kernel``) by one
 recursion over the formula tree: a subformula's extension is a state bitmask,
 and an ``L r phi`` node takes each state's scaled rate w = theta(m)(phi) * D
-into the child's mask. It scales r and e once to integers over a common
-denominator and passes each state's w, scaled the same way, to
-``_modal_holds``, the only place the semantics compares rates. ``mask``
-returns that bitmask, and every caller inside the package reads it: ``sat``,
-``valid_on`` and the property suites test bits and compare masks.
-``extension`` and ``eval_formula`` return frozensets, for the CLI and other
-callers outside the package. Nothing is cached: a caller that needs the same
-(formula, e) extension twice keeps the first result.
+into the child's mask. Each call scales its slack e = ne/de once, to ne * D
+and de, and the walk passes those integers down; an ``L`` node scales its own
+r with them to integers over one common denominator and passes each state's
+w, scaled the same way, to ``_modal_holds``, the only place the semantics
+compares rates. ``mask`` returns that bitmask, and every caller inside the
+package reads it: ``sat``, ``valid_on`` and the property suites test bits and
+compare masks. ``extension`` and ``eval_formula`` return frozensets, for the
+CLI and other callers outside the package. ``stability_margin`` runs the same
+walk with a list, to which each ``L`` node appends its least positive deficit
+r - (theta(m)(phi) + e), computed on the same integers. Nothing is cached: a
+caller that needs the same (formula, e) extension twice keeps the first
+result.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
 row-major slot order and tries kernels only up to state relabeling: it
@@ -80,10 +84,13 @@ class Evaluator:
 
     ``mask`` gives an extension as a state bitmask (bit i is state i of the
     kernel) and ``extension`` as a frozenset of state names. Both compute
-    every call with one walk over the formula tree,
-    ``_walk``, and keeps no table: a repeated formula or subformula is
-    evaluated again wherever it occurs, which costs less than hashing it to
-    look it up.
+    every call with one walk over the formula tree, ``_walk``, and keep no
+    table: a repeated formula or subformula is evaluated again wherever it
+    occurs, which costs less than hashing it to look it up. A call scales its
+    slack e = ne/de once, to the integers ne * D and de, and the walk passes
+    them down; each ``L`` node then scales only its own rate.
+    ``stability_margin`` reads its deficits off the same walk: each ``L``
+    node also appends its least positive deficit to a list the caller passes.
     """
 
     def __init__(self, kernel: Kernel):
@@ -91,63 +98,63 @@ class Evaluator:
         self._full = kernel.full
 
     def mask(self, f: Formula, e: Rate) -> int:
-        return self._walk(f, ensure_rate(e))
+        ne, de = ensure_rate(e).as_integer_ratio()
+        return self._walk(f, ne * self.kernel.scale, de, None)
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
-        return self._compute(f, ensure_rate(e))
+        return self._compute(f, e)
 
     def _compute(self, f: Formula, e: Rate) -> frozenset:
-        return self.kernel.set_of(self._walk(f, e))
+        return self.kernel.set_of(self.mask(f, e))
 
-    def _walk(self, f: Formula, e: Rate) -> int:
-        # the extension of f at e as a state bitmask
-        if isinstance(f, Top):
+    def _walk(self, f: Formula, slack: int, de: int, gaps: Optional[list]) -> int:
+        # the extension of f at e = slack / (D * de) as a state bitmask; with a
+        # gaps list, every L node also appends its least positive deficit
+        cls = f.__class__
+        if cls is L:
+            child = self._walk(f.child, slack, de, gaps)
+            # theta(m)(child) + e >= r, multiplied through by D and by the
+            # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
+            kernel = self.kernel
+            nr, dr = f.rate.as_integer_ratio()
+            unit = de * dr
+            slack_r = slack * dr
+            bound = nr * kernel.scale * de
+            measures = kernel.scaled_measures(child)
+            holds = _modal_holds
+            out = 0
+            bit = 1
+            for w in measures:
+                if holds(w * unit, slack_r, bound):
+                    out |= bit
+                bit <<= 1
+            if gaps is not None:
+                # the deficit r - (w / D + e), over the denominator D * de * dr
+                least = min((g for w in measures
+                             if (g := bound - w * unit - slack_r) > 0), default=0)
+                if least:
+                    gaps.append(Fraction(least, kernel.scale * unit))
+            return out
+        if cls is And:
+            return self._walk(f.left, slack, de, gaps) & self._walk(f.right, slack, de, gaps)
+        if cls is Not:
+            return self._full ^ self._walk(f.child, slack, de, gaps)
+        if cls is Top:
             return self._full
-        if isinstance(f, Not):
-            return self._full ^ self._walk(f.child, e)
-        if isinstance(f, And):
-            return self._walk(f.left, e) & self._walk(f.right, e)
-        if not isinstance(f, L):
-            raise TypeError(f"not a formula node: {f!r}")
-        child = self._walk(f.child, e)
-        # theta(m)(child) + e >= r, multiplied through by D and by the
-        # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
-        r, scale = f.rate, self.kernel.scale
-        unit = e.denominator * r.denominator
-        slack = e.numerator * scale * r.denominator
-        bound = r.numerator * scale * e.denominator
-        out = 0
-        for i, w in enumerate(self.kernel.scaled_measures(child)):
-            if _modal_holds(w * unit, slack, bound):
-                out |= 1 << i
-        return out
+        raise TypeError(f"not a formula node: {f!r}")
 
     def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
         """Smallest positive deficit among failed modal comparisons at e.
 
         Raising e by less than this margin cannot flip any comparison, so the
         extension of every subformula is unchanged on [e, e + margin). None when
-        every comparison already holds (no finite flip point).
+        every comparison already holds (no finite flip point). The deficits
+        come from one walk at e, one least positive deficit per ``L`` node.
         """
-        e = ensure_rate(e)
-        scale = self.kernel.scale
-        deficits: list[Rate] = []
-
-        def walk(g: Formula) -> None:
-            if isinstance(g, L):
-                for w in set(self.kernel.scaled_measures(self._walk(g.child, e))):
-                    gap = g.rate - (Fraction(w, scale) + e)
-                    if gap > 0:
-                        deficits.append(gap)
-                walk(g.child)
-            elif isinstance(g, Not):
-                walk(g.child)
-            elif isinstance(g, And):
-                walk(g.left)
-                walk(g.right)
-
-        walk(f)
-        return min(deficits) if deficits else None
+        ne, de = ensure_rate(e).as_integer_ratio()
+        gaps: list[Rate] = []
+        self._walk(f, ne * self.kernel.scale, de, gaps)
+        return min(gaps) if gaps else None
 
 
 def eval_formula(kernel: Kernel, f: Formula, e: Rate) -> frozenset:
@@ -211,7 +218,7 @@ def _batch_witness(
     # the batch's candidates side by side in one kernel, walked once: the
     # kernel and the position of its lowest state that satisfies f, if any
     kernel = Kernel(states, rates)
-    found = Evaluator(kernel)._walk(f, e)
+    found = Evaluator(kernel).mask(f, e)
     return (kernel, (found & -found).bit_length() - 1) if found else None
 
 

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from cml_kit import And, Kernel, KernelError, L, Not, RateError, Top
+from cml_kit import And, Evaluator, Kernel, KernelError, L, Not, RateError, Top
 from cml_kit.models import load_model
 from cml_kit.rational import ensure_rate, format_rate
 
@@ -20,6 +20,32 @@ def prop_eval(f, assignment: dict) -> bool:
     if isinstance(f, And):
         return prop_eval(f.left, assignment) and prop_eval(f.right, assignment)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def two_walk_stability_margin(kernel, f, e):
+    """``Evaluator.stability_margin`` as two walks in Fractions: one over the
+    L nodes of f, and at each an extension walk of its child, whose states'
+    deficits r - (theta(m)(child) + e) are Fractions: the test oracle for the
+    margin read off the integer walk."""
+    e = ensure_rate(e)
+    ev = Evaluator(kernel)
+    deficits = []
+
+    def walk(g) -> None:
+        if isinstance(g, L):
+            for w in set(kernel.scaled_measures(ev.mask(g.child, e))):
+                gap = g.rate - (Fraction(w, kernel.scale) + e)
+                if gap > 0:
+                    deficits.append(gap)
+            walk(g.child)
+        elif isinstance(g, Not):
+            walk(g.child)
+        elif isinstance(g, And):
+            walk(g.left)
+            walk(g.right)
+
+    walk(f)
+    return min(deficits) if deficits else None
 
 
 def entrywise_core(states, rates) -> tuple:

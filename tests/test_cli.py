@@ -682,6 +682,19 @@ def test_verify_single_suite(tmp_path, capsys):
     assert doc["reports"][0]["failures"] == []
 
 
+def test_verify_unwritable_report_fails_before_any_suite(tmp_path, capsys, monkeypatch):
+    from cml_kit.harness import suites
+
+    ran = []
+    monkeypatch.setattr(suites, "run_suite", lambda *args: ran.append(args))
+    report = tmp_path / "missing" / "report.json"
+    code = main(["verify", "--budget", "full", "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert ran == [] and captured.out == ""
+    assert captured.err.startswith("error: ") and str(report) in captured.err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])

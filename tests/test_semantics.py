@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,10 @@ from cml_kit import (
 )
 from cml_kit import semantics
 from cml_kit.harness import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.mutations import mutated
+from cml_kit.harness.suites import _corpus_union
 from cml_kit.formula import Fragment, modal_indices
+from conftest import two_walk_stability_margin
 
 Q = Fraction
 S = frozenset
@@ -401,3 +406,48 @@ def test_integer_core_matches_fraction_definitions(k, formulas, e):
         assert ev.extension(f, e) == _fraction_extension(k, f, e)
         assert ev.mask(f, e) == k.mask_of(ev.extension(f, e))
     assert bisimulation(k).as_sets() == _fraction_bisimulation(k)
+
+
+_SLACKS = [Q(0), Q(1, 21), Q(1, 10), Q(2, 7), Q(1, 2), Q(1, 13), Q(1, 33), Q(5, 21), Q(3)]
+# the kernel of test_integer_scaling_keeps_the_exact_boundary
+_BOUNDARY = Kernel(["a", "b", "x"], {("a", "x"): Q(1, 3), ("b", "x"): Q(4, 7)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernels(), _formulas, st.sampled_from(_SLACKS))
+@example(_BOUNDARY, L(Q(4, 7), Top()), Q(0))
+@example(_BOUNDARY, L(Q(4, 7), Top()), Q(5, 21) - Q(1, 1000))
+@example(_BOUNDARY, L(Q(4, 7), Top()), Q(5, 21))
+@example(_BOUNDARY, Top(), Q(0))
+@example(_BOUNDARY, Not(L(Q(0), Top())), Q(1, 10))
+def test_stability_margin_matches_the_two_walk_oracle(k, f, e):
+    margin = Evaluator(k).stability_margin(f, e)
+    assert margin == two_walk_stability_margin(k, f, e)
+    assert margin is None or margin > 0
+
+
+@st.composite
+def _kernels_over(draw, d):
+    # rates i/d, so a kernel with a nonzero rate off the integers has scale d
+    states = [f"s{i}" for i in range(draw(st.integers(1, 4)))]
+    rate = st.integers(0, 2 * d).map(lambda i: Q(i, d))
+    return Kernel(states, {(s, t): draw(rate) for s in states for t in states})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([3, 7, 11]), min_size=2, max_size=4).flatmap(
+           lambda ds: st.tuples(*map(_kernels_over, ds))),
+       st.lists(_formulas, min_size=1, max_size=3),
+       st.sampled_from(_SLACKS))
+def test_union_mask_restricted_to_a_part_is_its_mask(parts, formulas, e):
+    union = _corpus_union(list(parts))
+    assert union.scale == math.lcm(*(k.scale for k in parts))
+    for name in (None, "eval-drop-epsilon", "eval-strict-comparison"):
+        with mutated(name) if name else contextlib.nullcontext():
+            ev = Evaluator(union)
+            for f in formulas:
+                m = ev.mask(f, e)
+                for k in parts:
+                    assert m & k.full == Evaluator(k).mask(f, e)
+                    m >>= len(k.states)
+                assert not m

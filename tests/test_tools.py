@@ -206,6 +206,42 @@ def test_measures_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "measures: 197 cases identical\n"
 
 
+def test_acceptance_dump_runs_each_criterion_at_its_budget(tmp_path, capsys, monkeypatch):
+    from fractions import Fraction
+
+    from cml_kit.harness import suites
+
+    dump = _dump_module()
+    budgets = {}
+
+    def run_suite(name, budget):
+        budgets[name] = budget
+        return suites.SuiteReport(name, seed=budget.seed)
+
+    # the suites themselves run in tests/test_acceptance.py
+    monkeypatch.setattr(suites, "run_suite", run_suite)
+    path = tmp_path / "acceptance.jsonl"
+    assert dump.main(["acceptance", "-o", str(path)]) == 0
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [doc["case"] for doc in docs] == [
+        "acceptance/03/t2", "acceptance/04/c2",
+        "acceptance/04/l1-positive-monotonicity", "acceptance/04/l2-limit",
+        "acceptance/05/t1-generators", "acceptance/06/paramcharact",
+        "acceptance/07/characterization", "acceptance/07/generalization",
+        "acceptance/09/pseudometric", "acceptance/10/deduction",
+        "acceptance/10/soundness",
+    ]
+    assert all("elapsed_s" not in doc and doc["seed"] == 7 for doc in docs)
+    assert "acceptance: 11 cases in" in capsys.readouterr().err
+    assert budgets["t2"] == suites.Budget(kernels=12, max_states=5, depth=2, max_formulas=400)
+    assert budgets["generalization"] == budgets["characterization"] == suites.Budget(
+        kernels=50, max_states=4, depth=2, max_formulas=150,
+        epsilons=tuple(map(Fraction, ("0", "1/10", "1/3", "1"))),
+    )
+    assert budgets["soundness"] == budgets["deduction"]
+    assert budgets["soundness"].kernels == 8 and budgets["pseudometric"].max_states == 8
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

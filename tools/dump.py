@@ -44,6 +44,9 @@ Sections:
   budget (seeds 3 and 7) and at the small budget.
 - ``mutations``: each suite's small-budget ``to_doc()`` without ``elapsed_s``
   under each mutation of ``harness.mutations``.
+- ``acceptance``: each suite's ``to_doc()`` without ``elapsed_s`` at the
+  budget its criterion in ``tests/test_acceptance.py`` runs it at
+  (``ACCEPTANCE``, criteria 03 to 10), one case per criterion and suite.
 - ``search``: ``search_model``'s witness and ``kernel_to_doc`` of its kernel,
   or null when the bounded space has none, with the query (printed formula,
   slack, states, grid, budget), on the documented searches, on 24 no-witness
@@ -106,6 +109,21 @@ MEASURE_MASKS = 20
 # rate literals a malformed document may hold; " 2 " and "0.25" are valid
 BAD_LITERALS = ("-1", "1/0", "abc", "1e3", "", " 2 ", "0.25", "\u0663", "1.", ".5", "1/-2")
 BAD_VALUES = (0.5, 1, None, True, ["1"])
+# (criterion, suites, Budget fields besides seed 7 and the default five
+# slacks): the suite runs of tests/test_acceptance.py
+ACCEPTANCE = (
+    ("03", ("t2",), dict(kernels=12, max_states=5, depth=2, max_formulas=400)),
+    ("04", ("c2", "l1-positive-monotonicity", "l2-limit"),
+     dict(kernels=10, max_states=5, depth=2, max_formulas=250)),
+    ("05", ("t1-generators",), dict(kernels=12, max_states=8)),
+    ("06", ("paramcharact",), dict(kernels=10, max_states=5, depth=2, max_formulas=250)),
+    ("07", ("characterization", "generalization"),
+     dict(kernels=50, max_states=4, depth=2, max_formulas=150,
+          epsilons=("0", "1/10", "1/3", "1"))),
+    ("09", ("pseudometric",), dict(kernels=10, max_states=8)),
+    ("10", ("soundness", "deduction"),
+     dict(kernels=8, max_states=5, depth=2, max_formulas=200)),
+)
 
 
 def _models() -> Iterator[tuple[str, object]]:
@@ -352,6 +370,20 @@ def _mutations_cases() -> Iterator[Case]:
             yield f"{mutation}/{name}", lambda m=mutation, name=name: report(m, name)
 
 
+def _acceptance_cases() -> Iterator[Case]:
+    from fractions import Fraction
+
+    from cml_kit.harness.suites import Budget
+
+    for criterion, names, fields in ACCEPTANCE:
+        fields = dict(fields)
+        if "epsilons" in fields:
+            fields["epsilons"] = tuple(map(Fraction, fields["epsilons"]))
+        budget = Budget(seed=7, **fields)
+        for name in names:
+            yield f"{criterion}/{name}", lambda name=name, budget=budget: _report(name, budget)
+
+
 def _search_cases() -> Iterator[Case]:
     import random
     from fractions import Fraction
@@ -556,6 +588,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "metric": _metric_cases,
     "suites": _suites_cases,
     "mutations": _mutations_cases,
+    "acceptance": _acceptance_cases,
     "search": _search_cases,
     "proofs": _proofs_cases,
     "oracles": _oracles_cases,
