@@ -17,11 +17,10 @@ _EXPORTS = {
     "kernel": "Kernel disjoint_union kernel_to_doc left_tag load_kernel "
     "loads_kernel right_tag",
     "formula": "And Bot Formula Fragment Implies L Not Or Top encode_abs "
-    "encode_down encode_up in_fragment normal_form parse print_formula strip_sugar",
+    "encode_down encode_up parse print_formula strip_sugar",
     "semantics": "Evaluator default_rate_grid eval_formula sat search_model valid_on",
-    "equivalence": "Partition bisimilar bisimulation generators "
-    "partition_from_family",
-    "orders": "EpsilonOrder OrderSolver holds",
+    "equivalence": "Partition bisimulation generators partition_from_family",
+    "orders": "OrderSolver holds",
     "metric": "Distance distance",
     "proofcheck": "Axiom Hypothesis ModusPonens Proof ProofLine RuleR1 Tautology "
     "axiom_instance check check_result load_proof loads_proof translate_proof",

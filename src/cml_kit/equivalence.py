@@ -40,7 +40,7 @@ from typing import Iterable
 
 from .errors import KernelError, Record, SearchBudgetExceeded
 from .formula import And, Formula, L, Or, Top
-from .kernel import Kernel, disjoint_union, left_tag, right_tag
+from .kernel import Kernel
 
 # members the definable-set family may hold before SearchBudgetExceeded; the
 # family can grow exponentially with the bisimulation blocks
@@ -62,9 +62,6 @@ class Partition(Record):
 
     def same_block(self, a: str, b: str) -> bool:
         return self.block_of(a) is self.block_of(b)
-
-    def as_sets(self) -> set[frozenset]:
-        return set(self.blocks)
 
 
 def bisimulation(kernel: Kernel) -> Partition:
@@ -126,16 +123,6 @@ def bisimulation(kernel: Kernel) -> Partition:
             blocks.append([])
         blocks[numbers[b]].append(state)
     return Partition(tuple(map(frozenset, blocks)), rounds)
-
-
-def bisimilar(k1: Kernel, m: str, k2: Kernel, n: str) -> bool:
-    """Processes (k1, m) and (k2, n) are bisimilar in the tagged disjoint union."""
-    if m not in k1.state_set:
-        raise KernelError(f"unknown state {m!r}")
-    if n not in k2.state_set:
-        raise KernelError(f"unknown state {n!r}")
-    union = disjoint_union(k1, k2)
-    return bisimulation(union).same_block(left_tag(m), right_tag(n))
 
 
 def generators(kernel: Kernel) -> dict[int, Formula]:

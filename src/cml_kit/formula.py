@@ -3,7 +3,7 @@
 The core AST has exactly four constructors: Top, Not, And and the indexed
 modality L. Disjunction, implication and falsum are parser sugar expanded to
 core nodes; the expansion is remembered in a ``sugar`` tag on the Not node so
-that fragment membership stays decidable and printing round-trips.
+that printing round-trips.
 
 Concrete grammar (ASCII, whitespace too), precedence ``!``/``L{r}`` > ``&`` >
 ``|`` > ``->``:
@@ -170,37 +170,11 @@ def strip_sugar(f: Formula) -> Formula:
 
 
 class Fragment(Enum):
+    """The sublanguages the suites enumerate: the positive fragment, built
+    from T, &, | and L only, and the full language."""
+
     POSITIVE = "positive"
-    NEGATIVE = "negative"
     FULL = "full"
-
-
-def in_fragment(f: Formula, fragment: Fragment) -> bool:
-    """Membership in the positive / negative / full sublanguages.
-
-    Positive formulas are built from T, &, | and L only; | is recognized via
-    the parser's sugar tag, so a hand-built !(!a & !b) without the tag does
-    not count as a disjunction.
-    """
-    if fragment is Fragment.FULL:
-        return True
-    if fragment is Fragment.NEGATIVE:
-        return isinstance(f, Not) and f.sugar is None and in_fragment(
-            f.child, Fragment.POSITIVE
-        )
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, And):
-        return in_fragment(f.left, Fragment.POSITIVE) and in_fragment(
-            f.right, Fragment.POSITIVE
-        )
-    if isinstance(f, L):
-        return in_fragment(f.child, Fragment.POSITIVE)
-    operands = or_operands(f)
-    if operands is not None:
-        a, b = operands
-        return in_fragment(a, Fragment.POSITIVE) and in_fragment(b, Fragment.POSITIVE)
-    return False
 
 
 # --- encodings ---------------------------------------------------------------
@@ -237,17 +211,6 @@ def _shift(f: Formula, index: Callable[[Rate], Rate]) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def normal_form(f: Formula) -> Formula:
-    """Negation normal form, then disjunctive normal form, at every modal depth.
-
-    Modal subformulas are treated as literals (L r psi / !L r psi) with their
-    bodies normalized recursively; T and F are kept as atoms. Equivalent to the
-    input under Boolean semantics at every epsilon. Raises
-    SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET.
-    """
-    return _normal_form(f)[0]
-
-
 # The most clauses a normal form may have, counted across modal depths: its
 # own clauses plus the disjunctions of a modal literal's unrolled body at
 # every occurrence of the literal, since the output spells the body out there.
@@ -263,12 +226,6 @@ DNF_CLAUSE_BUDGET = 512
 # longest Or chain the clause budget allows and MAX_DEPTH more, well inside
 # the interpreter's recursion limit of 1000.
 NF_NESTING_BUDGET = 768
-
-
-def _normal_form(f: Formula) -> tuple[Formula, int]:
-    # the normal form and its disjunctions, unrolled through the modal bodies
-    clauses, inner = _clauses(f, True, 0)
-    return _join(clauses)[0], len(clauses) - 1 + inner
 
 
 def _join(clauses: list[tuple[list[Formula], int]]) -> tuple[Formula, int]:
@@ -326,9 +283,13 @@ def _clauses(
 def encode_abs(f: Formula, e: Rate) -> Formula:
     """Asymmetric index shift on the normal form: negated modal literals move up.
 
-    The input is brought to NNF/DNF over modal literals, as ``normal_form``
-    does, and in the same pass L r psi maps to L r |psi|, !L r psi maps to
-    !L (r+e) |psi|, and T, F, &, | are homomorphic.
+    The input is brought to negation normal form, then disjunctive normal
+    form, at every modal depth: modal subformulas are literals (L r psi /
+    !L r psi) with their bodies normalized recursively, and T and F are atoms.
+    In the same pass L r psi maps to L r |psi|, !L r psi maps to !L (r+e)
+    |psi|, and T, F, &, | are homomorphic; at e = 0 the result is the normal
+    form itself, equivalent to the input at every slack. Raises
+    SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET.
     """
     clauses, _ = _clauses(f, True, ensure_rate(e))
     return _join(clauses)[0]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..formula import And, Formula, Fragment, L, Not, Or, Top
 from ..rational import Rate, ensure_rate
@@ -31,29 +30,12 @@ class FormulaEnumeration:
     formulas: tuple[Formula, ...]
     truncated: bool
 
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.formulas)
-
-    def __len__(self) -> int:
-        return len(self.formulas)
-
 
 def enumerate_formulas(cfg: EnumerationConfig) -> FormulaEnumeration:
     """All fragment formulas up to the depth bound, deduplicated, capped.
 
-    Depth counts both Boolean and modal nesting. The negative fragment is the
-    positive stream under one negation.
+    Depth counts both Boolean and modal nesting.
     """
-    if cfg.fragment is Fragment.NEGATIVE:
-        inner = enumerate_formulas(
-            EnumerationConfig(
-                cfg.max_depth, cfg.rate_grid, Fragment.POSITIVE, cfg.max_count
-            )
-        )
-        return FormulaEnumeration(
-            tuple(Not(f) for f in inner.formulas), inner.truncated
-        )
-
     emitted: dict[Formula, None] = {Top(): None}
     previous: list[Formula] = [Top()]  # formulas of depth exactly d-1
     truncated = False

@@ -18,10 +18,10 @@ the pass that builds them: ``totals``, each state's scaled exit total
 theta(m)(M) * D, and ``full``, the mask of every state. ``scaled_measures``
 gives every state's scaled rate into a mask: the totals for the full mask,
 else the sum of the columns of the mask's set bits, so it reads only the
-entries into the mask. ``rate`` scans the target's column, ``measure`` reads
-``scaled_measures``, ``total`` the totals, and ``rate_items`` regroups the
-columns by source in one pass, in (source, target) state order; they return
-Fractions, which with names and frozensets stay the public boundary.
+entries into the mask. ``measure`` reads ``scaled_measures``, and
+``rate_items`` regroups the columns by source in one pass, in (source, target)
+state order; they return Fractions, which with names and frozensets stay the
+public boundary.
 
 The constructor coerces and scales each distinct rate object once: a table
 keyed by the object's id gives every later entry holding the same object its
@@ -44,8 +44,6 @@ from typing import IO, Iterable, Mapping, Union
 
 from .errors import KernelError, RateError
 from .rational import Rate, ensure_rate, format_rate, parse_rate
-
-_ZERO = Fraction(0)
 
 
 class Kernel:
@@ -147,22 +145,10 @@ class Kernel:
     def state_set(self) -> frozenset:
         return self._state_set
 
-    def rate(self, source: str, target: str) -> Rate:
-        """theta(source, target); 0 for pairs without a stored entry."""
-        i = self._position(source)
-        for s, w in self.cols[self._position(target)]:
-            if s == i:
-                return Fraction(w, self.scale)
-        return _ZERO
-
     def measure(self, source: str, targets: frozenset) -> Rate:
         """theta(source)(targets) = total rate from source into the set."""
         i = self._position(source)
         return Fraction(self.scaled_measures(self.mask_of(targets))[i], self.scale)
-
-    def total(self, source: str) -> Rate:
-        """Total exit rate theta(source)(M)."""
-        return Fraction(self.totals[self._position(source)], self.scale)
 
     def scaled_measures(self, mask: int) -> list[int]:
         """theta(m)(mask) * scale for every state m, by state position: the sum
@@ -298,10 +284,15 @@ def _kernel_from_doc(doc: object) -> Kernel:
                 except RateError as exc:
                     raise KernelError(f"rates.{source}.{target}: {exc}") from exc
             rates[(source, target)] = r
-    return Kernel(states, rates)
+    kernel = Kernel(states, rates)
+    # a row with no entries names a source the constructor never sees
+    if not rates_doc.keys() <= kernel.state_set:
+        source = next(s for s in rates_doc if s not in kernel.state_set)
+        raise KernelError(f"rate source {source!r} is not a state")
+    return kernel
 
 
-def kernel_to_doc(kernel: Kernel, comment: str | None = None) -> dict:
+def kernel_to_doc(kernel: Kernel) -> dict:
     rates: dict[str, dict[str, str]] = {}
     # items holds one Fraction per distinct rate, so each is printed once,
     # keyed by its id while items keeps it alive
@@ -309,7 +300,4 @@ def kernel_to_doc(kernel: Kernel, comment: str | None = None) -> dict:
     printed = {id(r): format_rate(r) for r in {id(r): r for _, _, r in items}.values()}
     for s, t, r in items:
         rates.setdefault(s, {})[t] = printed[id(r)]
-    doc: dict = {"states": list(kernel.states), "rates": rates}
-    if comment is not None:
-        doc["comment"] = comment
-    return doc
+    return {"states": list(kernel.states), "rates": rates}

@@ -40,8 +40,7 @@ measure is one ``scaled_measures`` of the quotient. A slack x (an integer,
 in units of 1/D_q) exceeds e exactly when x > floor(e·D_q), because x is an
 integer; every comparison with e is made that way, so the plain fixpoint
 depends on e only through floor(e·D_q). The stages rely on that: they
-descend over integer limits only. Only ``_theta``, for outside checks, is an
-unscaled Fraction.
+descend over integer limits only.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .equivalence import Partition, bisimulation, generators
-from .errors import KernelError, Record, SearchBudgetExceeded
+from .errors import KernelError, SearchBudgetExceeded
 from .formula import Formula
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
@@ -60,14 +59,10 @@ BlockPair = tuple[int, int]
 # steps one essential witness search may take before SearchBudgetExceeded
 WITNESS_BUDGET = 200_000
 
-
-class EpsilonOrder(Record):
-    epsilon: Rate
-    relation: frozenset
-    essential: bool
-
-    def __contains__(self, pair: tuple[str, str]) -> bool:
-        return pair in self.relation
+# pair checks and closure updates one PlainDescent may make before
+# SearchBudgetExceeded, about a second of work: the descent to 0 makes
+# Theta(n^3) of them on an n-state chain, and fits up to 163 states
+DESCENT_BUDGET = 3_000_000
 
 
 class OrderSolver:
@@ -122,10 +117,6 @@ class OrderSolver:
     def _limit(self, e: Rate) -> int:
         # an integer slack x exceeds e exactly when x > floor(e * scale)
         return e.numerator * self.scale // e.denominator
-
-    def _theta(self, i: int, mask: int) -> Fraction:
-        # unscaled, so that checks outside the solver compare it with e as is
-        return Fraction(self._mass(i, mask), self.scale)
 
     # --- family at block level -------------------------------------------
 
@@ -229,15 +220,15 @@ class OrderSolver:
 
     # --- public relation construction ------------------------------------
 
-    def order(self, e: Rate, essential: bool = False) -> EpsilonOrder:
-        e = ensure_rate(e)
+    def order(self, e: Rate, essential: bool = False) -> frozenset:
+        """The state pairs of the largest plain (or essential) e-order."""
         pairs = self.essential_pairs(e) if essential else self.plain_pairs(e)
         relation = set()
         for (i, j) in pairs:
             for x in self.blocks[i]:
                 for y in self.blocks[j]:
                     relation.add((x, y))
-        return EpsilonOrder(epsilon=e, relation=frozenset(relation), essential=essential)
+        return frozenset(relation)
 
     def block_pair_of(self, m: str, n: str) -> BlockPair:
         index = self._block_index
@@ -278,6 +269,8 @@ class PlainDescent:
         self.violation: dict[BlockPair, int] = {
             (i, j): -solver.sums[i] for i in range(n) for j in range(n)
         }
+        # pair checks and closure updates made so far, against DESCENT_BUDGET
+        self._work = 0
         self._recheck(range(len(members)))
 
     def descend(self, limit: int) -> list[BlockPair]:
@@ -290,6 +283,7 @@ class PlainDescent:
             for (i, j) in over:
                 del violation[(i, j)]
                 into[j] &= ~(1 << i)
+            self._work += len(self._members)
             changed = []
             for k, (c, blocks) in enumerate(self._members):
                 closure = c
@@ -299,6 +293,10 @@ class PlainDescent:
                     self._closures[k] = closure
                     changed.append(k)
             self._recheck(changed)
+            if self._work > DESCENT_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"plain order descent exceeded {DESCENT_BUDGET} steps"
+                )
             over = [p for p, v in violation.items() if v > limit]
         return deleted
 
@@ -321,6 +319,7 @@ class PlainDescent:
             top = tops.get(closure)
             tops[closure] = row if top is None else list(map(max, top, row))
         violation = self.violation
+        self._work += len(tops) * len(violation)
         for closure, top in tops.items():
             base = self._measures(closure)
             for (i, j), v in violation.items():

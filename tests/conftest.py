@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from cml_kit import And, Evaluator, Kernel, KernelError, L, Not, RateError, Top
+from cml_kit import And, Evaluator, Fragment, Kernel, KernelError, L, Not, RateError, Top
+from cml_kit.formula import or_operands
 from cml_kit.models import load_model
 from cml_kit.rational import ensure_rate, format_rate
 
@@ -20,6 +21,21 @@ def prop_eval(f, assignment: dict) -> bool:
     if isinstance(f, And):
         return prop_eval(f.left, assignment) and prop_eval(f.right, assignment)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def in_fragment(f, fragment: Fragment) -> bool:
+    """Membership in the positive fragment (T, &, | and L only) or the full
+    language: the test oracle for the fragments the suites enumerate. | is
+    recognized by the parser's sugar tag, so a hand-built !(!a & !b) without
+    the tag does not count as a disjunction."""
+    if fragment is Fragment.FULL or isinstance(f, Top):
+        return True
+    if isinstance(f, And):
+        return in_fragment(f.left, fragment) and in_fragment(f.right, fragment)
+    if isinstance(f, L):
+        return in_fragment(f.child, fragment)
+    operands = or_operands(f)
+    return operands is not None and all(in_fragment(g, fragment) for g in operands)
 
 
 def two_walk_stability_margin(kernel, f, e):

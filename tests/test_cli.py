@@ -104,6 +104,19 @@ def test_distance_past_the_family_cap_is_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["order", "distance"])
+def test_plain_descent_past_its_budget_is_usage_error(command, monkeypatch, capsys):
+    from cml_kit import orders
+
+    monkeypatch.setattr(orders, "DESCENT_BUDGET", 1)
+    argv = [command, "-m1", model_path("fig4m"), "-m2", model_path("fig4o"),
+            "-s1", "m", "-s2", "o"] + (["-e", "0"] if command == "order" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "plain order descent exceeded 1 steps" in err
+    assert "Traceback" not in err
+
+
 def test_key_error_inside_a_command_is_not_a_usage_error(monkeypatch, capsys):
     # no documented input raises KeyError, so one is a library fault: it
     # propagates rather than ending in exit 2 with a bare key as its message

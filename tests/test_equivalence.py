@@ -8,16 +8,17 @@ from cml_kit import (
     Evaluator,
     Kernel,
     Partition,
-    bisimilar,
     bisimulation,
     disjoint_union,
     equivalence,
     generators,
+    left_tag,
     partition_from_family,
+    right_tag,
 )
 from cml_kit.errors import SearchBudgetExceeded
-from cml_kit.harness import EnumerationConfig, KernelGenConfig, enumerate_formulas, gen_kernel
-from cml_kit.harness.generate import corpus
+from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.formula import And, Fragment, L, Or, Top, encode_up, print_formula
 from cml_kit.models import FIGURES, load_model
 
@@ -30,7 +31,7 @@ def test_branching_kernel_blocks(fig1):
     assert partition.same_block("m2", "m4")
     assert partition.same_block("m3", "m5")
     # the absorbing states all behave identically, including m1
-    assert partition.as_sets() == {
+    assert set(partition.blocks) == {
         S({"m"}),
         S({"m2", "m4"}),
         S({"m1", "m3", "m5"}),
@@ -44,11 +45,16 @@ def test_zero_kernel_single_block():
 
 def test_distinct_self_rates_split():
     k = Kernel(["a", "b"], {("a", "a"): 1, ("b", "b"): 2})
-    assert bisimulation(k).as_sets() == {S({"a"}), S({"b"})}
+    assert set(bisimulation(k).blocks) == {S({"a"}), S({"b"})}
+
+
+def _bisimilar(k1, m, k2, n) -> bool:
+    # (k1, m) and (k2, n) share a block of the tagged disjoint union
+    return bisimulation(disjoint_union(k1, k2)).same_block(left_tag(m), right_tag(n))
 
 
 def test_bisimilar_reflexive(fig1):
-    assert bisimilar(fig1, "m", fig1, "m")
+    assert _bisimilar(fig1, "m", fig1, "m")
 
 
 def test_isomorphic_copies_bisimilar(fig1):
@@ -56,13 +62,13 @@ def test_isomorphic_copies_bisimilar(fig1):
         [s.upper() for s in fig1.states],
         {(s.upper(), t.upper()): r for (s, t, r) in fig1.rate_items()},
     )
-    assert bisimilar(fig1, "m", relabeled, "M")
-    assert bisimilar(fig1, "m2", relabeled, "M4")
-    assert not bisimilar(fig1, "m", relabeled, "M2")
+    assert _bisimilar(fig1, "m", relabeled, "M")
+    assert _bisimilar(fig1, "m2", relabeled, "M4")
+    assert not _bisimilar(fig1, "m", relabeled, "M2")
 
 
 def test_perturbed_roots_not_bisimilar(fig1, fig4o):
-    assert not bisimilar(fig1, "m", fig4o, "o")
+    assert not _bisimilar(fig1, "m", fig4o, "o")
 
 
 def _round_loop_blocks(kernel):
@@ -189,7 +195,7 @@ def test_family_partition_matches_refinement():
     for kernel in corpus(10, 5, seed=5):
         partition = bisimulation(kernel)
         family = generators(kernel)
-        assert partition_from_family(kernel, family).as_sets() == partition.as_sets()
+        assert set(partition_from_family(kernel, family).blocks) == set(partition.blocks)
 
 
 def test_enumerated_extensions_in_family(fig1):
@@ -198,11 +204,11 @@ def test_enumerated_extensions_in_family(fig1):
     grid = tuple(sorted(_measures(fig1, plain)))
     ev = Evaluator(fig1)
     pos = enumerate_formulas(EnumerationConfig(2, grid, Fragment.POSITIVE, 400))
-    for f in pos:
+    for f in pos.formulas:
         for e in (Q(0), Q(1, 10), Q(1)):
             assert fig1.mask_of(ev.extension(f, e)) in plain
     full = enumerate_formulas(EnumerationConfig(2, grid, Fragment.FULL, 400))
-    for f in full:
+    for f in full.formulas:
         for e in (Q(0), Q(1, 10), Q(1)):
             assert _union_of_blocks(ev.extension(f, e), partition)
 

@@ -19,20 +19,18 @@ from cml_kit import (
     encode_down,
     encode_up,
     eval_formula,
-    in_fragment,
-    normal_form,
     parse,
     print_formula,
 )
 from cml_kit.errors import RateError, SearchBudgetExceeded
 from cml_kit.formula import (
     DNF_CLAUSE_BUDGET,
-    _normal_form,
+    _clauses,
     modal_atoms,
     modal_indices,
 )
-from cml_kit.harness import EnumerationConfig, enumerate_formulas
-from conftest import prop_eval
+from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from conftest import in_fragment, prop_eval
 
 Q = Fraction
 
@@ -115,8 +113,8 @@ def test_round_trip_enumerated_to_depth_4():
     # deterministic prefix of it
     cfg = EnumerationConfig(4, (Q(1),), Fragment.FULL, max_count=20_000)
     formulas = enumerate_formulas(cfg)
-    assert len(formulas) == 20_000 and formulas.truncated
-    for f in formulas:
+    assert len(formulas.formulas) == 20_000 and formulas.truncated
+    for f in formulas.formulas:
         assert parse(print_formula(f)) == f
 
 
@@ -151,12 +149,12 @@ def test_round_trip_random(f):
         (L(1, Top()), Fragment.POSITIVE, True),
         (Not(L(1, Top())), Fragment.POSITIVE, False),
         (Or(L(1, Top()), Top()), Fragment.POSITIVE, True),
-        (Not(Or(L(1, Top()), Top())), Fragment.NEGATIVE, True),
-        (Not(Top()), Fragment.NEGATIVE, True),
+        (Not(Or(L(1, Top()), Top())), Fragment.POSITIVE, False),
+        (Not(Top()), Fragment.POSITIVE, False),
         (Bot(), Fragment.POSITIVE, False),
         (Implies(Top(), Top()), Fragment.POSITIVE, False),
         (And(L(1, Top()), Or(Top(), Top())), Fragment.POSITIVE, True),
-        (Not(Not(Top())), Fragment.NEGATIVE, False),
+        (Not(Not(Top())), Fragment.POSITIVE, False),
         (Bot(), Fragment.FULL, True),
     ],
 )
@@ -208,10 +206,9 @@ def test_down_inverts_up_when_indices_large_enough(f, e):
 
 @given(formula_st, st.fractions(min_value=0, max_value=4, max_denominator=6))
 def test_encodings_preserve_fragments(f, e):
-    for fragment in (Fragment.POSITIVE, Fragment.NEGATIVE):
-        if in_fragment(f, fragment):
-            assert in_fragment(encode_down(f, e), fragment)
-            assert in_fragment(encode_up(f, e), fragment)
+    if in_fragment(f, Fragment.POSITIVE):
+        assert in_fragment(encode_down(f, e), Fragment.POSITIVE)
+        assert in_fragment(encode_up(f, e), Fragment.POSITIVE)
 
 
 # --- the asymmetric encoding and its normal form ------------------------------
@@ -228,7 +225,7 @@ def test_encode_abs_examples():
 def test_normal_form_shape():
     # negations end up only on modal literals
     f = Not(And(Or(Top(), L(1, Top())), Not(L(2, Not(Top())))))
-    nf = normal_form(f)
+    nf = encode_abs(f, 0)
 
     def well_formed(g, under_not=False):
         if isinstance(g, Top):
@@ -252,7 +249,7 @@ def test_normal_form_shape():
 
 @given(formula_st)
 def test_normal_form_preserves_truth_tables(f):
-    nf = normal_form(f)
+    nf = encode_abs(f, 0)
     # literal atoms of the normal form refer to normalized bodies, so compare
     # the two semantically: evaluate both on concrete kernels
     from cml_kit.harness.generate import corpus
@@ -272,9 +269,13 @@ def test_normal_form_preserves_truth_tables(f):
 @example(And(L(1, Or(Top(), Bot())), Or(Top(), Not(L(2, Or(Top(), Top()))))))
 def test_normal_form_budget_counts_the_printed_disjunctions(f):
     try:
-        nf, spent = _normal_form(f)
+        clauses, inner = _clauses(f, True, 0)
+        nf = encode_abs(f, 0)
     except SearchBudgetExceeded:
         return
+    # the normal form's own disjunctions and those unrolled through its modal
+    # bodies
+    spent = len(clauses) - 1 + inner
     assert spent == print_formula(nf).count("|") < DNF_CLAUSE_BUDGET
 
 
@@ -282,7 +283,7 @@ def test_normal_form_truth_assignment_oracle():
     # NNF over shared literal atoms: check by truth table where the atom sets
     # coincide (no nested negation inside modal bodies)
     f = Not(And(L(1, Top()), Not(L(2, Top()))))
-    nf = normal_form(f)
+    nf = encode_abs(f, 0)
     atoms = modal_atoms(f)
     assert set(atoms) == set(modal_atoms(nf))
     for bits in itertools.product([False, True], repeat=len(atoms)):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cml_kit import Distance, Kernel, OrderSolver, bisimilar, disjoint_union, distance, holds
+from cml_kit import Distance, Kernel, OrderSolver, bisimulation, disjoint_union, distance, holds
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.harness.suites import _block_distances
 from cml_kit.kernel import left_tag, right_tag
@@ -116,10 +116,11 @@ def test_pseudometric_axioms_on_generated_kernels():
 
 def test_zero_distance_iff_bisimilar():
     for kernel in corpus(8, 5, seed=22):
+        partition = bisimulation(disjoint_union(kernel, kernel))
         for i, m in enumerate(kernel.states):
             for n in kernel.states[i:]:
                 zero = distance(kernel, m, kernel, n).value == 0
-                assert zero == bisimilar(kernel, m, kernel, n)
+                assert zero == partition.same_block(left_tag(m), right_tag(n))
 
 
 def test_deadlock_distance_is_exit_rate():
@@ -173,6 +174,7 @@ def test_distance_is_a_value():
     m, o = load_model("fig4m"), load_model("fig4o")
     d = distance(m, "m", o, "o")
     assert d == Distance(Q(3, 10), Q(3, 10)) and hash(d) == hash(Distance(Q(3, 10), Q(3, 10)))
+    assert d == Distance(value=Q(3, 10), attained_at=Q(3, 10))
     assert d != Distance(Q(3, 10), Q(0))
     assert repr(d) == "Distance(value=Fraction(3, 10), attained_at=Fraction(3, 10))"
     with pytest.raises(AttributeError):

@@ -27,7 +27,7 @@ from cml_kit import (
     valid_on,
 )
 from cml_kit import semantics
-from cml_kit.harness import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
 from cml_kit.harness.mutations import mutated
 from cml_kit.harness.suites import _corpus_union
 from cml_kit.formula import Fragment, modal_indices
@@ -99,7 +99,7 @@ def test_stability_margin(fig1):
 def test_monotone_in_slack_for_positive(fig1):
     cfg = EnumerationConfig(2, (Q(1), Q(4), Q(5)), Fragment.POSITIVE, 200)
     ev = Evaluator(fig1)
-    for f in enumerate_formulas(cfg):
+    for f in enumerate_formulas(cfg).formulas:
         assert ev.extension(f, 0) <= ev.extension(f, Q(1, 10)) <= ev.extension(f, 1)
         neg = Not(f)
         assert ev.extension(neg, 1) <= ev.extension(neg, Q(1, 10)) <= ev.extension(neg, 0)
@@ -138,14 +138,14 @@ def test_search_finds_single_state_witness():
     found = search_model(L(2, Top()), 0, 1, [Q(0), Q(2)])
     assert found is not None
     kernel, witness = found
-    assert kernel.rate(witness, witness) == 2
+    assert kernel.rate_items() == [(witness, witness, 2)]
 
 
 def test_search_uses_slack():
     found = search_model(L(3, Top()), 1, 1, [Q(0), Q(2)])
     assert found is not None
     kernel, witness = found
-    assert kernel.rate(witness, witness) == 2
+    assert kernel.rate_items() == [(witness, witness, 2)]
 
 
 def test_search_bot_finds_nothing():
@@ -311,7 +311,7 @@ def test_search_tiny_example_builds_each_candidate_once(monkeypatch):
     kernel, witness = search_model(parse("L{3} T"), 1, 1, [Q(0), Q(2)])
     assert [k.states for k in built] == [("s0",), ("s0",)]
     assert kernel is built[1] and witness == "s0"
-    assert kernel.rate("s0", "s0") == 2
+    assert kernel.rate_items() == [("s0", "s0", 2)]
 
 
 def test_search_budget_counts_the_skipped_assignments():
@@ -369,6 +369,11 @@ _formulas = st.recursive(
 )
 
 
+def _rate_table(k):
+    # theta(s, t) of every nonzero entry
+    return {(s, t): r for s, t, r in k.rate_items()}
+
+
 def _fraction_extension(k, f, e):
     if isinstance(f, Top):
         return k.state_set
@@ -377,10 +382,12 @@ def _fraction_extension(k, f, e):
     if isinstance(f, And):
         return _fraction_extension(k, f.left, e) & _fraction_extension(k, f.right, e)
     child = _fraction_extension(k, f.child, e)
-    return S(m for m in k.states if sum(k.rate(m, t) for t in child) + e >= f.rate)
+    rate = _rate_table(k)
+    return S(m for m in k.states if sum(rate.get((m, t), 0) for t in child) + e >= f.rate)
 
 
 def _fraction_bisimulation(k):
+    rate = _rate_table(k)
     blocks = {k.state_set}
     while True:
         refined = set()
@@ -388,7 +395,8 @@ def _fraction_bisimulation(k):
             groups = {}
             for m in block:
                 key = tuple(
-                    sum(k.rate(m, t) for t in other) for other in sorted(blocks, key=sorted)
+                    sum(rate.get((m, t), 0) for t in other)
+                    for other in sorted(blocks, key=sorted)
                 )
                 groups.setdefault(key, set()).add(m)
             refined |= {S(group) for group in groups.values()}
@@ -405,7 +413,7 @@ def test_integer_core_matches_fraction_definitions(k, formulas, e):
     for f in formulas:
         assert ev.extension(f, e) == _fraction_extension(k, f, e)
         assert ev.mask(f, e) == k.mask_of(ev.extension(f, e))
-    assert bisimulation(k).as_sets() == _fraction_bisimulation(k)
+    assert set(bisimulation(k).blocks) == _fraction_bisimulation(k)
 
 
 _SLACKS = [Q(0), Q(1, 21), Q(1, 10), Q(2, 7), Q(1, 2), Q(1, 13), Q(1, 33), Q(5, 21), Q(3)]

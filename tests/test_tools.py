@@ -47,25 +47,35 @@ def test_load_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "load: 400 cases identical\n"
 
 
-def test_orders_dump_is_repeatable(tmp_path, capsys):
+def test_orders_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     dump = _dump_module()
+    # the chain ladder's short end; the whole ladder takes about 5 s per run
+    monkeypatch.setattr(dump, "CHAIN_STATES", 30)
+    monkeypatch.setattr(dump, "CHAIN_UNION_STATES", 20)
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     assert dump.main(["orders", "-o", str(first)]) == 0
     assert dump.main(["orders", "-o", str(second)]) == 0
     assert first.read_text() == second.read_text()
     docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
-    assert len(docs) == 189 and list(docs) == sorted(docs)
+    assert len(docs) == 194 and list(docs) == sorted(docs)
     assert not any("error" in doc for doc in docs.values())
     # the ladder unions dump their family only
     ladder = [doc for case, doc in docs.items() if case.startswith("orders/ladder/")]
     assert [len(doc["family"]) for doc in ladder] == [357, 2784, 1490]
     assert all(set(doc) == {"case", "family"} for doc in ladder)
+    # the chain ladder dumps the plain order at 0 and the stages only
+    chains = [case for case in docs if case.startswith(("orders/chain/", "orders/chains/"))]
+    assert chains == [
+        "orders/chain/010", "orders/chain/020", "orders/chain/030",
+        "orders/chains/010", "orders/chains/020",
+    ]
+    assert all(set(docs[case]) == {"case", "plain", "stages"} for case in chains)
     fig1 = docs["orders/model/fig1"]
     assert set(fig1["plain"]) == set(fig1["essential"]) == {"0", "1/10", "1/2", "1", "5/2"}
     assert len(fig1["family"]) == len(fig1["family_blocks"])
-    assert "orders: 189 cases in" in capsys.readouterr().err
+    assert "orders: 194 cases in" in capsys.readouterr().err
     assert dump.main(["--compare", str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "orders: 189 cases identical\n"
+    assert capsys.readouterr().out == "orders: 194 cases identical\n"
 
 
 def test_metric_dump_is_repeatable(tmp_path, capsys, monkeypatch):

@@ -19,22 +19,25 @@ Sections:
   ``(20, 8, 5)``, the shipped models and their 49 ordered disjoint unions, and
   chains of 10 to 60 states.
 - ``load``: each kernel's states, scale, printed ``rate_items`` and each
-  state's printed ``total``, on the shipped models, their 49 ordered disjoint
-  unions, ``gen_kernel`` at density 1/4 for 16, 32, ..., 128 states and each
-  distinct model document of the ``queries`` and ``orders`` pools of
-  ``perfbench/pools.py`` (loaded by ``loads_kernel``); and the error of
-  ``loads_kernel`` on ``MALFORMED_CASES`` seeded model documents, each a
-  small valid document with one to three faults (bad or non-string rate
-  literals, unknown endpoints, duplicate or non-string states, wrong field
-  types, unknown fields) in shuffled entry order, some cut short or wrapped
-  in a list.
+  state's printed exit total (``totals`` over ``scale``), on the shipped
+  models, their 49 ordered disjoint unions, ``gen_kernel`` at density 1/4 for
+  16, 32, ..., 128 states and each distinct model document of the
+  ``queries`` and ``orders`` pools of ``perfbench/pools.py`` (loaded by
+  ``loads_kernel``); and the error of ``loads_kernel`` on
+  ``MALFORMED_CASES`` seeded model documents, each a small valid document
+  with one to three faults (bad or non-string rate literals, unknown
+  endpoints, duplicate or non-string states, wrong field types, unknown
+  fields) in shuffled entry order, some cut short or wrapped in a list.
 - ``orders``: on the corpora and the models and their unions, the kernel's
   ``generators`` family as (state bitmask, printed formula) pairs in order,
   the solver's ``family_blocks()``, the sorted ``plain_pairs`` and
   ``essential_pairs`` at the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages
   of a ``PlainDescent`` as (peak, sorted deleted block pairs); on the unions
   of two ``gen_kernel`` kernels (density 1/2) with 12, 14 and 15 blocks, the
-  family only.
+  family only; and on a chain ladder, the sorted ``plain_pairs(0)`` and the
+  stages only: chains (rate 1 from each state to the next) of 10, 20, ...,
+  ``CHAIN_STATES`` states, and disjoint unions of a rate-1 chain and a rate-2
+  chain of 10, 20, ..., ``CHAIN_UNION_STATES`` states in all.
 - ``metric``: ``distance`` as its printed ``value`` and ``attained_at`` for
   every ordered state pair of each corpus kernel, and for each of the 49
   ordered pairs of shipped models, every state of the first against every
@@ -88,6 +91,11 @@ CORPORA = ((40, 4, 7), (40, 5, 3), (30, 6, 11), (20, 8, 5))
 ORDER_SLACKS = ("0", "1/10", "1/2", "1", "5/2")
 # (states, seed, seed): unions of two gen_kernel kernels with 12, 14 and 15 blocks
 LADDER = ((6, 7, 8), (7, 5, 6), (8, 6, 7))
+# the largest chain and union of two chains of the orders section's chain
+# ladder: the largest sizes, in steps of 10 states, whose plain descent to 0
+# ends in under a second
+CHAIN_STATES = 120
+CHAIN_UNION_STATES = 80
 # (formula, slack, states, grid or None for the default grid): docs/examples.md
 # and the README, the two further searches of the cli workload, and the
 # default grid
@@ -148,14 +156,25 @@ def _corpora() -> Iterator[tuple[str, object]]:
 
 
 def _kernels() -> Iterator[tuple[str, object]]:
-    from cml_kit.kernel import Kernel
+    from cml_kit.harness.generate import chain_kernel
 
     yield from _corpora()
     yield from _models()
     for length in range(10, 61):
-        states = [f"c{i}" for i in range(length)]
-        chain = Kernel(states, {(s, t): 1 for s, t in zip(states, states[1:])})
-        yield f"chain/{length:02d}", chain
+        yield f"chain/{length:02d}", chain_kernel(length)
+
+
+def _chain_ladder() -> Iterator[tuple[str, object]]:
+    from cml_kit.harness.generate import chain_kernel
+    from cml_kit.kernel import disjoint_union
+
+    for length in range(10, CHAIN_STATES + 1, 10):
+        yield f"chain/{length:03d}", chain_kernel(length)
+    for length in range(10, CHAIN_UNION_STATES + 1, 10):
+        half = length // 2
+        yield f"chains/{length:03d}", disjoint_union(
+            chain_kernel(half), chain_kernel(length - half, 2)
+        )
 
 
 def _gen_ladder() -> Iterator[tuple[str, object]]:
@@ -193,6 +212,8 @@ def _partition_cases() -> Iterator[Case]:
 
 
 def _load_cases() -> Iterator[Case]:
+    from fractions import Fraction
+
     from cml_kit.kernel import loads_kernel
     from cml_kit.rational import format_rate
 
@@ -201,7 +222,7 @@ def _load_cases() -> Iterator[Case]:
             "states": list(kernel.states),
             "scale": kernel.scale,
             "rates": [[s, t, format_rate(r)] for s, t, r in kernel.rate_items()],
-            "totals": [format_rate(kernel.total(s)) for s in kernel.states],
+            "totals": [format_rate(Fraction(w, kernel.scale)) for w in kernel.totals],
         }
 
     for case, kernel in (*_models(), *_gen_ladder()):
@@ -300,22 +321,32 @@ def _orders_cases() -> Iterator[Case]:
     def family(members: dict) -> dict:
         return {"family": [[mask, print_formula(f)] for mask, f in members.items()]}
 
+    def stages(solver) -> list:
+        return [
+            [format_rate(Fraction(peak, solver.scale)), sorted(deleted)]
+            for peak, deleted in PlainDescent(solver).stages()
+        ]
+
     def orders(kernel) -> dict:
         solver = OrderSolver(kernel)
         doc = family(generators(kernel))
         doc["family_blocks"] = solver.family_blocks()
         for kind, pairs in (("plain", solver.plain_pairs), ("essential", solver.essential_pairs)):
             doc[kind] = {e: sorted(pairs(Fraction(e))) for e in ORDER_SLACKS}
-        doc["stages"] = [
-            [format_rate(Fraction(peak, solver.scale)), sorted(deleted)]
-            for peak, deleted in PlainDescent(solver).stages()
-        ]
+        doc["stages"] = stages(solver)
         return doc
+
+    def descent(kernel) -> dict:
+        solver = OrderSolver(kernel)
+        plain = sorted(solver.plain_pairs(Fraction(0)))
+        return {"plain": {"0": plain}, "stages": stages(solver)}
 
     for case, kernel in (*_corpora(), *_models()):
         yield case, lambda kernel=kernel: orders(kernel)
     for case, union in _ladder_unions():
         yield case, lambda union=union: family(generators(union))
+    for case, kernel in _chain_ladder():
+        yield case, lambda kernel=kernel: descent(kernel)
 
 
 def _metric_cases() -> Iterator[Case]:
