@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ..errors import Record
 from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
 
@@ -18,8 +18,7 @@ DEFAULT_POOL: tuple[Rate, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class KernelGenConfig:
+class KernelGenConfig(Record):
     max_states: int
     rate_pool: tuple[Rate, ...] = DEFAULT_POOL
     density: Fraction = Fraction(1, 2)

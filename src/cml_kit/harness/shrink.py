@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from ..formula import And, Formula, L, Not, Top
@@ -34,35 +35,20 @@ def formula_reductions(f: Formula) -> Iterator[Formula]:
         yield f.right
     elif isinstance(f, L):
         yield f.child
-
-    def replaced(g: Formula, path: tuple[int, ...]) -> Formula:
-        if not path:
-            return Top()
-        head, rest = path[0], path[1:]
-        if isinstance(g, Not):
-            return Not(replaced(g.child, rest), sugar=None)
-        if isinstance(g, And):
-            if head == 0:
-                return And(replaced(g.left, rest), g.right)
-            return And(g.left, replaced(g.right, rest))
-        if isinstance(g, L):
-            return L(g.rate, replaced(g.child, rest))
-        return g
-
-    for path in _paths(f):
-        if path:
-            yield replaced(f, path)
+    yield from islice(_topped(f), 1, None)
 
 
-def _paths(f: Formula, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    yield prefix
+def _topped(f: Formula) -> Iterator[Formula]:
+    """T, then f with each proper subtree replaced by T, in pre-order. Each
+    node on the way is rebuilt, a Not without its sugar."""
+    yield Top()
     if isinstance(f, Not):
-        yield from _paths(f.child, prefix + (0,))
+        yield from map(Not, _topped(f.child))
     elif isinstance(f, And):
-        yield from _paths(f.left, prefix + (0,))
-        yield from _paths(f.right, prefix + (1,))
+        yield from (And(g, f.right) for g in _topped(f.left))
+        yield from (And(f.left, g) for g in _topped(f.right))
     elif isinstance(f, L):
-        yield from _paths(f.child, prefix + (0,))
+        yield from (L(f.rate, g) for g in _topped(f.child))
 
 
 def shrink(

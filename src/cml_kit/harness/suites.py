@@ -1,25 +1,27 @@
 """Property suites over generated kernels and enumerated formulas.
 
 Each suite replays one of the library's structural guarantees at desk scale
-and reports a checked-count plus counterexamples. The formula suites (t2, c2,
-l1, l2) share one driver, which counts an exception raised while checking a
-formula at a slack as a failure of that instance and shrinks every failure to
-a smaller kernel and formula that still fail. l5 counts an exception while
-checking a kernel's orders as a failure, soundness a rejected example proof
-and l4 a failed translation; in every other suite an exception aborts the
-run. Only the formula suites shrink their counterexamples.
+and records a checked-count plus counterexamples in the report it is handed;
+``run_suite`` creates that report, runs the suite on it and times the run.
+The formula suites (t2, c2, l1, l2) share one driver, which counts an
+exception raised while checking a formula at a slack as a failure of that
+instance and shrinks every failure to a smaller kernel and formula that still
+fail. l5 counts an exception while checking a kernel's orders as a failure,
+soundness a rejected example proof and l4 a failed translation; in every
+other suite an exception aborts the run. Only the formula suites shrink their
+counterexamples.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
 from ..equivalence import generators, partition_from_family
+from ..errors import Record
 from ..formula import (
     And,
     Formula,
@@ -47,7 +49,7 @@ from ..proofcheck import (
 )
 from ..rational import Rate, ensure_rate, format_rate
 from ..semantics import Evaluator, valid_on
-from .enumerate import EnumerationConfig, enumerate_formulas
+from .enumerate import enumerate_formulas
 from .generate import corpus
 from .oracles import pair_mask, transfer_essential, transfer_plain
 from .shrink import shrink
@@ -61,8 +63,7 @@ FAILURE_CAP = 25
 ORACLE_STATES = 4
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     seed: int = 7
     kernels: int = 10
     max_states: int = 5
@@ -104,8 +105,7 @@ BUDGETS: dict[str, Callable[[int], Budget]] = {
 }
 
 
-@dataclass
-class Failure:
+class Failure(Record):
     description: str
     kernel_doc: Optional[dict] = None
     formula: Optional[str] = None
@@ -119,14 +119,16 @@ class Failure:
         return doc
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    checked: int = 0
-    failures: list[Failure] = dc_field(default_factory=list)
-    elapsed_s: float = 0.0
-    seed: int = 0
-    notes: dict = dc_field(default_factory=dict)
+    """One suite run: its checked-count, failures, wall time and notes."""
+
+    def __init__(self, suite: str, seed: int = 0):
+        self.suite = suite
+        self.checked = 0
+        self.failures: list[Failure] = []
+        self.elapsed_s = 0.0
+        self.seed = seed
+        self.notes: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -192,14 +194,9 @@ def _formulas(
     fragment: Fragment,
     depth: Optional[int] = None,
 ) -> tuple[tuple[Formula, ...], bool]:
-    cfg = EnumerationConfig(
-        max_depth=depth if depth is not None else budget.depth,
-        rate_grid=grid,
-        fragment=fragment,
-        max_count=budget.max_formulas,
+    return enumerate_formulas(
+        budget.depth if depth is None else depth, grid, fragment, budget.max_formulas
     )
-    result = enumerate_formulas(cfg)
-    return result.formulas, result.truncated
 
 
 # --- individual suites --------------------------------------------------------
@@ -244,13 +241,11 @@ def _t2_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
     return []
 
 
-def suite_t2(budget: Budget) -> SuiteReport:
+def suite_t2(report: SuiteReport, budget: Budget) -> None:
     """Slack transfer: evaluating at e+e' equals evaluating the shifted formula."""
-    report = SuiteReport("t2", seed=budget.seed)
     extra = (Fraction(1, 2), Fraction(2))
     if _formula_suite(report, budget, Fragment.FULL, budget.epsilon_pairs, _t2_check, extra):
         report.notes["truncated"] = True
-    return report
 
 
 def _c2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
@@ -264,12 +259,10 @@ def _c2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
     return [f"0-transfer or complementation broken at e={format_rate(e)}"]
 
 
-def suite_c2(budget: Budget) -> SuiteReport:
+def suite_c2(report: SuiteReport, budget: Budget) -> None:
     """Transfer against the 0-semantics, plus exact Boolean complementation."""
-    report = SuiteReport("c2", seed=budget.seed)
     slacks = [(e,) for e in budget.epsilons]
     _formula_suite(report, budget, Fragment.FULL, slacks, _c2_check, (Fraction(1, 2),))
-    return report
 
 
 def _l1_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
@@ -282,11 +275,9 @@ def _l1_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
     return problems
 
 
-def suite_l1(budget: Budget) -> SuiteReport:
+def suite_l1(report: SuiteReport, budget: Budget) -> None:
     """Positive formulas grow with the slack; negated positive formulas shrink."""
-    report = SuiteReport("l1-positive-monotonicity", seed=budget.seed)
     _formula_suite(report, budget, Fragment.POSITIVE, budget.epsilon_pairs, _l1_check)
-    return report
 
 
 def _l2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
@@ -300,17 +291,14 @@ def _l2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
     return []
 
 
-def suite_l2(budget: Budget) -> SuiteReport:
+def suite_l2(report: SuiteReport, budget: Budget) -> None:
     """Below the minimal failing-comparison deficit the extension cannot move."""
-    report = SuiteReport("l2-limit", seed=budget.seed)
     slacks = [(e,) for e in budget.epsilons]
     _formula_suite(report, budget, Fragment.POSITIVE, slacks, _l2_check)
-    return report
 
 
-def suite_t1(budget: Budget) -> SuiteReport:
+def suite_t1(report: SuiteReport, budget: Budget) -> None:
     """Refinement partition equals the coarsest measure-agreement partition."""
-    report = SuiteReport("t1-generators", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         report.checked += 1
         refined = equivalence_mod.bisimulation(kernel)
@@ -320,13 +308,11 @@ def suite_t1(budget: Budget) -> SuiteReport:
         blocks = [kernel.mask_of(b) for b in refined.blocks]
         if not all(_union_of_blocks(c, blocks) for c in family):
             report.fail("family member is not a union of blocks", kernel)
-    return report
 
 
-def suite_c1(budget: Budget) -> SuiteReport:
+def suite_c1(report: SuiteReport, budget: Budget) -> None:
     """Positive extensions land in the definable-set family, and full-language
     extensions are unions of bisimulation blocks."""
-    report = SuiteReport("c1-extensions", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
         family = generators(kernel)
@@ -359,19 +345,16 @@ def suite_c1(budget: Budget) -> SuiteReport:
                         kernel,
                         f,
                     )
-    return report
 
 
-def suite_l5(budget: Budget) -> SuiteReport:
+def suite_l5(report: SuiteReport, budget: Budget) -> None:
     """Bisimulations sit inside both 0-orders; relations stay block-closed."""
-    report = SuiteReport("l5-orders", seed=budget.seed)
     small_eps = (_ZERO, Fraction(1, 10), Fraction(1))
     for kernel in _suite_corpus(budget, ORACLE_STATES):
         try:
             _l5_one_kernel(report, kernel, small_eps)
         except Exception as exc:
             report.fail(f"exception while checking the orders: {exc}", kernel)
-    return report
 
 
 def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
@@ -433,7 +416,7 @@ def _l5_one_kernel(report: SuiteReport, kernel: Kernel, small_eps) -> None:
                         )
 
 
-def suite_paramcharact(budget: Budget) -> SuiteReport:
+def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
     """Bisimilarity coincides with indistinguishability at every sampled slack.
 
     Agreement of bisimilar pairs is checked over blind enumeration; for
@@ -441,7 +424,6 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
     definable-set family (a threshold over a member the pair measures
     differently) and verified by evaluation.
     """
-    report = SuiteReport("paramcharact", seed=budget.seed)
     for kernel in _suite_corpus(budget):
         partition = equivalence_mod.bisimulation(kernel)
         family = generators(kernel)
@@ -486,7 +468,6 @@ def suite_paramcharact(budget: Budget) -> SuiteReport:
                             f"e={format_rate(e)}",
                             kernel,
                         )
-    return report
 
 
 def _transfer_suite(
@@ -530,22 +511,20 @@ def _transfer_suite(
     return incomplete
 
 
-def suite_characterization(budget: Budget) -> SuiteReport:
+def suite_characterization(report: SuiteReport, budget: Budget) -> None:
     """The plain order matches the positive-fragment transfer test pairwise.
 
     The transfer side is decided exactly by extension-pair saturation; a
     bounded formula enumeration cross-checks the oracle (every enumerated
     positive formula's behavior pair must be reachable by the saturation).
     """
-    report = SuiteReport("characterization", seed=budget.seed)
     _transfer_suite(
         report, budget, transfer_plain, OrderSolver.plain_pairs,
         Fragment.POSITIVE, None, "plain",
     )
-    return report
 
 
-def suite_generalization(budget: Budget) -> SuiteReport:
+def suite_generalization(report: SuiteReport, budget: Budget) -> None:
     """Both directions of the essential-order characterization.
 
     The sound direction (transfer implies order membership) holds. The
@@ -554,12 +533,10 @@ def suite_generalization(budget: Budget) -> SuiteReport:
     extension inflates with the slack), so this suite stays red on any honest
     corpus; notes["incomplete"] counts those converse-direction failures.
     """
-    report = SuiteReport("generalization", seed=budget.seed)
     report.notes["incomplete"] = _transfer_suite(
         report, budget, transfer_essential, OrderSolver.essential_pairs,
         Fragment.FULL, encode_abs, "essential",
     )
-    return report
 
 
 def _block_distances(solver: OrderSolver) -> dict[tuple[int, int], Fraction]:
@@ -573,9 +550,8 @@ def _block_distances(solver: OrderSolver) -> dict[tuple[int, int], Fraction]:
     }
 
 
-def suite_pseudometric(budget: Budget) -> SuiteReport:
+def suite_pseudometric(report: SuiteReport, budget: Budget) -> None:
     """Pseudometric axioms, attainment, and the bisimilarity kernel."""
-    report = SuiteReport("pseudometric", seed=budget.seed)
     for kernel in _suite_corpus(budget, ORACLE_STATES):
         states = kernel.states
         solver = OrderSolver(kernel)
@@ -621,7 +597,6 @@ def suite_pseudometric(budget: Budget) -> SuiteReport:
                     report.fail(
                         f"zero-distance/bisimilarity mismatch on ({m},{n})", kernel
                     )
-    return report
 
 
 def _example_proofs(e: Rate) -> list[Proof]:
@@ -688,7 +663,7 @@ def _corpus_union(kernels: list[Kernel]) -> Kernel:
     return Kernel(states, rates)
 
 
-def suite_soundness(budget: Budget) -> SuiteReport:
+def suite_soundness(report: SuiteReport, budget: Budget) -> None:
     """Schema validity on every corpus kernel, and accepted proofs stay valid.
 
     Each instance and conclusion is evaluated once, on the corpus's disjoint
@@ -697,7 +672,6 @@ def suite_soundness(budget: Budget) -> SuiteReport:
     failure names the kernel a loop over the corpus names: the first one for
     an instance, each one for a conclusion.
     """
-    report = SuiteReport("soundness", seed=budget.seed)
     kernels = _suite_corpus(budget)
     union = Evaluator(_corpus_union(kernels))
     every = union.kernel.full
@@ -748,17 +722,15 @@ def suite_soundness(budget: Budget) -> SuiteReport:
                             kernel,
                             proof.conclusion,
                         )
-    return report
 
 
-def suite_deduction(budget: Budget) -> SuiteReport:
+def suite_deduction(report: SuiteReport, budget: Budget) -> None:
     """Detachment across slack levels, pointwise and corpus-wide.
 
     The corpus-wide reading asks whether a formula is valid on every corpus
     kernel, which it answers with one evaluation on the corpus's disjoint
     union (see ``_corpus_union``).
     """
-    report = SuiteReport("deduction", seed=budget.seed)
     kernels = _suite_corpus(budget)
     positive_pairs = [
         (e2, e) for (e2, e) in budget.epsilon_pairs if e2 > 0 and e > 0
@@ -806,12 +778,10 @@ def suite_deduction(budget: Budget) -> SuiteReport:
                 if union.mask(psi, level) != every:
                     report.fail("corpus-level detachment broken", formula=phi)
     report.notes["nonvacuous"] = nonvacuous
-    return report
 
 
-def suite_l4(budget: Budget) -> SuiteReport:
+def suite_l4(report: SuiteReport, budget: Budget) -> None:
     """Proof translation up and down re-checks and round-trips."""
-    report = SuiteReport("l4-translation", seed=budget.seed)
     shifts = (Fraction(1, 2), Fraction(1), Fraction(1, 10))
     for e in budget.epsilons:
         for proof in _example_proofs(e):
@@ -825,10 +795,9 @@ def suite_l4(budget: Budget) -> SuiteReport:
                     continue
                 if back != proof:
                     report.fail("down(up(proof)) differs from the original")
-    return report
 
 
-SUITES: dict[str, Callable[[Budget], SuiteReport]] = {
+SUITES: dict[str, Callable[[SuiteReport, Budget], None]] = {
     "t2": suite_t2,
     "c2": suite_c2,
     "l1-positive-monotonicity": suite_l1,
@@ -852,7 +821,8 @@ def run_suite(name: str, budget: Optional[Budget] = None) -> SuiteReport:
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
     budget = budget or default_budget()
+    report = SuiteReport(name, seed=budget.seed)
     start = time.monotonic()
-    report = SUITES[name](budget)
+    SUITES[name](report, budget)
     report.elapsed_s = time.monotonic() - start
     return report

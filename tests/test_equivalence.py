@@ -17,7 +17,7 @@ from cml_kit import (
     right_tag,
 )
 from cml_kit.errors import SearchBudgetExceeded
-from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.enumerate import enumerate_formulas
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
 from cml_kit.formula import And, Fragment, L, Or, Top, encode_up, print_formula
 from cml_kit.models import FIGURES, load_model
@@ -203,12 +203,12 @@ def test_enumerated_extensions_in_family(fig1):
     partition = bisimulation(fig1)
     grid = tuple(sorted(_measures(fig1, plain)))
     ev = Evaluator(fig1)
-    pos = enumerate_formulas(EnumerationConfig(2, grid, Fragment.POSITIVE, 400))
-    for f in pos.formulas:
+    pos, _ = enumerate_formulas(2, grid, Fragment.POSITIVE, 400)
+    for f in pos:
         for e in (Q(0), Q(1, 10), Q(1)):
             assert fig1.mask_of(ev.extension(f, e)) in plain
-    full = enumerate_formulas(EnumerationConfig(2, grid, Fragment.FULL, 400))
-    for f in full.formulas:
+    full, _ = enumerate_formulas(2, grid, Fragment.FULL, 400)
+    for f in full:
         for e in (Q(0), Q(1, 10), Q(1)):
             assert _union_of_blocks(ev.extension(f, e), partition)
 

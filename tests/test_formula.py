@@ -29,7 +29,7 @@ from cml_kit.formula import (
     modal_atoms,
     modal_indices,
 )
-from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.enumerate import enumerate_formulas
 from conftest import in_fragment, prop_eval
 
 Q = Fraction
@@ -101,20 +101,16 @@ def test_print_examples():
 
 
 def _enumerated(depth, fragment=Fragment.FULL):
-    cfg = EnumerationConfig(
-        max_depth=depth, rate_grid=(Q(0), Q(1), Q(3, 2)), fragment=fragment,
-        max_count=4000,
-    )
-    return enumerate_formulas(cfg).formulas
+    formulas, _ = enumerate_formulas(depth, (Q(0), Q(1), Q(3, 2)), fragment, 4000)
+    return formulas
 
 
 def test_round_trip_enumerated_to_depth_4():
     # the full depth-4 census is astronomically large; round-trip a capped
     # deterministic prefix of it
-    cfg = EnumerationConfig(4, (Q(1),), Fragment.FULL, max_count=20_000)
-    formulas = enumerate_formulas(cfg)
-    assert len(formulas.formulas) == 20_000 and formulas.truncated
-    for f in formulas.formulas:
+    formulas, truncated = enumerate_formulas(4, (Q(1),), Fragment.FULL, 20_000)
+    assert len(formulas) == 20_000 and truncated
+    for f in formulas:
         assert parse(print_formula(f)) == f
 
 

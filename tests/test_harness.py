@@ -6,10 +6,10 @@ from cml_kit import Kernel, L, Top, eval_formula, parse, print_formula
 from cml_kit.formula import And, Fragment, Or
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness import oracles
-from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.enumerate import enumerate_formulas
 from cml_kit.harness.mutations import REGISTRY, catching_suite, mutated
 from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
-from cml_kit.harness.shrink import shrink
+from cml_kit.harness.shrink import formula_reductions, shrink
 from cml_kit.harness.oracles import (
     _literal_pairs,
     pair_mask,
@@ -27,13 +27,12 @@ GREEN_SUITES = [name for name in SUITES if name != "generalization"]
 
 
 def test_enumeration_depth_zero():
-    out = enumerate_formulas(EnumerationConfig(0, (Q(1),), Fragment.FULL))
-    assert out.formulas == (Top(),)
+    assert enumerate_formulas(0, (Q(1),), Fragment.FULL, 10_000) == ((Top(),), False)
 
 
 def test_enumeration_depth_one_positive():
-    out = enumerate_formulas(EnumerationConfig(1, (Q(1),), Fragment.POSITIVE))
-    assert out.formulas == (
+    formulas, _ = enumerate_formulas(1, (Q(1),), Fragment.POSITIVE, 10_000)
+    assert formulas == (
         Top(),
         L(1, Top()),
         And(Top(), Top()),
@@ -42,11 +41,9 @@ def test_enumeration_depth_one_positive():
 
 
 def test_enumeration_sound():
-    out = enumerate_formulas(
-        EnumerationConfig(2, (Q(0), Q(3, 2)), Fragment.POSITIVE, 500)
-    )
+    formulas, _ = enumerate_formulas(2, (Q(0), Q(3, 2)), Fragment.POSITIVE, 500)
     seen = set()
-    for f in out.formulas:
+    for f in formulas:
         assert f not in seen
         seen.add(f)
         assert in_fragment(f, Fragment.POSITIVE)
@@ -54,8 +51,8 @@ def test_enumeration_sound():
 
 
 def test_enumeration_cap_sets_flag():
-    out = enumerate_formulas(EnumerationConfig(3, (Q(1), Q(2)), Fragment.FULL, 50))
-    assert out.truncated and len(out.formulas) == 50
+    formulas, truncated = enumerate_formulas(3, (Q(1), Q(2)), Fragment.FULL, 50)
+    assert truncated and len(formulas) == 50
 
 
 def test_gen_kernel_deterministic():
@@ -214,3 +211,30 @@ def test_shrink_keeps_failure():
     assert len(small_kernel.states) <= len(kernel.states)
     assert len(small_kernel.rate_items()) == 1
     assert small_formula == Top()
+
+
+def test_formula_reductions_promote_then_replace_subtrees_in_pre_order():
+    # the root's children keep their sugar; each node on the way to a replaced
+    # subtree is rebuilt, so the | and -> above it print as the negations
+    # they expand to
+    f = parse("(L{1} T | T) & (T -> L{1/2} T)")
+    expected = [
+        "L{1} T | T",
+        "T -> L{1/2} T",
+        "T & (T -> L{1/2} T)",
+        "!T & (T -> L{1/2} T)",
+        "!(T & !T) & (T -> L{1/2} T)",
+        "!(!T & !T) & (T -> L{1/2} T)",
+        "!(!L{1} T & !T) & (T -> L{1/2} T)",
+        "!(!L{1} T & T) & (T -> L{1/2} T)",
+        "!(!L{1} T & !T) & (T -> L{1/2} T)",
+        "(L{1} T | T) & T",
+        "(L{1} T | T) & !T",
+        "(L{1} T | T) & !(T & !L{1/2} T)",
+        "(L{1} T | T) & !(T & T)",
+        "(L{1} T | T) & !(T & !T)",
+        "(L{1} T | T) & !(T & !L{1/2} T)",
+    ]
+    reductions = list(formula_reductions(f))
+    assert [print_formula(g) for g in reductions] == expected
+    assert reductions == [parse(text) for text in expected]

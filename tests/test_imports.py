@@ -94,6 +94,11 @@ COMMANDS = {
         UNUSED - {"cml_kit.orders", "cml_kit.metric"},
     ),
     "prove": (["prove", "-p", "$PROOF"], "cml_kit.proofcheck", QUERY - {"cml_kit.proofcheck"}),
+    "verify": (
+        ["verify", "--suite", "l4-translation", "--budget", "small"],
+        "cml_kit.harness.suites",
+        {"cml_kit.metric"},
+    ),
 }
 
 
@@ -113,5 +118,5 @@ def test_a_command_loads_only_what_it_runs(command, tmp_path):
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert used in loaded
     assert not loaded & unused
-    # only verify, through the harness, loads dataclasses and inspect
+    # the value classes are errors.Record subclasses or plain classes
     assert not loaded & {"dataclasses", "inspect"}

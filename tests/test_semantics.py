@@ -27,7 +27,7 @@ from cml_kit import (
     valid_on,
 )
 from cml_kit import semantics
-from cml_kit.harness.enumerate import EnumerationConfig, enumerate_formulas
+from cml_kit.harness.enumerate import enumerate_formulas
 from cml_kit.harness.mutations import mutated
 from cml_kit.harness.suites import _corpus_union
 from cml_kit.formula import Fragment, modal_indices
@@ -97,9 +97,9 @@ def test_stability_margin(fig1):
 
 
 def test_monotone_in_slack_for_positive(fig1):
-    cfg = EnumerationConfig(2, (Q(1), Q(4), Q(5)), Fragment.POSITIVE, 200)
+    formulas, _ = enumerate_formulas(2, (Q(1), Q(4), Q(5)), Fragment.POSITIVE, 200)
     ev = Evaluator(fig1)
-    for f in enumerate_formulas(cfg).formulas:
+    for f in formulas:
         assert ev.extension(f, 0) <= ev.extension(f, Q(1, 10)) <= ev.extension(f, 1)
         neg = Not(f)
         assert ev.extension(neg, 1) <= ev.extension(neg, Q(1, 10)) <= ev.extension(neg, 0)

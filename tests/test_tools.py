@@ -252,6 +252,37 @@ def test_acceptance_dump_runs_each_criterion_at_its_budget(tmp_path, capsys, mon
     assert budgets["soundness"].kernels == 8 and budgets["pseudometric"].max_states == 8
 
 
+def test_enumeration_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["enumeration", "-o", str(first)]) == 0
+    assert dump.main(["enumeration", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    # 3 budgets, 5 grids, 2 fragments, 2 depths
+    assert len(docs) == 60 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    grids = ("0", "0,1/2,1", "0,1,2", "fig1", "fig1+0,1/2,2")
+    assert list(docs) == sorted(
+        f"enumeration/{budget}/{grid}/{fragment}/depth={depth}"
+        for budget in ("small", "default", "full") for grid in grids
+        for fragment in ("full", "positive") for depth in (1, None)
+    )
+    assert docs["enumeration/small/0/full/depth=1"] == {
+        "case": "enumeration/small/0/full/depth=1",
+        "formulas": ["T", "L{0} T", "!T", "T & T"], "truncated": False,
+    }
+    assert docs["enumeration/small/0/positive/depth=1"]["formulas"] == [
+        "T", "L{0} T", "T & T", "T | T",
+    ]
+    # the full budget's depth 3 reaches its cap of 900 formulas
+    capped = docs["enumeration/full/0,1,2/full/depth=None"]
+    assert capped["truncated"] and len(capped["formulas"]) == 900
+    assert "enumeration: 60 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "enumeration: 60 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

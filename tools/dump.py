@@ -50,6 +50,12 @@ Sections:
 - ``acceptance``: each suite's ``to_doc()`` without ``elapsed_s`` at the
   budget its criterion in ``tests/test_acceptance.py`` runs it at
   (``ACCEPTANCE``, criteria 03 to 10), one case per criterion and suite.
+- ``enumeration``: the formulas the suites enumerate, as ``_formulas`` of
+  ``harness.suites`` returns them (printed, with the ``truncated`` flag), for
+  each budget of ``BUDGETS`` at seed 7, each fragment and the depths ``None``
+  (the budget's) and 1, on the grids the suites pass: (0), (0, 1/2, 1),
+  (0, 1, 2), and ``fig1``'s ``_family_grid`` with the default extra rate 0
+  and with the extra rates (0, 1/2, 2).
 - ``search``: ``search_model``'s witness and ``kernel_to_doc`` of its kernel,
   or null when the bounded space has none, with the query (printed formula,
   slack, states, grid, budget), on the documented searches, on 24 no-witness
@@ -415,6 +421,37 @@ def _acceptance_cases() -> Iterator[Case]:
             yield f"{criterion}/{name}", lambda name=name, budget=budget: _report(name, budget)
 
 
+def _enumeration_cases() -> Iterator[Case]:
+    from fractions import Fraction
+
+    from cml_kit.equivalence import generators
+    from cml_kit.formula import Fragment, print_formula
+    from cml_kit.harness.suites import BUDGETS, _family_grid, _formulas
+    from cml_kit.models import load_model
+
+    def enumeration(budget, grid, fragment, depth) -> dict:
+        formulas, truncated = _formulas(budget, grid, fragment, depth)
+        return {"formulas": [print_formula(f) for f in formulas], "truncated": truncated}
+
+    fig1 = load_model("fig1")
+    family = generators(fig1)
+    half = Fraction(1, 2)
+    grids = {
+        "0": (Fraction(0),),
+        "0,1/2,1": (Fraction(0), half, Fraction(1)),
+        "0,1,2": (Fraction(0), Fraction(1), Fraction(2)),
+        "fig1": _family_grid(fig1, family),
+        "fig1+0,1/2,2": _family_grid(fig1, family, (Fraction(0), half, Fraction(2))),
+    }
+    for label, make in BUDGETS.items():
+        budget = make(7)
+        for name, grid in grids.items():
+            for fragment in Fragment:
+                for depth in (None, 1):
+                    yield (f"{label}/{name}/{fragment.name.lower()}/depth={depth}",
+                           lambda args=(budget, grid, fragment, depth): enumeration(*args))
+
+
 def _search_cases() -> Iterator[Case]:
     import random
     from fractions import Fraction
@@ -620,6 +657,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "suites": _suites_cases,
     "mutations": _mutations_cases,
     "acceptance": _acceptance_cases,
+    "enumeration": _enumeration_cases,
     "search": _search_cases,
     "proofs": _proofs_cases,
     "oracles": _oracles_cases,
