@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import chain, islice, product
+from typing import Iterator
+
 from ..formula import And, Formula, Fragment, L, Not, Or, Top
 from ..rational import Rate
 
@@ -15,49 +18,35 @@ def enumerate_formulas(
     Depth counts both Boolean and modal nesting.
     """
     emitted: dict[Formula, None] = {Top(): None}
+    settled: list[Formula] = []  # formulas of depth below d-1
     previous: list[Formula] = [Top()]  # formulas of depth exactly d-1
-    truncated = False
     for _ in range(max_depth):
-        if truncated:
-            break
-        older = list(emitted)
-        prev_set = set(previous)
-        fresh: dict[Formula, None] = {}
+        size = len(emitted)
+        for f in _candidates(settled, previous, rate_grid, fragment):
+            if f not in emitted:
+                if len(emitted) >= max_count:
+                    return tuple(emitted), True
+                emitted[f] = None
+        settled += previous
+        previous = list(islice(emitted, size, None))
+    return tuple(emitted), False
 
-        def emit(f: Formula) -> bool:
-            nonlocal truncated
-            if f in emitted or f in fresh:
-                return True
-            if len(emitted) + len(fresh) >= max_count:
-                truncated = True
-                return False
-            fresh[f] = None
-            return True
 
-        for child in previous:
-            if truncated:
-                break
-            for r in rate_grid:
-                if not emit(L(r, child)):
-                    break
-        if not truncated and fragment is Fragment.FULL:
-            for child in previous:
-                if not emit(Not(child)):
-                    break
-        if not truncated:
-            # at least one operand must come from the previous depth
-            for a in older:
-                if truncated:
-                    break
-                for b in older:
-                    if a not in prev_set and b not in prev_set:
-                        continue
-                    if not emit(And(a, b)):
-                        break
-                    if fragment is Fragment.POSITIVE and not emit(Or(a, b)):
-                        break
-        emitted.update(fresh)
-        previous = list(fresh)
-        if not previous:
-            break
-    return tuple(emitted), truncated
+def _candidates(
+    settled: list[Formula], previous: list[Formula], rate_grid: tuple[Rate, ...],
+    fragment: Fragment,
+) -> Iterator[Formula]:
+    """One depth's candidates in order: ``L`` over each formula of the previous
+    depth, child-major; their negations (``FULL``); then ``And``, and ``Or``
+    for ``POSITIVE``, over every ordered pair of older formulas with at least
+    one operand from the previous depth, first operand in emission order."""
+    for child in previous:
+        for r in rate_grid:
+            yield L(r, child)
+    if fragment is Fragment.FULL:
+        yield from map(Not, previous)
+    # the previous depth comes last in emission order
+    for a, b in chain(product(settled, previous), product(previous, settled + previous)):
+        yield And(a, b)
+        if fragment is Fragment.POSITIVE:
+            yield Or(a, b)

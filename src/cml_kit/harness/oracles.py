@@ -20,8 +20,6 @@ each (kernel, e) once.
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..errors import SearchBudgetExceeded
 from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
@@ -63,31 +61,29 @@ def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -
 def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool) -> frozenset[int]:
     """Fixpoint of the pair semantics under literals, conjunction, disjunction.
 
-    A worklist closes each pair once, when it is taken from the queue: it adds
-    the pair's literal pairs and its union and intersection with every pair
-    closed before it, so every two pairs are joined. Raises ``SearchBudgetExceeded``
-    once the fixpoint is known to hold more than ``PAIR_CAP`` pairs.
+    A worklist closes each pair once, in the order the pairs were found: it
+    adds the pair's literal pairs and its union and intersection with every
+    pair found before it, so every two pairs are joined. Raises
+    ``SearchBudgetExceeded`` once the fixpoint is known to hold more than
+    ``PAIR_CAP`` pairs.
     """
     e = ensure_rate(e)
     pairs = {(1 << 2 * len(kernel.states)) - 1}
     if negated_literals:
         pairs.add(0)
-    queue = deque(pairs)
-    closed: list[int] = []
+    order = list(pairs)
 
     def add(candidate: int) -> None:
         if candidate not in pairs:
             pairs.add(candidate)
-            queue.append(candidate)
+            order.append(candidate)
             if len(pairs) > PAIR_CAP:
                 raise SearchBudgetExceeded(f"pair saturation exceeded {PAIR_CAP} pairs")
 
-    while queue:
-        pair = queue.popleft()
+    for i, pair in enumerate(order):  # the worklist: add appends to order
         for lit in _literal_pairs(kernel, pair, e, negated_literals):
             add(lit)
-        closed.append(pair)
-        for other in closed:
+        for other in order[:i]:
             add(pair | other)
             add(pair & other)
     return frozenset(pairs)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 from ..formula import And, Formula, L, Not, Top
@@ -58,30 +58,25 @@ def shrink(
 ) -> tuple[Kernel, Optional[Formula]]:
     """Greedily minimize a failing (kernel, formula) pair; result still fails.
 
+    Each round tries the kernel's reductions and then the formula's, other
+    than the formula itself, and keeps the first candidate that still fails.
+    Shrinking stops at a round that keeps none, or after ``SHRINK_ROUNDS``.
     ``fails`` must treat exceptions as its own concern; only a True return
     keeps a reduction.
     """
     for _ in range(SHRINK_ROUNDS):
-        improved = False
-        for smaller in kernel_reductions(kernel):
+        simpler = () if formula is None else formula_reductions(formula)
+        for candidate in chain(
+            ((smaller, formula) for smaller in kernel_reductions(kernel)),
+            ((kernel, g) for g in simpler if g != formula),
+        ):
             try:
-                keep = fails(smaller, formula)
+                keep = fails(*candidate)
             except Exception:
                 keep = False
             if keep:
-                kernel = smaller
-                improved = True
+                kernel, formula = candidate
                 break
-        if formula is not None and not improved:
-            for simpler in formula_reductions(formula):
-                try:
-                    keep = fails(kernel, simpler)
-                except Exception:
-                    keep = False
-                if keep:
-                    formula = simpler
-                    improved = True
-                    break
-        if not improved:
-            return kernel, formula
+        else:
+            break
     return kernel, formula

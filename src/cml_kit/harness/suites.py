@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
@@ -35,7 +36,7 @@ from ..formula import (
     encode_up,
     print_formula,
 )
-from ..kernel import Kernel, kernel_to_doc
+from ..kernel import Kernel, disjoint_union, kernel_to_doc
 from ..orders import OrderSolver, PlainDescent
 from ..proofcheck import (
     Axiom,
@@ -645,35 +646,17 @@ def _example_proofs(e: Rate) -> list[Proof]:
     return proofs
 
 
-def _corpus_union(kernels: list[Kernel]) -> Kernel:
-    """The disjoint union of the kernels, kernel k's state s renamed "k:s".
-
-    A formula is valid on every kernel exactly when its extension on the union
-    is the union's full mask: the walk is state-local, the union has no rate
-    between two kernels, and the integer core compares exactly at the union's
-    scale (the lcm of the kernels' scales), as it does at each kernel's own.
-    """
-    states: list[str] = []
-    rates: dict[tuple[str, str], Rate] = {}
-    for k, kernel in enumerate(kernels):
-        tagged = {s: f"{k}:{s}" for s in kernel.states}
-        states += tagged.values()
-        for s, t, r in kernel.rate_items():
-            rates[(tagged[s], tagged[t])] = r
-    return Kernel(states, rates)
-
-
 def suite_soundness(report: SuiteReport, budget: Budget) -> None:
     """Schema validity on every corpus kernel, and accepted proofs stay valid.
 
     Each instance and conclusion is evaluated once, on the corpus's disjoint
-    union (see ``_corpus_union``): valid there is valid on every kernel. Only
+    union (see ``disjoint_union``): valid there is valid on every kernel. Only
     a formula the union finds invalid is evaluated kernel by kernel, so a
     failure names the kernel a loop over the corpus names: the first one for
     an instance, each one for a conclusion.
     """
     kernels = _suite_corpus(budget)
-    union = Evaluator(_corpus_union(kernels))
+    union = Evaluator(reduce(disjoint_union, kernels))
     every = union.kernel.full
     pool_grid = (_ZERO, Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
     formulas, _ = _formulas(budget, pool_grid[:3], Fragment.FULL, depth=1)
@@ -729,7 +712,7 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
 
     The corpus-wide reading asks whether a formula is valid on every corpus
     kernel, which it answers with one evaluation on the corpus's disjoint
-    union (see ``_corpus_union``).
+    union (see ``disjoint_union``).
     """
     kernels = _suite_corpus(budget)
     positive_pairs = [
@@ -759,7 +742,7 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
                             phi,
                         )
     # corpus-level reading: premises valid on every kernel force the conclusion
-    union = Evaluator(_corpus_union(kernels))
+    union = Evaluator(reduce(disjoint_union, kernels))
     every = union.kernel.full
     shared_grid = (_ZERO, Fraction(1), Fraction(2))
     pos, _ = _formulas(budget, shared_grid, Fragment.POSITIVE, depth=1)

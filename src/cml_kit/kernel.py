@@ -214,7 +214,11 @@ def right_tag(state: str) -> str:
 def disjoint_union(k1: Kernel, k2: Kernel) -> Kernel:
     """Side-by-side union; states are tagged "L:"/"R:" so ids never collide.
 
-    Cross rates are 0 and each side's rates are preserved under its tag.
+    Cross rates are 0 and each side's rates are preserved under its tag; k1's
+    states come first. So a formula's extension on the union is the tagged
+    union of its extensions on the parts: the walk is state-local, no rate
+    runs between the parts, and the integer core compares exactly at the
+    union's scale (the lcm of the parts' scales) as it does at each part's.
     """
     states: list[str] = []
     rates: dict[tuple[str, str], Fraction] = {}

@@ -163,8 +163,9 @@ class OrderSolver:
 
     def _unmet(self, rel: frozenset, limit: int) -> Optional[list[BlockPair]]:
         """None if a pullback bound theta_i(R⁻¹b) <= theta_j(b) fails, which no
-        added pair repairs (pullbacks only grow); else the pairs of rel, in
-        sorted order, whose total slack sums[j] - theta_i(dom R) exceeds limit.
+        added pair repairs (pullbacks only grow); else the pairs of rel, in no
+        particular order, whose total slack sums[j] - theta_i(dom R) exceeds
+        limit.
         """
         into = [0] * self.n_blocks
         lefts = 0
@@ -174,7 +175,7 @@ class OrderSolver:
         pulled = [(b, into_b) for b, into_b in enumerate(into) if into_b]
         mass = self._mass
         unmet = []
-        for (i, j) in sorted(rel):
+        for (i, j) in rel:
             if any(mass(i, into_b) > mass(j, 1 << b) for b, into_b in pulled):
                 return None
             if self.sums[j] - mass(i, lefts) > limit:
@@ -187,7 +188,7 @@ class OrderSolver:
         """An essential relation of candidate pairs containing query, or None.
 
         Depth first from {query}: while a pair's total slack is unmet, add a
-        pair with a new left block that the first unmet pair's block reaches.
+        pair with a new left block that the least unmet pair's block reaches.
         """
         seen: set[frozenset] = set()
         ticks = 0
@@ -207,7 +208,7 @@ class OrderSolver:
                 return None
             if not unmet:
                 return rel
-            first = unmet[0][0]
+            first = min(unmet)[0]
             lefts = {bi for (bi, _) in rel}
             for cand in candidates:
                 if cand[0] not in lefts and self._mass(first, 1 << cand[0]) > 0:

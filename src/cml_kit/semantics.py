@@ -174,9 +174,11 @@ def valid_on(kernel: Kernel, f: Formula, e: Rate) -> bool:
 
 
 def default_rate_grid(f: Formula, e: Rate) -> list[Rate]:
-    """0 plus the modal indices of f, closed under pairwise sums up to max+e.
+    """0 plus the modal indices of f, closed under sums of two different
+    rates up to max+e.
 
-    Each rate is joined once with every rate taken before it. Raises
+    Each rate is joined once with every rate taken before it and never with
+    itself, so ``L{1} T`` at slack 1 gives [0, 1], not [0, 1, 2]. Raises
     ``SearchBudgetExceeded`` once the grid holds more than ``GRID_CAP`` rates.
     """
     e = ensure_rate(e)

@@ -213,6 +213,23 @@ def test_shrink_keeps_failure():
     assert small_formula == Top()
 
 
+def test_shrink_stops_at_a_round_that_keeps_no_smaller_candidate():
+    # formula_reductions of T & L{1} T yields the formula itself (its T subtree
+    # replaced by T); shrink must not keep it as a reduction and go round again
+    kernel = Kernel(["s0", "s1"], {("s0", "s1"): 1})
+    formula = parse("T & L{1} T")
+    calls = 0
+
+    def fails(k, f):
+        nonlocal calls
+        calls += 1
+        return f == formula
+
+    assert formula in formula_reductions(formula)
+    assert shrink(kernel, formula, fails) == (Kernel(["s1"], {}), formula)
+    assert calls <= 10
+
+
 def test_formula_reductions_promote_then_replace_subtrees_in_pre_order():
     # the root's children keep their sugar; each node on the way to a replaced
     # subtree is rebuilt, so the | and -> above it print as the negations

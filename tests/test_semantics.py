@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,8 +30,8 @@ from cml_kit import (
 from cml_kit import semantics
 from cml_kit.harness.enumerate import enumerate_formulas
 from cml_kit.harness.mutations import mutated
-from cml_kit.harness.suites import _corpus_union
 from cml_kit.formula import Fragment, modal_indices
+from cml_kit.kernel import disjoint_union
 from conftest import two_walk_stability_margin
 
 Q = Fraction
@@ -448,7 +449,7 @@ def _kernels_over(draw, d):
        st.lists(_formulas, min_size=1, max_size=3),
        st.sampled_from(_SLACKS))
 def test_union_mask_restricted_to_a_part_is_its_mask(parts, formulas, e):
-    union = _corpus_union(list(parts))
+    union = reduce(disjoint_union, parts)
     assert union.scale == math.lcm(*(k.scale for k in parts))
     for name in (None, "eval-drop-epsilon", "eval-strict-comparison"):
         with mutated(name) if name else contextlib.nullcontext():

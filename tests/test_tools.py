@@ -63,13 +63,19 @@ def test_orders_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     ladder = [doc for case, doc in docs.items() if case.startswith("orders/ladder/")]
     assert [len(doc["family"]) for doc in ladder] == [357, 2784, 1490]
     assert all(set(doc) == {"case", "family"} for doc in ladder)
-    # the chain ladder dumps the plain order at 0 and the stages only
+    # the chain ladder dumps the plain order at 0 and the stages, and the
+    # essential order at 0 on ESSENTIAL_CHAINS
     chains = [case for case in docs if case.startswith(("orders/chain/", "orders/chains/"))]
     assert chains == [
         "orders/chain/010", "orders/chain/020", "orders/chain/030",
         "orders/chains/010", "orders/chains/020",
     ]
-    assert all(set(docs[case]) == {"case", "plain", "stages"} for case in chains)
+    essential = [case for case in chains if case[len("orders/"):] in dump.ESSENTIAL_CHAINS]
+    assert essential == ["orders/chain/010", "orders/chain/020", "orders/chains/020"]
+    for case in chains:
+        extra = {"essential"} if case in essential else set()
+        assert set(docs[case]) == {"case", "plain", "stages"} | extra
+    assert all(set(docs[case]["essential"]) == {"0"} for case in essential)
     fig1 = docs["orders/model/fig1"]
     assert set(fig1["plain"]) == set(fig1["essential"]) == {"0", "1/10", "1/2", "1", "5/2"}
     assert len(fig1["family"]) == len(fig1["family_blocks"])

@@ -35,9 +35,11 @@ Sections:
   of a ``PlainDescent`` as (peak, sorted deleted block pairs); on the unions
   of two ``gen_kernel`` kernels (density 1/2) with 12, 14 and 15 blocks, the
   family only; and on a chain ladder, the sorted ``plain_pairs(0)`` and the
-  stages only: chains (rate 1 from each state to the next) of 10, 20, ...,
+  stages: chains (rate 1 from each state to the next) of 10, 20, ...,
   ``CHAIN_STATES`` states, and disjoint unions of a rate-1 chain and a rate-2
-  chain of 10, 20, ..., ``CHAIN_UNION_STATES`` states in all.
+  chain of 10, 20, ..., ``CHAIN_UNION_STATES`` states in all. The ladder's
+  ``ESSENTIAL_CHAINS`` add the sorted ``essential_pairs(0)``, or the
+  ``SearchBudgetExceeded`` it raises.
 - ``metric``: ``distance`` as its printed ``value`` and ``attained_at`` for
   every ordered state pair of each corpus kernel, and for each of the 49
   ordered pairs of shipped models, every state of the first against every
@@ -102,6 +104,8 @@ LADDER = ((6, 7, 8), (7, 5, 6), (8, 6, 7))
 # ends in under a second
 CHAIN_STATES = 120
 CHAIN_UNION_STATES = 80
+# the chain ladder cases that dump the essential order at 0 too
+ESSENTIAL_CHAINS = ("chain/010", "chain/020", "chains/020", "chains/030")
 # (formula, slack, states, grid or None for the default grid): docs/examples.md
 # and the README, the two further searches of the cli workload, and the
 # default grid
@@ -320,6 +324,7 @@ def _orders_cases() -> Iterator[Case]:
     from fractions import Fraction
 
     from cml_kit.equivalence import generators
+    from cml_kit.errors import SearchBudgetExceeded
     from cml_kit.formula import print_formula
     from cml_kit.orders import OrderSolver, PlainDescent
     from cml_kit.rational import format_rate
@@ -342,17 +347,23 @@ def _orders_cases() -> Iterator[Case]:
         doc["stages"] = stages(solver)
         return doc
 
-    def descent(kernel) -> dict:
+    def descent(kernel, essential: bool) -> dict:
         solver = OrderSolver(kernel)
         plain = sorted(solver.plain_pairs(Fraction(0)))
-        return {"plain": {"0": plain}, "stages": stages(solver)}
+        doc = {"plain": {"0": plain}, "stages": stages(solver)}
+        if essential:
+            try:
+                doc["essential"] = {"0": sorted(solver.essential_pairs(Fraction(0)))}
+            except SearchBudgetExceeded as exc:
+                doc["essential"] = {"error": type(exc).__name__, "message": str(exc)}
+        return doc
 
     for case, kernel in (*_corpora(), *_models()):
         yield case, lambda kernel=kernel: orders(kernel)
     for case, union in _ladder_unions():
         yield case, lambda union=union: family(generators(union))
     for case, kernel in _chain_ladder():
-        yield case, lambda kernel=kernel: descent(kernel)
+        yield case, lambda kernel=kernel, case=case: descent(kernel, case in ESSENTIAL_CHAINS)
 
 
 def _metric_cases() -> Iterator[Case]:
