@@ -28,8 +28,9 @@ from .rational import Rate, ensure_rate, format_rate
 class Formula:
     """Base class; all nodes are immutable and hashable.
 
-    Each node compares and hashes by its class and its field tuple, and sets
-    its fields once in ``__init__`` through ``object.__setattr__``.
+    Each node compares and hashes by its class and its field tuple, declares
+    its fields as ``__slots__`` (a node has no ``__dict__``), and sets them
+    once in ``__init__`` through ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -57,6 +58,7 @@ class Top(Formula):
 
 
 class Not(Formula):
+    __slots__ = ("child", "sugar")
     child: Formula
     # "or" / "implies" / "bot" when this negation encodes parser sugar
     sugar: str | None
@@ -80,6 +82,7 @@ class Not(Formula):
 
 
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
@@ -100,6 +103,7 @@ class And(Formula):
 
 
 class L(Formula):
+    __slots__ = ("rate", "child")
     rate: Fraction
     child: Formula
 
@@ -186,29 +190,48 @@ def _down_index(r: Rate, e: Rate) -> Rate:
     return shifted if shifted > 0 else Fraction(0)
 
 
-def encode_down(f: Formula, e: Rate) -> Formula:
-    """Shift every modal index down by e, truncating at 0; homomorphic elsewhere."""
+def encode_down(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
+    """Shift every modal index down by e, truncating at 0; homomorphic elsewhere.
+
+    ``memo`` maps id(node) to (node, image) for each node shifted so far, so
+    a node that several formulas share is shifted once and its image is
+    shared too. Calls that pass the same table share their images; without
+    one the call makes its own. A table serves one direction and one e, and
+    it holds every node it has seen and its image: a caller keeps it no
+    longer than the formulas it serves, never across a change to the shift.
+    """
     e = ensure_rate(e)
-    return _shift(f, lambda r: _down_index(r, e))
+    return _shift(f, lambda r: _down_index(r, e), {} if memo is None else memo)
 
 
-def encode_up(f: Formula, e: Rate) -> Formula:
-    """Shift every modal index up by e; homomorphic elsewhere."""
+def encode_up(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
+    """Shift every modal index up by e; homomorphic elsewhere.
+
+    ``memo`` is a table as for ``encode_down``, for shifts up by this e.
+    """
     e = ensure_rate(e)
-    return _shift(f, lambda r: r + e)
+    return _shift(f, lambda r: r + e, {} if memo is None else memo)
 
 
-def _shift(f: Formula, index: Callable[[Rate], Rate]) -> Formula:
-    # f with every modal index r replaced by index(r); homomorphic elsewhere
+def _shift(f: Formula, index: Callable[[Rate], Rate], memo: dict) -> Formula:
+    # f with every modal index r replaced by index(r); homomorphic elsewhere.
+    # memo maps id(node) to (node, image); an entry holds its node, so no id
+    # is reused while the entry lives. Top is its own image and is not kept.
     if isinstance(f, Top):
         return f
+    known = memo.get(id(f))
+    if known is not None:
+        return known[1]
     if isinstance(f, Not):
-        return Not(_shift(f.child, index), sugar=f.sugar)
-    if isinstance(f, And):
-        return And(_shift(f.left, index), _shift(f.right, index))
-    if isinstance(f, L):
-        return L(index(f.rate), _shift(f.child, index))
-    raise TypeError(f"not a formula node: {f!r}")
+        out = Not(_shift(f.child, index, memo), sugar=f.sugar)
+    elif isinstance(f, And):
+        out = And(_shift(f.left, index, memo), _shift(f.right, index, memo))
+    elif isinstance(f, L):
+        out = L(index(f.rate), _shift(f.child, index, memo))
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    memo[id(f)] = (f, out)
+    return out
 
 
 # The most clauses a normal form may have, counted across modal depths: its

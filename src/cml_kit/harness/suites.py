@@ -207,38 +207,49 @@ def _formula_suite(
     report: SuiteReport, budget: Budget, fragment: Fragment, slacks,
     check: Callable[..., list[str]], extra: tuple[Rate, ...] = (),
 ) -> bool:
-    """Run ``check(ev, f, *slack)``, which returns what failed, on every corpus
-    kernel, formula of ``fragment`` over the family grid plus ``extra``, and
-    slack. An exception inside a check fails that instance; every failure is
-    shrunk with the check as the oracle. Returns whether any enumeration was
-    truncated."""
+    """Run ``check(ev, shifts, f, *slack)``, which returns what failed, on
+    every corpus kernel, formula of ``fragment`` over the family grid plus
+    ``extra``, and slack. ``shifts`` is a pair of ``encode_down`` and
+    ``encode_up`` tables for the slack's last rate, one pair per kernel and
+    rate, so the encodings of one kernel's formulas share nodes as the
+    formulas do, and ``ev``'s tables evaluate each shared ``L`` node once. An
+    exception inside a check fails that instance; every failure is shrunk
+    with the check as the oracle, on fresh tables. Returns whether any
+    enumeration was truncated."""
     truncated = False
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
         grid = _family_grid(kernel, generators(kernel), (_ZERO, *extra))
         formulas, cut = _formulas(budget, grid, fragment)
         truncated |= cut
+        tables: dict[Rate, tuple[dict, dict]] = {}
+        shared = [tables.setdefault(slack[-1], ({}, {})) for slack in slacks]
         for f in formulas:
-            for slack in slacks:
+            for slack, shifts in zip(slacks, shared):
                 report.checked += 1
                 try:
-                    problems = check(ev, f, *slack)
+                    problems = check(ev, shifts, f, *slack)
                 except Exception as exc:
                     at = ", ".join(f"{name}={format_rate(v)}"
                                    for name, v in zip(("e", "e'"), slack))
                     problems = [f"exception at {at}: {exc}"]
                 for problem in problems:
                     report.fail(problem, kernel, f,
-                                lambda k, g: bool(check(Evaluator(k), g, *slack)))
+                                lambda k, g: bool(check(Evaluator(k), ({}, {}), g, *slack)))
     return truncated
 
 
-def _t2_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
-    at = f"at e={format_rate(e)}, e'={format_rate(e2)}"
-    if ev.mask(f, e + e2) != ev.mask(encode_down(f, e2), e):
-        return [f"transfer (down) broken {at}"]
-    if ev.mask(f, e) != ev.mask(encode_up(f, e2), e + e2):
-        return [f"transfer (up) broken {at}"]
+def _pair_text(e: Rate, e2: Rate) -> str:
+    return f"at e={format_rate(e)}, e'={format_rate(e2)}"
+
+
+def _t2_check(ev: Evaluator, shifts, f: Formula, e: Rate, e2: Rate) -> list[str]:
+    down, up = shifts
+    total = e + e2
+    if ev.mask(f, total) != ev.mask(encode_down(f, e2, down), e):
+        return [f"transfer (down) broken {_pair_text(e, e2)}"]
+    if ev.mask(f, e) != ev.mask(encode_up(f, e2, up), total):
+        return [f"transfer (up) broken {_pair_text(e, e2)}"]
     return []
 
 
@@ -249,11 +260,12 @@ def suite_t2(report: SuiteReport, budget: Budget) -> None:
         report.notes["truncated"] = True
 
 
-def _c2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
+def _c2_check(ev: Evaluator, shifts, f: Formula, e: Rate) -> list[str]:
+    down, up = shifts
     ext = ev.mask(f, e)
     if (
-        ext == ev.mask(encode_down(f, e), _ZERO)
-        and ev.mask(f, _ZERO) == ev.mask(encode_up(f, e), e)
+        ext == ev.mask(encode_down(f, e, down), _ZERO)
+        and ev.mask(f, _ZERO) == ev.mask(encode_up(f, e, up), e)
         and ev.mask(Not(f), e) == ev.kernel.full ^ ext
     ):
         return []
@@ -266,13 +278,13 @@ def suite_c2(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.FULL, slacks, _c2_check, (Fraction(1, 2),))
 
 
-def _l1_check(ev: Evaluator, f: Formula, e: Rate, e2: Rate) -> list[str]:
-    at = f"at e={format_rate(e)}, e'={format_rate(e2)}"
+def _l1_check(ev: Evaluator, shifts, f: Formula, e: Rate, e2: Rate) -> list[str]:
+    total = e + e2
     problems = []
-    if ev.mask(f, e) & ~ev.mask(f, e + e2):
-        problems.append(f"positive monotonicity broken {at}")
-    if ev.mask(Not(f), e + e2) & ~ev.mask(Not(f), e):
-        problems.append(f"negative antitonicity broken {at}")
+    if ev.mask(f, e) & ~ev.mask(f, total):
+        problems.append(f"positive monotonicity broken {_pair_text(e, e2)}")
+    if ev.mask(Not(f), total) & ~ev.mask(Not(f), e):
+        problems.append(f"negative antitonicity broken {_pair_text(e, e2)}")
     return problems
 
 
@@ -281,7 +293,7 @@ def suite_l1(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.POSITIVE, budget.epsilon_pairs, _l1_check)
 
 
-def _l2_check(ev: Evaluator, f: Formula, e: Rate) -> list[str]:
+def _l2_check(ev: Evaluator, shifts, f: Formula, e: Rate) -> list[str]:
     margin = ev.stability_margin(f, e)
     probes = [margin / 2, margin / 3] if margin is not None else [Fraction(1), Fraction(5)]
     base = ev.mask(f, e)
@@ -656,13 +668,15 @@ def suite_soundness(report: SuiteReport, budget: Budget) -> None:
     an instance, each one for a conclusion.
     """
     kernels = _suite_corpus(budget)
-    union = Evaluator(reduce(disjoint_union, kernels))
-    every = union.kernel.full
+    union = reduce(disjoint_union, kernels)
+    every = union.full
     pool_grid = (_ZERO, Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
     formulas, _ = _formulas(budget, pool_grid[:3], Fragment.FULL, depth=1)
     substitutions = formulas[: min(len(formulas), 8)]
     instantiations = 0
     for e in budget.epsilons:
+        # one evaluator per slack: its table dies with the slack's instances
+        ev = Evaluator(union)
         for phi in substitutions:
             for psi in substitutions[:4]:
                 for r in pool_grid:
@@ -677,7 +691,7 @@ def suite_soundness(report: SuiteReport, budget: Budget) -> None:
                             )
                             instantiations += 1
                             report.checked += 1
-                            if union.mask(instance, e) != every:
+                            if ev.mask(instance, e) != every:
                                 kernel = next(k for k in kernels
                                               if not valid_on(k, instance, e))
                                 report.fail(
@@ -688,6 +702,7 @@ def suite_soundness(report: SuiteReport, budget: Budget) -> None:
                                 )
     report.notes["instantiations"] = instantiations
     for e in budget.epsilons:
+        ev = Evaluator(union)
         for proof in _example_proofs(e):
             report.checked += 1
             try:
@@ -697,7 +712,7 @@ def suite_soundness(report: SuiteReport, budget: Budget) -> None:
                 continue
             if proof.hypotheses:
                 continue
-            if union.mask(proof.conclusion, proof.epsilon) != every:
+            if ev.mask(proof.conclusion, proof.epsilon) != every:
                 for kernel in kernels:
                     if not valid_on(kernel, proof.conclusion, proof.epsilon):
                         report.fail(
@@ -718,6 +733,8 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
     positive_pairs = [
         (e2, e) for (e2, e) in budget.epsilon_pairs if e2 > 0 and e > 0
     ] or [(Fraction(1, 10), Fraction(1, 3))]
+    # each premise slack e2 with its conclusion's level e2 + e, added once
+    levels = [(e2, e2 + e) for e2, e in positive_pairs]
     for kernel in kernels:
         ev = Evaluator(kernel)
         grid = _family_grid(kernel, generators(kernel))
@@ -725,9 +742,8 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
         full, _ = _formulas(budget, grid, Fragment.FULL, depth=1)
         for phi in pos[: min(len(pos), 12)]:
             for psi in full[: min(len(full), 12)]:
-                for e2, e in positive_pairs:
+                for e2, level in levels:
                     report.checked += 1
-                    level = e2 + e
                     premise = ev.mask(phi, e2)
                     conclusion = ev.mask(psi, level)
                     if ev.mask(Implies(phi, psi), level) & premise & ~conclusion:
@@ -750,8 +766,7 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
     nonvacuous = 0
     for phi in pos[: min(len(pos), 10)]:
         for psi in full[: min(len(full), 10)]:
-            for e2, e in positive_pairs[:2]:
-                level = e2 + e
+            for e2, level in levels[:2]:
                 report.checked += 1
                 premises = (union.mask(Implies(phi, psi), level) == every
                             and union.mask(phi, e2) == every)

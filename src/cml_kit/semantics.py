@@ -16,9 +16,16 @@ package reads it: ``sat``, ``valid_on`` and the property suites test bits and
 compare masks. ``extension`` and ``eval_formula`` return frozensets, for the
 CLI and other callers outside the package. ``stability_margin`` runs the same
 walk with a list, to which each ``L`` node appends its least positive deficit
-r - (theta(m)(phi) + e), computed on the same integers. Nothing is cached: a
-caller that needs the same (formula, e) extension twice keeps the first
-result.
+r - (theta(m)(phi) + e), computed on the same integers.
+
+An ``Evaluator`` keeps one table per scaled slack (ne, de), keyed by the id of
+each ``L`` node it has evaluated at that slack, so an ``L`` node shared by
+many formulas (as ``enumerate_formulas`` and the shared encodings build them)
+is evaluated once per evaluator and slack. An entry holds its node as well as
+the mask, so no id is reused while the entry lives. Only ``L`` nodes are kept:
+``And``, ``Not`` and ``Top`` cost one integer operation each. No formula is
+hashed for the table. The tables live as long as the evaluator, which
+``sat``, ``valid_on`` and ``eval_formula`` build once per call.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
 row-major slot order and tries kernels only up to state relabeling: it
@@ -80,26 +87,35 @@ def _modal_holds(total: int, e: int, r: int) -> bool:
 
 
 class Evaluator:
-    """Extensions on one kernel; it holds the kernel and its full mask only.
+    """Extensions on one kernel; it holds the kernel, its full mask and one
+    table of ``L`` node masks per slack.
 
     ``mask`` gives an extension as a state bitmask (bit i is state i of the
     kernel) and ``extension`` as a frozenset of state names. Both compute
-    every call with one walk over the formula tree, ``_walk``, and keep no
-    table: a repeated formula or subformula is evaluated again wherever it
-    occurs, which costs less than hashing it to look it up. A call scales its
-    slack e = ne/de once, to the integers ne * D and de, and the walk passes
-    them down; each ``L`` node then scales only its own rate.
+    with one walk over the formula tree, ``_walk``. A call scales its slack
+    e = ne/de once, to the integers ne * D and de, and the walk passes them
+    down; each ``L`` node then scales only its own rate. The walk also takes
+    the table of its slack: an ``L`` node found there is not walked again,
+    and one walked is entered as (node, mask) under its id.
     ``stability_margin`` reads its deficits off the same walk: each ``L``
     node also appends its least positive deficit to a list the caller passes.
+    It walks with a table of its own call, never the evaluator's, since a
+    node found in a table skips its subtree and so appends no deficit: within
+    one call that node's deficits are already in the list.
     """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._full = kernel.full
+        # scaled slack (ne, de) -> {id(L node): (node, mask)}
+        self._tables: dict[tuple[int, int], dict[int, tuple[L, int]]] = {}
 
     def mask(self, f: Formula, e: Rate) -> int:
         ne, de = ensure_rate(e).as_integer_ratio()
-        return self._walk(f, ne * self.kernel.scale, de, None)
+        table = self._tables.get((ne, de))
+        if table is None:
+            table = self._tables[ne, de] = {}
+        return self._walk(f, ne * self.kernel.scale, de, None, table)
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
         return self._compute(f, e)
@@ -107,12 +123,19 @@ class Evaluator:
     def _compute(self, f: Formula, e: Rate) -> frozenset:
         return self.kernel.set_of(self.mask(f, e))
 
-    def _walk(self, f: Formula, slack: int, de: int, gaps: Optional[list]) -> int:
+    def _walk(
+        self, f: Formula, slack: int, de: int, gaps: Optional[list], table: dict
+    ) -> int:
         # the extension of f at e = slack / (D * de) as a state bitmask; with a
-        # gaps list, every L node also appends its least positive deficit
+        # gaps list, every L node walked also appends its least positive
+        # deficit; every L node walked is entered in the table
         cls = f.__class__
         if cls is L:
-            child = self._walk(f.child, slack, de, gaps)
+            key = id(f)
+            known = table.get(key)
+            if known is not None:
+                return known[1]
+            child = self._walk(f.child, slack, de, gaps, table)
             # theta(m)(child) + e >= r, multiplied through by D and by the
             # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
             kernel = self.kernel
@@ -134,11 +157,13 @@ class Evaluator:
                              if (g := bound - w * unit - slack_r) > 0), default=0)
                 if least:
                     gaps.append(Fraction(least, kernel.scale * unit))
+            table[key] = (f, out)
             return out
         if cls is And:
-            return self._walk(f.left, slack, de, gaps) & self._walk(f.right, slack, de, gaps)
+            return (self._walk(f.left, slack, de, gaps, table)
+                    & self._walk(f.right, slack, de, gaps, table))
         if cls is Not:
-            return self._full ^ self._walk(f.child, slack, de, gaps)
+            return self._full ^ self._walk(f.child, slack, de, gaps, table)
         if cls is Top:
             return self._full
         raise TypeError(f"not a formula node: {f!r}")
@@ -153,7 +178,7 @@ class Evaluator:
         """
         ne, de = ensure_rate(e).as_integer_ratio()
         gaps: list[Rate] = []
-        self._walk(f, ne * self.kernel.scale, de, gaps)
+        self._walk(f, ne * self.kernel.scale, de, gaps, {})
         return min(gaps) if gaps else None
 
 

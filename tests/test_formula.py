@@ -207,6 +207,31 @@ def test_encodings_preserve_fragments(f, e):
         assert in_fragment(encode_up(f, e), Fragment.POSITIVE)
 
 
+@pytest.mark.parametrize("encode", [encode_down, encode_up])
+@pytest.mark.parametrize("fragment", list(Fragment))
+def test_shared_tables_over_an_enumeration_give_the_table_less_encodings(encode, fragment):
+    formulas = _enumerated(3, fragment)
+    for e in (Q(0), Q(1, 2), Q(1), Q(5, 2)):
+        memo = {}
+        encoded = [encode(f, e, memo) for f in formulas]
+        assert encoded == [encode(f, e) for f in formulas]
+        # a child the enumeration shares has one image, shared by its parents
+        image = {id(f): g for f, g in zip(formulas, encoded)}
+        shared = 0
+        for f, g in zip(formulas, encoded):
+            if isinstance(f, And):
+                children = [(f.left, g.left), (f.right, g.right)]
+            elif isinstance(f, (Not, L)):
+                children = [(f.child, g.child)]
+            else:
+                children = []
+            for child, child_image in children:
+                if id(child) in image:
+                    assert child_image is image[id(child)]
+                    shared += 1
+        assert shared > 100
+
+
 # --- the asymmetric encoding and its normal form ------------------------------
 
 
@@ -327,6 +352,19 @@ def test_nodes_are_immutable(node, field):
         setattr(node, field, Top())
     with pytest.raises(AttributeError):
         delattr(node, field)
+
+
+@pytest.mark.parametrize("node", [Not(Top(), sugar="bot"), And(Top(), Top()), L(1, Top())])
+def test_nodes_are_slotted(node):
+    # each field is a slot: a node has no __dict__ to take any other attribute
+    assert not hasattr(node, "__dict__")
+    for field in node.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(node, field, Top())
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    with pytest.raises(AttributeError):
+        object.__setattr__(node, "extra", Top())
 
 
 def test_l_coerces_its_rate():

@@ -323,7 +323,7 @@ def test_search_budget_counts_the_skipped_assignments():
 
 
 def test_evaluator_cache_consistency(fig1):
-    # an Evaluator keeps no cache: asking twice recomputes the same answer
+    # asking twice answers from the evaluator's table what a fresh walk gives
     ev = Evaluator(fig1)
     f = parse("L{5} L{4} T")
     for e in (Q(1, 10), Q(0)):
@@ -433,6 +433,68 @@ def test_stability_margin_matches_the_two_walk_oracle(k, f, e):
     margin = Evaluator(k).stability_margin(f, e)
     assert margin == two_walk_stability_margin(k, f, e)
     assert margin is None or margin > 0
+
+
+@st.composite
+def _shared_formulas(draw):
+    # formulas built from the ones before them, as enumerate_formulas builds
+    # them, so the later ones share subtrees with the earlier ones
+    pool = [Top()]
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from((L, Not, And)))
+        if kind is L:
+            pool.append(L(draw(st.sampled_from(_RATES)), draw(st.sampled_from(pool))))
+        elif kind is Not:
+            pool.append(Not(draw(st.sampled_from(pool))))
+        else:
+            pool.append(And(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return pool
+
+
+_formula_lists = st.one_of(
+    _shared_formulas(),
+    st.builds(
+        lambda grid, fragment: enumerate_formulas(2, tuple(grid), fragment, 60)[0],
+        st.lists(st.sampled_from(_RATES), min_size=1, max_size=3, unique=True),
+        st.sampled_from(list(Fragment)),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), st.lists(_formula_lists, min_size=1, max_size=3), st.data())
+def test_evaluator_tables_give_a_fresh_evaluators_masks(k, lists, data):
+    # one evaluator asked about several formula lists at interleaved slacks,
+    # and about fresh L nodes over the listed formulas
+    ev = Evaluator(k)
+    for _ in range(data.draw(st.integers(1, 40))):
+        f = data.draw(st.sampled_from(data.draw(st.sampled_from(lists))))
+        if data.draw(st.booleans()):
+            f = L(data.draw(st.sampled_from(_RATES)), f)
+        e = data.draw(st.sampled_from(_SLACKS))
+        assert ev.mask(f, e) == Evaluator(k).mask(f, e)
+
+
+def test_a_table_entry_keeps_its_node_alive(fig1):
+    # each L node below is dropped after its call but stays in the
+    # evaluator's table, so no later node takes its id and is answered with
+    # its mask
+    ev = Evaluator(fig1)
+    masks = [ev.mask(L(r, Top()), 0) for r in range(8)]
+    assert masks == [Evaluator(fig1).mask(L(r, Top()), 0) for r in range(8)]
+    assert len(set(masks)) > 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), _shared_formulas(), st.sampled_from(_SLACKS))
+def test_stability_margin_after_mask_matches_the_two_walk_oracle(k, formulas, e):
+    # mask enters every L node in the evaluator's table first; the margin
+    # still sees the deficit of each of them
+    ev = Evaluator(k)
+    for f in formulas:
+        ev.mask(f, e)
+    for f in formulas:
+        assert ev.stability_margin(f, e) == two_walk_stability_margin(k, f, e)
 
 
 @st.composite
