@@ -22,10 +22,15 @@ An ``Evaluator`` keeps one table per scaled slack (ne, de), keyed by the id of
 each ``L`` node it has evaluated at that slack, so an ``L`` node shared by
 many formulas (as ``enumerate_formulas`` and the shared encodings build them)
 is evaluated once per evaluator and slack. An entry holds its node as well as
-the mask, so no id is reused while the entry lives. Only ``L`` nodes are kept:
+the mask, so no id is reused while the entry lives. The same table also keys
+each mask by the L node's rate and its child's mask, (nr, dr, child mask): an
+``L`` node's extension at a slack depends on nothing else, so an equal node
+built afresh (as each ``axiom_instance`` and ``encode_abs`` call builds them)
+walks its child but makes no modal comparison. Only ``L`` nodes are kept:
 ``And``, ``Not`` and ``Top`` cost one integer operation each. No formula is
-hashed for the table. The tables live as long as the evaluator, which
-``sat``, ``valid_on`` and ``eval_formula`` build once per call.
+hashed for the table, only integers. The tables live as long as the
+evaluator, which ``sat``, ``valid_on`` and ``eval_formula`` build once per
+call.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
 row-major slot order and tries kernels only up to state relabeling: it
@@ -96,19 +101,23 @@ class Evaluator:
     e = ne/de once, to the integers ne * D and de, and the walk passes them
     down; each ``L`` node then scales only its own rate. The walk also takes
     the table of its slack: an ``L`` node found there is not walked again,
-    and one walked is entered as (node, mask) under its id.
+    and one walked is entered as (node, mask) under its id. An ``L`` node not
+    found walks its child, and its rate and child mask are looked up next:
+    an equal node answered before gives the mask without a comparison.
     ``stability_margin`` reads its deficits off the same walk: each ``L``
     node also appends its least positive deficit to a list the caller passes.
     It walks with a table of its own call, never the evaluator's, since a
-    node found in a table skips its subtree and so appends no deficit: within
-    one call that node's deficits are already in the list.
+    node answered from a table appends no deficit: within one call the
+    deficits of that node, or of the equal node before it, are already in the
+    list.
     """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._full = kernel.full
-        # scaled slack (ne, de) -> {id(L node): (node, mask)}
-        self._tables: dict[tuple[int, int], dict[int, tuple[L, int]]] = {}
+        # scaled slack (ne, de) -> {id(L node): (node, mask),
+        #                           (nr, dr, child mask): mask}
+        self._tables: dict[tuple[int, int], dict] = {}
 
     def mask(self, f: Formula, e: Rate) -> int:
         ne, de = ensure_rate(e).as_integer_ratio()
@@ -127,7 +136,7 @@ class Evaluator:
         self, f: Formula, slack: int, de: int, gaps: Optional[list], table: dict
     ) -> int:
         # the extension of f at e = slack / (D * de) as a state bitmask; with a
-        # gaps list, every L node walked also appends its least positive
+        # gaps list, every L node compared also appends its least positive
         # deficit; every L node walked is entered in the table
         cls = f.__class__
         if cls is L:
@@ -136,10 +145,15 @@ class Evaluator:
             if known is not None:
                 return known[1]
             child = self._walk(f.child, slack, de, gaps, table)
+            nr, dr = f.rate.as_integer_ratio()
+            same = (nr, dr, child)
+            out = table.get(same)
+            if out is not None:
+                table[key] = (f, out)
+                return out
             # theta(m)(child) + e >= r, multiplied through by D and by the
             # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
             kernel = self.kernel
-            nr, dr = f.rate.as_integer_ratio()
             unit = de * dr
             slack_r = slack * dr
             bound = nr * kernel.scale * de
@@ -158,6 +172,7 @@ class Evaluator:
                 if least:
                     gaps.append(Fraction(least, kernel.scale * unit))
             table[key] = (f, out)
+            table[same] = out
             return out
         if cls is And:
             return (self._walk(f.left, slack, de, gaps, table)

@@ -485,6 +485,39 @@ def test_a_table_entry_keeps_its_node_alive(fig1):
     assert len(set(masks)) > 2
 
 
+def _fresh_copy(f):
+    # an equal formula that shares no node with f but Top
+    if isinstance(f, L):
+        return L(f.rate, _fresh_copy(f.child))
+    if isinstance(f, Not):
+        return Not(_fresh_copy(f.child), sugar=f.sugar)
+    if isinstance(f, And):
+        return And(_fresh_copy(f.left), _fresh_copy(f.right))
+    return f
+
+
+def test_an_equal_l_node_is_answered_from_the_table(fig1, monkeypatch):
+    # a second L node with the rate and child extension of one already
+    # evaluated at this slack makes no modal comparison
+    ev = Evaluator(fig1)
+    first = parse("L{5} L{4} T")
+    want = ev.mask(first, Q(1, 10))
+    compared = []
+    monkeypatch.setattr(semantics, "_modal_holds", lambda *args: compared.append(args))
+    assert ev.mask(_fresh_copy(first), Q(1, 10)) == want
+    assert compared == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), _shared_formulas(), st.sampled_from(_SLACKS))
+def test_stability_margin_over_equal_subtrees_matches_the_two_walk_oracle(k, formulas, e):
+    # within one margin walk the copy's L nodes are answered from its table
+    ev = Evaluator(k)
+    for f in formulas:
+        g = And(f, _fresh_copy(f))
+        assert ev.stability_margin(g, e) == two_walk_stability_margin(k, g, e)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_kernels(), _shared_formulas(), st.sampled_from(_SLACKS))
 def test_stability_margin_after_mask_matches_the_two_walk_oracle(k, formulas, e):
