@@ -263,28 +263,39 @@ def _join(clauses: list[tuple[list[Formula], int]]) -> tuple[Formula, int]:
 
 
 def _clauses(
-    f: Formula, positive: bool, e: Rate
+    f: Formula, positive: bool, e: Rate, memo: dict | None = None
 ) -> tuple[list[tuple[list[Formula], int]], int]:
     # the clauses of the normal form of f (of !f when not positive), each with
     # the nesting of its deepest literal, and the disjunctions inside their
     # literals' bodies, counted per occurrence; a negated modal literal's
-    # index moves up by e, at every modal depth
+    # index moves up by e, at every modal depth. memo maps (id(node),
+    # positive) to (node, result) for each L node normalized so far, as
+    # _shift's table does; an entry is made only once the node's body passed
+    # its budget checks
+    if memo is None:
+        memo = {}
     if isinstance(f, Top):
         return [([Top() if positive else Bot()], 0)], 0
     if isinstance(f, Not):
-        return _clauses(f.child, not positive, e)
+        return _clauses(f.child, not positive, e, memo)
     if isinstance(f, L):
-        clauses, inner = _clauses(f.child, True, e)
+        key = (id(f), positive)
+        known = memo.get(key)
+        if known is not None:
+            return known[1]
+        clauses, inner = _clauses(f.child, True, e, memo)
         body, nesting = _join(clauses)
         if positive:
             lit = L(f.rate, body)
         else:
             lit, nesting = Not(L(f.rate + e, body)), nesting + 1
-        return [([lit], nesting + 1)], len(clauses) - 1 + inner
+        out = [([lit], nesting + 1)], len(clauses) - 1 + inner
+        memo[key] = (f, out)
+        return out
     if not isinstance(f, And):
         raise TypeError(f"not a formula node: {f!r}")
-    left, left_inner = _clauses(f.left, positive, e)
-    right, right_inner = _clauses(f.right, positive, e)
+    left, left_inner = _clauses(f.left, positive, e, memo)
+    right, right_inner = _clauses(f.right, positive, e, memo)
     if positive:
         # every left clause joins every right clause, and so repeats the
         # bodies of its literals once per right clause
@@ -303,7 +314,7 @@ def _clauses(
     return [(a + b, max(da, db)) for a, da in left for b, db in right], inner
 
 
-def encode_abs(f: Formula, e: Rate) -> Formula:
+def encode_abs(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
     """Asymmetric index shift on the normal form: negated modal literals move up.
 
     The input is brought to negation normal form, then disjunctive normal
@@ -313,8 +324,18 @@ def encode_abs(f: Formula, e: Rate) -> Formula:
     |psi|, and T, F, &, | are homomorphic; at e = 0 the result is the normal
     form itself, equivalent to the input at every slack. Raises
     SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET.
+
+    ``memo`` maps (id(node), polarity) to (node, clauses) for each modal node
+    normalized so far, so a modal subformula that several formulas share is
+    normalized once per polarity and its literal is the same object in each
+    normal form (conjunctions are recombined: keeping their clauses too held
+    more memory and saved no time). A node whose body raised has no entry, so
+    the next call raises again. Calls that pass the same table share their
+    clauses; without one the call makes its own. A table serves one e and
+    holds every node it has seen: a caller keeps it no longer than the
+    formulas it serves.
     """
-    clauses, _ = _clauses(f, True, ensure_rate(e))
+    clauses, _ = _clauses(f, True, ensure_rate(e), memo)
     return _join(clauses)[0]
 
 

@@ -485,13 +485,15 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
 
 def _transfer_suite(
     report: SuiteReport, budget: Budget, oracle, pairs_of, fragment: Fragment,
-    encode: Optional[Callable[[Formula, Rate], Formula]], order: str,
+    encode: Optional[Callable[[Formula, Rate, dict], Formula]], order: str,
 ) -> int:
     """Compare ``pairs_of(solver, e)``, the ``order`` order, with the transfer
     verdicts of ``oracle(kernel, e)`` on every pair of states. Cross-check the
     oracle: each enumerated formula f of ``fragment`` has its pair (f at 0,
-    ``encode(f, e)`` or, when None, f at e) among the saturated pairs. Returns
-    the count of ordered pairs that the transfer refutes."""
+    ``encode(f, e, table)`` or, when None, f at e) among the saturated pairs,
+    with one encoding table per (kernel, e), so the encodings share the nodes
+    the enumeration shares. Returns the count of ordered pairs that the
+    transfer refutes."""
     encoded = "" if encode is None else "encoded "
     incomplete = 0
     for kernel in _suite_corpus(budget, ORACLE_STATES):
@@ -514,9 +516,10 @@ def _transfer_suite(
                                     f"{encoded}transfer {at}", kernel)
             formulas, _ = _formulas(budget, _shifted_grid(base_grid, e), fragment)
             ev = Evaluator(kernel)
+            table: dict = {}
             for f in formulas:
                 report.checked += 1
-                side = f if encode is None else encode(f, e)
+                side = f if encode is None else encode(f, e, table)
                 pair = pair_mask(kernel, ev.mask(f, _ZERO), ev.mask(side, e))
                 if pair not in reachable:
                     report.fail(f"enumerated {encoded}behavior escapes the saturation "

@@ -25,8 +25,9 @@ is evaluated once per evaluator and slack. An entry holds its node as well as
 the mask, so no id is reused while the entry lives. The same table also keys
 each mask by the L node's rate and its child's mask, (nr, dr, child mask): an
 ``L`` node's extension at a slack depends on nothing else, so an equal node
-built afresh (as each ``axiom_instance`` and ``encode_abs`` call builds them)
-walks its child but makes no modal comparison. Only ``L`` nodes are kept:
+built afresh (as each ``axiom_instance`` call and each ``encode_abs`` call
+without a shared table builds them) walks its child but makes no modal
+comparison. Only ``L`` nodes are kept:
 ``And``, ``Not`` and ``Top`` cost one integer operation each. No formula is
 hashed for the table, only integers. The tables live as long as the
 evaluator, which ``sat``, ``valid_on`` and ``eval_formula`` build once per

@@ -4,7 +4,9 @@ from math import gcd
 import pytest
 
 from cml_kit import And, Evaluator, Fragment, Kernel, KernelError, L, Not, RateError, Top
+from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.formula import or_operands
+from cml_kit.harness import oracles
 from cml_kit.models import load_model
 from cml_kit.rational import ensure_rate, format_rate
 
@@ -62,6 +64,58 @@ def two_walk_stability_margin(kernel, f, e):
 
     walk(f)
     return min(deficits) if deficits else None
+
+
+def _at_least(values: list, r: int) -> int:
+    return sum([1 << i for i, v in enumerate(values) if v >= r])
+
+
+def at_least_literal_pairs(kernel, pair: int, e, negated_literals: bool) -> list:
+    """The literal pairs over one body pair, one rate of the sweep at a time,
+    each level mask scanned afresh: the test oracle for
+    ``oracles._literal_pairs``, as a set."""
+    e = ensure_rate(e)
+    size = len(kernel.states)
+    de = e.denominator
+    into_s0 = [w * de for w in kernel.scaled_measures(pair & kernel.full)]
+    into_se = [w * de for w in kernel.scaled_measures(pair >> size)]
+    shifted = [v + e.numerator * kernel.scale for v in into_se]
+    values = {*into_s0, *into_se, *shifted}
+    sweep = [*sorted(values), max(values) + 1] if values else [0]
+    full = (1 << 2 * size) - 1
+    out = []
+    for r in sweep:
+        left = _at_least(into_s0, r)
+        out.append(left | _at_least(shifted, r) << size)
+        if negated_literals:
+            out.append(full ^ (left | _at_least(into_se, r) << size))
+    return out
+
+
+def pairwise_saturation(kernel, e, negated_literals: bool) -> frozenset:
+    """The pair fixpoint by a worklist that adds each pair's literal pairs and
+    its union and intersection with every pair found before it, raising past
+    ``oracles.PAIR_CAP`` pairs: the test oracle for ``saturate_pairs``."""
+    e = ensure_rate(e)
+    pairs = {(1 << 2 * len(kernel.states)) - 1}
+    if negated_literals:
+        pairs.add(0)
+    order = list(pairs)
+
+    def add(candidate: int) -> None:
+        if candidate not in pairs:
+            pairs.add(candidate)
+            order.append(candidate)
+            if len(pairs) > oracles.PAIR_CAP:
+                raise SearchBudgetExceeded(f"pair saturation exceeded {oracles.PAIR_CAP} pairs")
+
+    for i, pair in enumerate(order):  # the worklist: add appends to order
+        for lit in at_least_literal_pairs(kernel, pair, e, negated_literals):
+            add(lit)
+        for other in order[:i]:
+            add(pair | other)
+            add(pair & other)
+    return frozenset(pairs)
 
 
 def entrywise_core(states, rates) -> tuple:

@@ -300,6 +300,43 @@ def test_normal_form_budget_counts_the_printed_disjunctions(f):
     assert spent == print_formula(nf).count("|") < DNF_CLAUSE_BUDGET
 
 
+def test_shared_clause_table_gives_the_table_less_normal_forms():
+    formulas, _ = enumerate_formulas(3, (Q(0), Q(1, 2), Q(1)), Fragment.FULL, 400)
+    for e in (Q(0), Q(1, 10), Q(1, 3), Q(1)):
+        table = {}
+        for f in formulas:
+            shared, alone = encode_abs(f, e, table), encode_abs(f, e)
+            assert shared == alone
+            assert print_formula(shared) == print_formula(alone)
+
+
+def test_shared_clause_table_shares_the_literals_of_a_shared_subformula():
+    g = L(1, Or(L(2, Top()), Top()))
+    first, second = And(g, L(3, Top())), Not(And(Not(g), L(4, Top())))
+    table = {}
+    a, b = encode_abs(first, Q(1, 2), table), encode_abs(second, Q(1, 2), table)
+    # first is g & L{3} T; second is g | !L{4} T
+    assert isinstance(a, And) and a.left == L(1, Or(L(2, Top()), Top()))
+    assert b.child.left.child is a.left
+    # without a table the two normal forms build their own literal
+    assert encode_abs(second, Q(1, 2)).child.left.child is not a.left
+
+
+def test_clause_table_keeps_no_entry_for_a_node_over_budget():
+    # a literal over ten conjoined disjunctions, which need 2^10 clauses
+    body = And(Or(L(1, Top()), L(2, Top())), Or(L(3, Top()), L(4, Top())))
+    for i in range(8):
+        body = And(body, Or(L(5 + i, Top()), Top()))
+    f = L(1, body)
+    table = {}
+    with pytest.raises(SearchBudgetExceeded, match="clauses"):
+        encode_abs(f, 0, table)
+    assert (id(f), True) not in table
+    assert all(node is not f for node, _ in table.values())
+    with pytest.raises(SearchBudgetExceeded, match="clauses"):
+        encode_abs(f, 0, table)
+
+
 def test_normal_form_truth_assignment_oracle():
     # NNF over shared literal atoms: check by truth table where the atom sets
     # coincide (no nested negation inside modal bodies)

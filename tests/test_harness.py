@@ -19,7 +19,7 @@ from cml_kit.harness.oracles import (
 )
 from cml_kit.harness import suites
 from cml_kit.harness.suites import FAILURE_CAP, SUITES, run_suite, small_budget
-from conftest import in_fragment
+from conftest import at_least_literal_pairs, in_fragment, pairwise_saturation
 
 Q = Fraction
 
@@ -161,6 +161,44 @@ def test_pair_saturation_is_closed():
                     for b in pairs:
                         assert a | b in pairs
                         assert a & b in pairs
+
+
+SATURATION_KERNELS = corpus(8, 4, seed=3) + [
+    kernel for kernel in corpus(40, 5, seed=3) if len(kernel.states) <= 5
+]
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("e", [Q(0), Q(1, 10), Q(1, 3), Q(1)], ids=str)
+def test_pair_saturation_matches_the_pairwise_worklist(e, negated):
+    for kernel in SATURATION_KERNELS:
+        assert saturate_pairs(kernel, e, negated) == pairwise_saturation(kernel, e, negated)
+
+
+def test_literal_pairs_match_the_per_rate_scan():
+    checked = 0
+    for kernel in SATURATION_KERNELS[:16]:
+        for e in (Q(0), Q(1, 3), Q(5, 2)):
+            for negated in (False, True):
+                for pair in sorted(saturate_pairs(kernel, e, negated))[:40]:
+                    expected = at_least_literal_pairs(kernel, pair, e, negated)
+                    assert set(_literal_pairs(kernel, pair, e, negated)) == set(expected)
+                    checked += 1
+    assert checked > 500
+
+
+def test_pair_saturation_cap_stops_the_ring_as_it_grows(monkeypatch):
+    # a 5-state kernel (10 points) whose essential ring at 1/10 holds all
+    # 2^10 pairs; the enumeration raises at the first set past the cap
+    kernel = corpus(40, 5, seed=3)[9]
+    assert len(kernel.states) == 5
+    assert len(saturate_pairs(kernel, Q(1, 10), negated_literals=True)) == 1 << 10
+    monkeypatch.setattr(oracles, "PAIR_CAP", 100)
+    with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 100 pairs") as info:
+        saturate_pairs(kernel, Q(1, 10), negated_literals=True)
+    # the ring that raised holds the one set past the cap, not all 2^10
+    assert info.traceback[-1].name == "_down_sets"
+    assert len(info.traceback[-1].locals["ring"]) == 101
 
 
 def test_pair_mask_puts_the_transferred_side_above_the_states():

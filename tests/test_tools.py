@@ -169,7 +169,7 @@ def test_proofs_dump_is_repeatable(tmp_path, capsys, monkeypatch):
 
 def test_oracles_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     dump = _dump_module()
-    monkeypatch.setattr(dump, "ORACLE_SEEDS", (3,))
+    monkeypatch.setattr(dump, "ORACLE_CORPORA", ((10, 4, 3),))
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
     assert dump.main(["oracles", "-o", str(first)]) == 0
     assert dump.main(["oracles", "-o", str(second)]) == 0

@@ -71,11 +71,13 @@ Sections:
   each premises as hypotheses and one ``Tautology`` line over them, with
   formulas over 1 to 6 atoms ``L{r} T`` (r from ``SEARCH_RATES``) and the
   query (printed premises and conclusion).
-- ``oracles``: ``transfer_plain`` and ``transfer_essential`` on
-  ``corpus(10, 4, seed)`` for each seed of ``ORACLE_SEEDS``, at the five
-  slacks of the default suite budget, one case per kernel, oracle and slack:
-  the sorted (m, n) pairs whose verdict is true and the sorted saturated pair
-  masks. A saturation past its cap records ``SearchBudgetExceeded``.
+- ``oracles``: ``transfer_plain`` and ``transfer_essential`` on the corpora
+  of ``ORACLE_CORPORA``: ``corpus(10, 4, 3)``, ``corpus(10, 4, 7)`` and
+  ``corpus(40, 5, 3)``, whose kernels of up to 5 states have 10 points and
+  rings of up to 1,024 pairs, at the five slacks of the default suite
+  budget, one case per kernel, oracle and slack: the sorted (m, n) pairs
+  whose verdict is true and the sorted saturated pair masks. A saturation
+  past its cap records ``SearchBudgetExceeded``.
 - ``measures``: the kernel's scale and ``scaled_measures`` of the empty mask,
   each single state, the full mask and ``MEASURE_MASKS`` seeded random masks,
   as (mask, list) pairs, on the shipped models, their 49 ordered disjoint
@@ -121,7 +123,7 @@ SEARCH_RATES = ("0", "1/3", "1/2", "1", "3/2", "2", "3")
 SEARCH_BUDGETS = (5, 17, 100, 259, 260, 600, 2000)
 SEARCH_CASES = 3000
 PROOF_CASES = 3000
-ORACLE_SEEDS = (3, 7)
+ORACLE_CORPORA = ((10, 4, 3), (10, 4, 7), (40, 5, 3))
 MALFORMED_CASES = 300
 MEASURE_MASKS = 20
 # rate literals a malformed document may hold; " 2 " and "0.25" are valid
@@ -636,11 +638,12 @@ def _oracles_cases() -> Iterator[Case]:
         return {"true": sorted(pair for pair, holds in verdicts.items() if holds),
                 "pairs": sorted(pairs)}
 
-    for seed in ORACLE_SEEDS:
-        for i, kernel in enumerate(corpus(10, 4, seed)):
+    for args in ORACLE_CORPORA:
+        name = "corpus({},{},{})".format(*args)
+        for i, kernel in enumerate(corpus(*args)):
             for kind, oracle in (("plain", transfer_plain), ("essential", transfer_essential)):
                 for e in default_budget().epsilons:
-                    yield (f"corpus(10,4,{seed})/{i:02d}/{kind}/e={format_rate(e)}",
+                    yield (f"{name}/{i:02d}/{kind}/e={format_rate(e)}",
                            lambda args=(oracle, kernel, e): transfer(*args))
 
 
