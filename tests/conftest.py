@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ from cml_kit import And, Evaluator, Fragment, Kernel, KernelError, L, Not, RateE
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.formula import or_operands
 from cml_kit.harness import oracles
+from cml_kit.harness.enumerate import _candidates
 from cml_kit.models import load_model
 from cml_kit.rational import ensure_rate, format_rate
 
@@ -116,6 +118,25 @@ def pairwise_saturation(kernel, e, negated_literals: bool) -> frozenset:
             add(pair | other)
             add(pair & other)
     return frozenset(pairs)
+
+
+def dedup_enumeration(max_depth, rate_grid, fragment, max_count) -> tuple:
+    """``enumerate_formulas`` over the grid as given, each candidate looked up
+    in a dict of the formulas emitted so far and dropped if already there:
+    the test oracle for enumeration by construction."""
+    emitted = {Top(): None}
+    settled = []
+    previous = [Top()]
+    for _ in range(max_depth):
+        size = len(emitted)
+        for f in _candidates(settled, previous, rate_grid, fragment):
+            if f not in emitted:
+                if len(emitted) >= max_count:
+                    return tuple(emitted), True
+                emitted[f] = None
+        settled += previous
+        previous = list(islice(emitted, size, None))
+    return tuple(emitted), False
 
 
 def entrywise_core(states, rates) -> tuple:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cml_kit import Kernel, L, Top, eval_formula, parse, print_formula
 from cml_kit.formula import And, Fragment, Or
@@ -19,7 +20,12 @@ from cml_kit.harness.oracles import (
 )
 from cml_kit.harness import suites
 from cml_kit.harness.suites import FAILURE_CAP, SUITES, run_suite, small_budget
-from conftest import at_least_literal_pairs, in_fragment, pairwise_saturation
+from conftest import (
+    at_least_literal_pairs,
+    dedup_enumeration,
+    in_fragment,
+    pairwise_saturation,
+)
 
 Q = Fraction
 
@@ -53,6 +59,44 @@ def test_enumeration_sound():
 def test_enumeration_cap_sets_flag():
     formulas, truncated = enumerate_formulas(3, (Q(1), Q(2)), Fragment.FULL, 50)
     assert truncated and len(formulas) == 50
+
+
+@pytest.mark.parametrize("fragment", list(Fragment))
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("max_count", [40, 10_000])
+def test_enumeration_grid_spellings(depth, fragment, max_count):
+    # a rate repeated in other spellings adds no formula: the grid is coerced
+    # and deduplicated before any candidate is built
+    spelled = (1, Q(2, 2), "1", Q(1, 2), "1/2")
+    assert enumerate_formulas(depth, spelled, fragment, max_count) == enumerate_formulas(
+        depth, (Q(1), Q(1, 2)), fragment, max_count
+    )
+
+
+# grids of up to four rates from a small pool, repeats and other spellings
+# of one rate included
+enumeration_inputs = st.tuples(
+    st.sampled_from(range(4)),
+    st.lists(st.sampled_from([0, Q(1, 2), "1/2", 1, Q(2, 2), "3/2"]), max_size=4).map(tuple),
+    st.sampled_from(Fragment),
+    st.integers(0, 3000),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(enumeration_inputs)
+@example((3, (1, "1", Q(1, 2), "3/2"), Fragment.POSITIVE, 3000))
+def test_enumeration_matches_the_dedup_loop(args):
+    assert enumerate_formulas(*args) == dedup_enumeration(*args)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(enumeration_inputs)
+@example((3, (1, "1", Q(1, 2), "3/2"), Fragment.POSITIVE, 3000))
+def test_enumerated_formulas_are_distinct(args):
+    formulas, _ = enumerate_formulas(*args)
+    assert formulas[0] == Top()
+    assert len(set(formulas)) == len(formulas)
 
 
 def test_gen_kernel_deterministic():
