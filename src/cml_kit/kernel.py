@@ -23,24 +23,30 @@ entries into the mask. ``measure`` reads ``scaled_measures``, and
 state order; they return Fractions, which with names and frozensets stay the
 public boundary.
 
-The constructor coerces and scales each distinct rate object once: a table
-keyed by the object's id gives every later entry holding the same object its
-scaled weight, so the per-entry work is two state lookups and one sort key.
-The keys are source-major, as model files list their entries, so their sort
-is almost free, and the columns are filled from them in that order.
-A JSON model file is loaded by ``loads_kernel``/``load_kernel``, which parse
-each distinct rate literal once per file: every later entry with the same
-text reuses the first entry's Fraction. ``rate_items`` likewise returns one
+A kernel has two entry points. They share the state pass (duplicate check,
+positions, bits, ``full``) and the assembly (each column sorted by source and
+frozen, ``scale`` and ``totals`` set), so each owns only its loop over the
+entries. ``Kernel(states, rates)`` takes a (source, target)-keyed map and
+coerces and scales each distinct rate object once: a table keyed by the
+object's id gives every later entry holding the same object its scaled
+weight, so the per-entry work is two state lookups. ``rate_items`` returns one
 Fraction per distinct rate, so a kernel built from another kernel's items (a
-disjoint union, a shrunk kernel) takes the same path.
+disjoint union, a shrunk kernel) takes that path. ``loads_kernel`` and
+``load_kernel`` read a JSON model file straight into the columns, in two
+passes over the document: the first collects the distinct rate literals,
+parses each once and derives D and each literal's scaled weight; the second
+walks the rows in document order, looks up each row's source once and
+appends each entry to its target's column. Either raises the first fault of
+a check entry by entry: for a model file, a bad literal first, then a
+duplicate state, then an unknown endpoint in document order.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
-from typing import IO, Iterable, Mapping, Union
+from math import gcd, lcm
+from typing import IO, Iterable, Mapping, NoReturn, Union
 
 from .errors import KernelError, RateError
 from .rational import Rate, ensure_rate, format_rate, parse_rate
@@ -68,15 +74,7 @@ class Kernel:
         states: Iterable[str],
         rates: Mapping[tuple[str, str], object] | None = None,
     ):
-        self.states: tuple[str, ...] = tuple(states)
-        states = self.states
-        position: dict[str, int] = {}
-        bit: dict[str, int] = {}
-        for i, s in enumerate(states):
-            if s in position:
-                raise KernelError(f"duplicate state {s!r}")
-            position[s] = i
-            bit[s] = 1 << i
+        position = self._index_states(states)
         # Each distinct rate object is coerced at its first entry, so a bad
         # one raises at the entry where a check of every entry would. Its
         # slot, keyed by id, is [numerator, denominator, the object]: holding
@@ -84,9 +82,7 @@ class Kernel:
         # yields from taking over its id. Once D is known, the object's
         # scaled weight replaces it.
         slot_of: dict[int, list] = {}
-        # (source position, target position, slot): a pair listed twice sorts
-        # by its slots' (numerator, denominator)
-        keys = []
+        keys = []  # (source position, target position, slot)
         scale = 1
         for (s, t), value in (rates or {}).items():
             key = id(value)
@@ -111,21 +107,40 @@ class Kernel:
                 raise KernelError(f"rate target {t!r} is not a state") from None
         for slot in slot_of.values():
             slot[2] = slot[0] * (scale // slot[1])
-        cols: list[list[tuple[int, int]]] = [[] for _ in states]
-        totals = [0] * len(states)
-        # source-major, so each column is filled in source order
-        keys.sort()
+        cols: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        totals = [0] * len(cols)
         for source, target, slot in keys:
             w = slot[2]
             if w:  # zero entries are dropped
                 cols[target].append((source, w))
                 totals[source] += w
-        self._state_set = frozenset(states)
+        self._set_core(cols, scale, totals)
+
+    def _index_states(self, states: Iterable[str]) -> dict[str, int]:
+        """The state pass of both entry points: sets ``states``, the state
+        set, the bits and ``full``, and returns each state's position; a
+        duplicate state raises."""
+        self.states: tuple[str, ...] = tuple(states)
+        position: dict[str, int] = {}
+        bit: dict[str, int] = {}
+        for i, s in enumerate(self.states):
+            if s in position:
+                raise KernelError(f"duplicate state {s!r}")
+            position[s] = i
+            bit[s] = 1 << i
+        self._state_set = frozenset(self.states)
         self._bit = bit
+        self.full = (1 << len(self.states)) - 1
+        return position
+
+    def _set_core(self, cols: list[list[tuple[int, int]]], scale: int, totals: list[int]) -> None:
+        """The assembly of both entry points: each column, filled in any
+        source order, is sorted by source and frozen."""
+        for col in cols:
+            col.sort()
         self.cols: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, cols))
         self.scale = scale
         self.totals = totals
-        self.full = (1 << len(states)) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Kernel):
@@ -270,9 +285,54 @@ def _kernel_from_doc(doc: object) -> Kernel:
     rates_doc = doc.get("rates", {})
     if not isinstance(rates_doc, dict):
         raise KernelError('"rates" must be an object keyed by source state')
-    rates: dict[tuple[str, str], Fraction] = {}
-    # each distinct literal text is parsed once; a failed parse is never stored
-    parsed: dict[str, Fraction] = {}
+    # pass 1: each distinct literal, parsed once, and its scaled weight
+    literals: set = set()
+    try:
+        for row in rates_doc.values():
+            if not isinstance(row, dict):
+                raise TypeError("a row is not an object")
+            literals.update(row.values())  # TypeError on an unhashable literal
+        if not all(isinstance(literal, str) for literal in literals):
+            raise TypeError("a literal is not a string")
+        parsed = {literal: parse_rate(literal) for literal in literals}
+    except (TypeError, RateError):
+        # the scan in document order raises at the first faulty entry
+        _raise_first_literal_fault(rates_doc)
+        raise
+    scale = lcm(*{r.denominator for r in parsed.values()})
+    weight = {literal: r.numerator * (scale // r.denominator) for literal, r in parsed.items()}
+    kernel = Kernel.__new__(Kernel)
+    position = kernel._index_states(states)
+    # pass 2: the entries, row by row in document order
+    cols: list[list[tuple[int, int]]] = [[] for _ in states]
+    totals = [0] * len(states)
+    for source, row in rates_doc.items():
+        s = position.get(source)
+        if s is None:
+            if row:
+                raise KernelError(f"rate source {source!r} is not a state")
+            continue
+        total = 0
+        for target, literal in row.items():
+            t = position.get(target)
+            if t is None:
+                raise KernelError(f"rate target {target!r} is not a state")
+            w = weight[literal]
+            if w:  # zero entries are dropped
+                cols[t].append((s, w))
+                total += w
+        totals[s] = total
+    # a row with no entries names a source no entry checked
+    for source in rates_doc:
+        if source not in position:
+            raise KernelError(f"rate source {source!r} is not a state")
+    kernel._set_core(cols, scale, totals)
+    return kernel
+
+
+def _raise_first_literal_fault(rates_doc: dict) -> NoReturn:
+    """Raise at the first entry, in document order, whose row is not an
+    object or whose literal is not a string or does not parse."""
     for source, row in rates_doc.items():
         if not isinstance(row, dict):
             raise KernelError(f"rates.{source}: expected an object of target rates")
@@ -281,19 +341,10 @@ def _kernel_from_doc(doc: object) -> Kernel:
                 raise KernelError(
                     f"rates.{source}.{target}: rate must be a string literal"
                 )
-            r = parsed.get(literal)
-            if r is None:
-                try:
-                    r = parsed[literal] = parse_rate(literal)
-                except RateError as exc:
-                    raise KernelError(f"rates.{source}.{target}: {exc}") from exc
-            rates[(source, target)] = r
-    kernel = Kernel(states, rates)
-    # a row with no entries names a source the constructor never sees
-    if not rates_doc.keys() <= kernel.state_set:
-        source = next(s for s in rates_doc if s not in kernel.state_set)
-        raise KernelError(f"rate source {source!r} is not a state")
-    return kernel
+            try:
+                parse_rate(literal)
+            except RateError as exc:
+                raise KernelError(f"rates.{source}.{target}: {exc}") from exc
 
 
 def kernel_to_doc(kernel: Kernel) -> dict:

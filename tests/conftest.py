@@ -10,7 +10,7 @@ from cml_kit.formula import or_operands
 from cml_kit.harness import oracles
 from cml_kit.harness.enumerate import _candidates
 from cml_kit.models import load_model
-from cml_kit.rational import ensure_rate, format_rate
+from cml_kit.rational import ensure_rate, format_rate, parse_rate
 
 
 def prop_eval(f, assignment: dict) -> bool:
@@ -182,6 +182,40 @@ def entrywise_core(states, rates) -> tuple:
         rows[i].append((target, w))
         totals[i] += w
     return tuple(map(tuple, rows)), scale, totals, (1 << len(rows)) - 1
+
+
+def entrywise_load(doc: object) -> Kernel:
+    """The model loader entry by entry: the document's fields checked, each
+    entry's literal checked and parsed in document order, then
+    ``Kernel(states, pairs)``, then the check of the rows with no entries:
+    the test oracle for ``loads_kernel``'s first fault."""
+    if not isinstance(doc, dict):
+        raise KernelError("model file must be a JSON object")
+    unknown = set(doc) - {"states", "rates", "comment"}
+    if unknown:
+        raise KernelError(f"unknown model fields: {sorted(unknown)}")
+    states = doc.get("states")
+    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+        raise KernelError('"states" must be a list of strings')
+    rates_doc = doc.get("rates", {})
+    if not isinstance(rates_doc, dict):
+        raise KernelError('"rates" must be an object keyed by source state')
+    pairs = {}
+    for source, row in rates_doc.items():
+        if not isinstance(row, dict):
+            raise KernelError(f"rates.{source}: expected an object of target rates")
+        for target, literal in row.items():
+            if not isinstance(literal, str):
+                raise KernelError(f"rates.{source}.{target}: rate must be a string literal")
+            try:
+                pairs[(source, target)] = parse_rate(literal)
+            except RateError as exc:
+                raise KernelError(f"rates.{source}.{target}: {exc}") from exc
+    kernel = Kernel(states, pairs)
+    for source in rates_doc:
+        if source not in kernel.state_set:
+            raise KernelError(f"rate source {source!r} is not a state")
+    return kernel
 
 
 @pytest.fixture(scope="session")

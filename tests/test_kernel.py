@@ -22,7 +22,7 @@ from cml_kit import kernel as kernel_module
 from cml_kit.harness.generate import KernelGenConfig, gen_kernel
 from cml_kit.models import FIGURES, load_model
 from cml_kit.rational import ensure_rate
-from conftest import entrywise_core
+from conftest import entrywise_core, entrywise_load
 
 S = frozenset
 
@@ -325,6 +325,97 @@ def test_loader_matches_entrywise_construction(states, pool, data):
     assert k.rate_items() == expected.rate_items() and k.scale == expected.scale
 
 
+# one half in several spellings, zeros, and other rates
+_spellings = ("1/2", "0.5", "2/4", " 1/2", "0", "0/5", "0.0", "1", "3/2", "0.25", "7/3")
+
+
+@given(states_st, st.data(), st.randoms(use_true_random=False))
+def test_loader_matches_construction_in_any_document_order(states, data, rng):
+    # rows and entries in shuffled order fill each column out of source
+    # order; empty rows and zero literals add no entry
+    doc: dict = {}
+    for s in states:
+        row = doc[s] = {}
+        for t in states:
+            if data.draw(st.booleans()):
+                row[t] = data.draw(st.sampled_from(_spellings))
+    rows = [(s, list(row.items())) for s, row in doc.items()]
+    rng.shuffle(rows)
+    for _, entries in rows:
+        rng.shuffle(entries)
+    doc = {s: dict(entries) for s, entries in rows}
+    # the constructor fed in state order, source-major
+    expected = Kernel(states, {
+        (s, t): doc[s][t] for s in states for t in states if t in doc[s]
+    })
+    k = loads_kernel(json.dumps({"states": states, "rates": doc}))
+    assert k == expected
+    assert (k.cols, k.scale, k.totals) == (expected.cols, expected.scale, expected.totals)
+    assert k.rate_items() == expected.rate_items()
+
+
+_bad_literals = st.sampled_from(["-1", "1/0", "abc", "1e3", "", "1.", ".5", "\u0663", "\u00a02"])
+_non_strings = st.sampled_from([1, 0.5, None, True, [1], {}, ["1"]])
+
+
+@st.composite
+def _faulty_documents(draw):
+    """A small model document with one to three faults: a bad or non-string
+    literal, an unknown target, an unknown-source row (empty or not), a
+    duplicate or non-string state or a row that is not an object; its rows
+    and entries in shuffled order."""
+    states = list(draw(states_st))
+    names = st.sampled_from(states)
+    rates: dict = {}
+    for s in states:
+        for t in states:
+            if draw(st.booleans()):
+                rates.setdefault(s, {})[t] = draw(st.sampled_from(["0", "1", "1/2", "3/4"]))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.integers(0, 7))
+        s, t = draw(names), draw(names)
+        row = rates.setdefault(s, {})
+        row = row if isinstance(row, dict) else {}  # a fault in a row already replaced
+        if kind == 0:
+            row[t] = draw(_bad_literals)
+        elif kind == 1:
+            row[t] = draw(_non_strings)
+        elif kind == 2:
+            row["ghost"] = draw(st.sampled_from(["1", "0"]))
+        elif kind == 3:
+            rates[draw(st.sampled_from(["ghost", "phantom"]))] = {}
+        elif kind == 4:
+            rates[draw(st.sampled_from(["ghost", "phantom"]))] = {t: "1"}
+        elif kind == 5:
+            states.append(draw(names))
+        elif kind == 6:
+            states.append(3)
+        else:
+            rates[s] = draw(st.sampled_from([["1"], "1", None, 2]))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = list(rates.items())
+    rng.shuffle(rows)
+    for i, (s, row) in enumerate(rows):
+        if isinstance(row, dict):
+            entries = list(row.items())
+            rng.shuffle(entries)
+            rows[i] = (s, dict(entries))
+    return {"states": states, "rates": dict(rows)}
+
+
+@given(_faulty_documents())
+# an entry's fault comes before an empty row's unknown source
+@example({"states": ["a"], "rates": {"ghost": {}, "a": {"phantom": "1"}}})
+@example({"states": ["a"], "rates": {"ghost": {}, "phantom": {"a": "0"}}})
+# a literal's fault comes before a duplicate state
+@example({"states": ["a", "a"], "rates": {"a": {"a": "x"}}})
+# a zero entry's endpoints are checked in document order
+@example({"states": ["a"], "rates": {"a": {"ghost": "0"}, "phantom": {"a": "1"}}})
+def test_loader_first_fault_matches_the_entrywise_loader(doc):
+    text = json.dumps(doc)
+    assert _outcome(loads_kernel, text) == _outcome(entrywise_load, json.loads(text))
+
+
 def test_loader_parses_each_distinct_literal_once(monkeypatch):
     # the density and rate pool of the benchmark's 128-state models
     source = gen_kernel(KernelGenConfig(128, density=Fraction(1, 4), seed=128000))
@@ -374,9 +465,9 @@ def _core(states, rates) -> tuple:
     return tuple(map(tuple, rows)), k.scale, k.totals, k.full
 
 
-def _outcome(build, states, rates):
+def _outcome(build, *args):
     try:
-        return build(states, rates)
+        return build(*args)
     except Exception as exc:  # the first fault is part of the answer
         return type(exc), str(exc)
 

@@ -34,7 +34,7 @@ def test_load_dump_is_repeatable(tmp_path, capsys):
     assert first.read_text() == second.read_text()
     docs = [json.loads(line) for line in first.read_text().splitlines()]
     cases = [doc["case"] for doc in docs]
-    assert len(cases) == 400 and cases == sorted(set(cases))
+    assert len(cases) == 600 and cases == sorted(set(cases))
     loaded = [doc for doc in docs if "error" not in doc]
     assert all(len(doc["totals"]) == len(doc["states"]) for doc in loaded)
     assert sum(doc["case"].startswith("load/pool/") for doc in loaded) == 36
@@ -42,9 +42,12 @@ def test_load_dump_is_repeatable(tmp_path, capsys):
     # valid literal " 2 " as their fault
     malformed = [doc for doc in docs if doc["case"].startswith("load/malformed/")]
     assert len(malformed) == 300 and sum("error" in doc for doc in malformed) == 298
-    assert "load: 400 cases in" in capsys.readouterr().err
+    # the shuffled documents are valid
+    shuffled = [doc for doc in docs if doc["case"].startswith("load/shuffled/")]
+    assert len(shuffled) == 200 and not any("error" in doc for doc in shuffled)
+    assert "load: 600 cases in" in capsys.readouterr().err
     assert dump.main(["--compare", str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "load: 400 cases identical\n"
+    assert capsys.readouterr().out == "load: 600 cases identical\n"
 
 
 def test_orders_dump_is_repeatable(tmp_path, capsys, monkeypatch):

@@ -27,7 +27,11 @@ Sections:
   ``MALFORMED_CASES`` seeded model documents, each a small valid document
   with one to three faults (bad or non-string rate literals, unknown
   endpoints, duplicate or non-string states, wrong field types, unknown
-  fields) in shuffled entry order, some cut short or wrapped in a list.
+  fields) in shuffled entry order, some cut short or wrapped in a list; and
+  the kernel of ``loads_kernel`` on ``SHUFFLED_CASES`` seeded valid
+  documents (``shuffled/``) of 1 to 12 states listed in shuffled order, with
+  rows and entries in shuffled order, empty rows, zero literals and one half
+  in several spellings.
 - ``orders``: on the corpora and the models and their unions, the kernel's
   ``generators`` family as (state bitmask, printed formula) pairs in order,
   the solver's ``family_blocks()``, the sorted ``plain_pairs`` and
@@ -125,6 +129,10 @@ SEARCH_CASES = 3000
 PROOF_CASES = 3000
 ORACLE_CORPORA = ((10, 4, 3), (10, 4, 7), (40, 5, 3))
 MALFORMED_CASES = 300
+SHUFFLED_CASES = 200
+# rate literals of a shuffled document: one half in four spellings, zeros and
+# other rates
+SHUFFLED_LITERALS = ("1/2", "0.5", "2/4", " 1/2", "0", "0/5", "0.0", "1", "3/2", "0.25", "7/3")
 MEASURE_MASKS = 20
 # rate literals a malformed document may hold; " 2 " and "0.25" are valid
 BAD_LITERALS = ("-1", "1/0", "abc", "1e3", "", " 2 ", "0.25", "\u0663", "1.", ".5", "1/-2")
@@ -239,7 +247,7 @@ def _load_cases() -> Iterator[Case]:
 
     for case, kernel in (*_models(), *_gen_ladder()):
         yield case, lambda kernel=kernel: load(kernel)
-    for case, text in (*_pool_documents(), *_malformed_documents()):
+    for case, text in (*_pool_documents(), *_malformed_documents(), *_shuffled_documents()):
         yield case, lambda text=text: load(loads_kernel(text))
 
 
@@ -320,6 +328,23 @@ def _malformed_documents() -> Iterator[tuple[str, str]]:
         elif shape == 1:
             text = f"[{text}]"
         yield f"malformed/{i:03d}", text
+
+
+def _shuffled_documents() -> Iterator[tuple[str, str]]:
+    import random
+
+    rng = random.Random(29)
+    for i in range(SHUFFLED_CASES):
+        states = [f"s{j}" for j in range(rng.randint(1, 12))]
+        rng.shuffle(states)
+        rows = []
+        for s in states:
+            entries = [(t, rng.choice(SHUFFLED_LITERALS)) for t in states if rng.random() < 0.4]
+            if entries or rng.random() < 0.5:  # else the row is left out, not empty
+                rng.shuffle(entries)
+                rows.append((s, dict(entries)))
+        rng.shuffle(rows)
+        yield f"shuffled/{i:03d}", json.dumps({"states": states, "rates": dict(rows)})
 
 
 def _orders_cases() -> Iterator[Case]:
