@@ -3,10 +3,17 @@
 Each suite replays one of the library's structural guarantees at desk scale
 and records a checked-count plus counterexamples in the report it is handed;
 ``run_suite`` creates that report, runs the suite on it and times the run.
-The formula suites (t2, c2, l1, l2) share one driver, which counts an
-exception raised while checking a formula at a slack as a failure of that
-instance and shrinks every failure to a smaller kernel and formula that still
-fail. l5 counts an exception while checking a kernel's orders as a failure,
+The formula suites (t2, c2, l1, l2) share one driver. It hands each check a
+kernel's whole formula list at one slack, so the evaluator walks each shared
+subformula once per list and slack (see ``semantics``), and the check returns
+what failed for each formula. The driver reports those failures formula by
+formula and, for each formula, slack by slack, the order of one check per
+formula and slack. An exception has no formula, so a check that raises on
+the list is run again on each formula alone, ``(f,)``: an exception there
+fails that instance, with the slack in its description, and the other
+formulas keep their own answers. Every failure is shrunk to a smaller kernel
+and formula that still fail, with the one-formula check as the oracle. l5
+counts an exception while checking a kernel's orders as a failure,
 soundness a rejected example proof and l4 a failed translation; in every
 other suite an exception aborts the run. Only the formula suites shrink their
 counterexamples.
@@ -205,52 +212,69 @@ def _formulas(
 
 def _formula_suite(
     report: SuiteReport, budget: Budget, fragment: Fragment, slacks,
-    check: Callable[..., list[str]], extra: tuple[Rate, ...] = (),
+    check: Callable[..., list[tuple[str, ...]]], extra: tuple[Rate, ...] = (),
 ) -> bool:
-    """Run ``check(ev, shifts, f, *slack)``, which returns what failed, on
-    every corpus kernel, formula of ``fragment`` over the family grid plus
-    ``extra``, and slack. ``shifts`` is a pair of ``encode_down`` and
-    ``encode_up`` tables for the slack's last rate, one pair per kernel and
-    rate, so the encodings of one kernel's formulas share nodes as the
-    formulas do, and ``ev``'s tables evaluate each shared ``L`` node once. An
-    exception inside a check fails that instance; every failure is shrunk
-    with the check as the oracle, on fresh tables. Returns whether any
-    enumeration was truncated."""
+    """Run ``check(ev, shifts, formulas, *slack)``, which returns what failed
+    for each formula, on every corpus kernel's formulas of ``fragment`` over
+    the family grid plus ``extra``, once per slack. ``shifts`` is a pair of
+    ``encode_down`` and ``encode_up`` tables for the slack's last rate e',
+    one pair per kernel and e', dropped after the last slack of that e', so
+    the encodings of one kernel's formulas share nodes as the formulas do,
+    and ``ev``'s walks evaluate each shared node once. Failures are reported
+    formula by formula, and for each formula slack by slack. A check that
+    raises is run again on each formula alone, and an exception there fails
+    that instance; every failure is shrunk with the one-formula check as the
+    oracle, on fresh tables. Returns whether any enumeration was truncated."""
     truncated = False
+    last = {slack[-1]: i for i, slack in enumerate(slacks)}  # e' -> its last slack
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
         grid = _family_grid(kernel, generators(kernel), (_ZERO, *extra))
         formulas, cut = _formulas(budget, grid, fragment)
         truncated |= cut
         tables: dict[Rate, tuple[dict, dict]] = {}
-        shared = [tables.setdefault(slack[-1], ({}, {})) for slack in slacks]
-        for f in formulas:
-            for slack, shifts in zip(slacks, shared):
+        found = []  # per slack, the problems of each formula
+        for i, slack in enumerate(slacks):
+            shifts = tables.setdefault(slack[-1], ({}, {}))
+            try:
+                found.append(check(ev, shifts, formulas, *slack))
+            except Exception:
+                found.append([_check_one(check, ev, shifts, f, slack) for f in formulas])
+            if last[slack[-1]] == i:
+                del tables[slack[-1]]
+        for f, row in zip(formulas, zip(*found)):
+            for slack, problems in zip(slacks, row):
                 report.checked += 1
-                try:
-                    problems = check(ev, shifts, f, *slack)
-                except Exception as exc:
-                    at = ", ".join(f"{name}={format_rate(v)}"
-                                   for name, v in zip(("e", "e'"), slack))
-                    problems = [f"exception at {at}: {exc}"]
                 for problem in problems:
-                    report.fail(problem, kernel, f,
-                                lambda k, g: bool(check(Evaluator(k), ({}, {}), g, *slack)))
+                    report.fail(problem, kernel, f, lambda k, g: bool(
+                        check(Evaluator(k), ({}, {}), (g,), *slack)[0]))
     return truncated
+
+
+def _check_one(check: Callable[..., list[tuple[str, ...]]], ev: Evaluator, shifts,
+               f: Formula, slack) -> tuple[str, ...]:
+    # the problems of the one formula f, an exception among them
+    try:
+        return check(ev, shifts, (f,), *slack)[0]
+    except Exception as exc:
+        at = ", ".join(f"{name}={format_rate(v)}" for name, v in zip(("e", "e'"), slack))
+        return (f"exception at {at}: {exc}",)
 
 
 def _pair_text(e: Rate, e2: Rate) -> str:
     return f"at e={format_rate(e)}, e'={format_rate(e2)}"
 
 
-def _t2_check(ev: Evaluator, shifts, f: Formula, e: Rate, e2: Rate) -> list[str]:
+def _t2_check(ev: Evaluator, shifts, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
     down, up = shifts
-    total = e + e2
-    if ev.mask(f, total) != ev.mask(encode_down(f, e2, down), e):
-        return [f"transfer (down) broken {_pair_text(e, e2)}"]
-    if ev.mask(f, e) != ev.mask(encode_up(f, e2, up), total):
-        return [f"transfer (up) broken {_pair_text(e, e2)}"]
-    return []
+    n = len(formulas)
+    # each formula and its up encoding at e + e', and each and its down
+    # encoding at e
+    at_total = ev.masks([*formulas, *(encode_up(f, e2, up) for f in formulas)], e + e2)
+    at_e = ev.masks([*formulas, *(encode_down(f, e2, down) for f in formulas)], e)
+    return [(f"transfer (down) broken {_pair_text(e, e2)}",) if at_total[i] != at_e[n + i]
+            else (f"transfer (up) broken {_pair_text(e, e2)}",) if at_e[i] != at_total[n + i]
+            else () for i in range(n)]
 
 
 def suite_t2(report: SuiteReport, budget: Budget) -> None:
@@ -260,16 +284,17 @@ def suite_t2(report: SuiteReport, budget: Budget) -> None:
         report.notes["truncated"] = True
 
 
-def _c2_check(ev: Evaluator, shifts, f: Formula, e: Rate) -> list[str]:
+def _c2_check(ev: Evaluator, shifts, formulas, e: Rate) -> list[tuple[str, ...]]:
     down, up = shifts
-    ext = ev.mask(f, e)
-    if (
-        ext == ev.mask(encode_down(f, e, down), _ZERO)
-        and ev.mask(f, _ZERO) == ev.mask(encode_up(f, e, up), e)
-        and ev.mask(Not(f), e) == ev.kernel.full ^ ext
-    ):
-        return []
-    return [f"0-transfer or complementation broken at e={format_rate(e)}"]
+    n = len(formulas)
+    # each formula and its down encoding at 0, and each formula, its
+    # negation and its up encoding at e
+    at_0 = ev.masks([*formulas, *(encode_down(f, e, down) for f in formulas)], _ZERO)
+    at_e = ev.masks([*formulas, *map(Not, formulas), *(encode_up(f, e, up) for f in formulas)], e)
+    full = ev.kernel.full
+    problem = (f"0-transfer or complementation broken at e={format_rate(e)}",)
+    return [() if at_e[i] == at_0[n + i] and at_0[i] == at_e[2 * n + i]
+            and at_e[n + i] == full ^ at_e[i] else problem for i in range(n)]
 
 
 def suite_c2(report: SuiteReport, budget: Budget) -> None:
@@ -278,14 +303,16 @@ def suite_c2(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.FULL, slacks, _c2_check, (Fraction(1, 2),))
 
 
-def _l1_check(ev: Evaluator, shifts, f: Formula, e: Rate, e2: Rate) -> list[str]:
-    total = e + e2
-    problems = []
-    if ev.mask(f, e) & ~ev.mask(f, total):
-        problems.append(f"positive monotonicity broken {_pair_text(e, e2)}")
-    if ev.mask(Not(f), total) & ~ev.mask(Not(f), e):
-        problems.append(f"negative antitonicity broken {_pair_text(e, e2)}")
-    return problems
+def _l1_check(ev: Evaluator, shifts, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
+    n = len(formulas)
+    # each formula and its negation at e and at e + e'
+    lo = ev.masks(itertools.chain(formulas, map(Not, formulas)), e)
+    hi = ev.masks(itertools.chain(formulas, map(Not, formulas)), e + e2)
+    grows = f"positive monotonicity broken {_pair_text(e, e2)}"
+    shrinks = f"negative antitonicity broken {_pair_text(e, e2)}"
+    # each message once if its check fails
+    return [(grows,) * bool(lo[i] & ~hi[i]) + (shrinks,) * bool(hi[n + i] & ~lo[n + i])
+            for i in range(n)]
 
 
 def suite_l1(report: SuiteReport, budget: Budget) -> None:
@@ -293,15 +320,26 @@ def suite_l1(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.POSITIVE, budget.epsilon_pairs, _l1_check)
 
 
-def _l2_check(ev: Evaluator, shifts, f: Formula, e: Rate) -> list[str]:
-    margin = ev.stability_margin(f, e)
-    probes = [margin / 2, margin / 3] if margin is not None else [Fraction(1), Fraction(5)]
-    base = ev.mask(f, e)
-    for delta in probes:
-        if ev.mask(f, e + delta) != base:
-            return [f"extension moved within the stability margin at "
-                    f"e={format_rate(e)}, delta={format_rate(delta)}"]
-    return []
+def _l2_check(ev: Evaluator, shifts, formulas, e: Rate) -> list[tuple[str, ...]]:
+    margins = ev.margins(formulas, e)
+    groups: dict[Optional[Rate], list[int]] = {}
+    for i, (_, margin) in enumerate(margins):
+        groups.setdefault(margin, []).append(i)
+    found: list[tuple[str, ...]] = [()] * len(formulas)
+    # formulas with equal margins share their probes, one walk per probe; a
+    # formula fails at the first probe that moves its extension
+    for margin, members in groups.items():
+        for delta in ((margin / 2, margin / 3) if margin is not None
+                      else (Fraction(1), Fraction(5))):
+            still = []
+            for i, m in zip(members, ev.masks([formulas[i] for i in members], e + delta)):
+                if m == margins[i][0]:
+                    still.append(i)
+                else:
+                    found[i] = (f"extension moved within the stability margin at "
+                                f"e={format_rate(e)}, delta={format_rate(delta)}",)
+            members = still
+    return found
 
 
 def suite_l2(report: SuiteReport, budget: Budget) -> None:
@@ -340,19 +378,21 @@ def suite_c1(report: SuiteReport, budget: Budget) -> None:
             report.checked += 1
             if ev.mask(family[c], _ZERO) != c:
                 report.fail("defining formula misses its member", kernel, family[c])
-        for f in pos:
-            for e in budget.epsilons:
+        # each formula's masks at the slacks, one walk per slack
+        eps = budget.epsilons
+        for f, row in zip(pos, zip(*(ev.masks(pos, e) for e in eps))):
+            for e, m in zip(eps, row):
                 report.checked += 1
-                if ev.mask(f, e) not in family:
+                if m not in family:
                     report.fail(
                         f"positive extension escapes the family at e={format_rate(e)}",
                         kernel,
                         f,
                     )
-        for f in full:
-            for e in budget.epsilons:
+        for f, row in zip(full, zip(*(ev.masks(full, e) for e in eps))):
+            for e, m in zip(eps, row):
                 report.checked += 1
-                if not _union_of_blocks(ev.mask(f, e), blocks):
+                if not _union_of_blocks(m, blocks):
                     report.fail(
                         f"extension is not a union of blocks at e={format_rate(e)}",
                         kernel,
@@ -456,7 +496,7 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
                     same = partition.same_block(m, n)
                     if same:
                         if extensions is None:
-                            extensions = [ev.mask(f, e) for f in formulas]
+                            extensions = ev.masks(formulas, e)
                         if not all(ext >> i & 1 == ext >> j & 1 for ext in extensions):
                             report.fail(
                                 f"bisimilar pair {m},{n} distinguished at "
@@ -517,11 +557,10 @@ def _transfer_suite(
             formulas, _ = _formulas(budget, _shifted_grid(base_grid, e), fragment)
             ev = Evaluator(kernel)
             table: dict = {}
-            for f in formulas:
+            sides = formulas if encode is None else [encode(f, e, table) for f in formulas]
+            for f, at_0, at_e in zip(formulas, ev.masks(formulas, _ZERO), ev.masks(sides, e)):
                 report.checked += 1
-                side = f if encode is None else encode(f, e, table)
-                pair = pair_mask(kernel, ev.mask(f, _ZERO), ev.mask(side, e))
-                if pair not in reachable:
+                if pair_mask(kernel, at_0, at_e) not in reachable:
                     report.fail(f"enumerated {encoded}behavior escapes the saturation "
                                 f"{at}", kernel, f)
     return incomplete
@@ -743,23 +782,33 @@ def suite_deduction(report: SuiteReport, budget: Budget) -> None:
         grid = _family_grid(kernel, generators(kernel))
         pos, _ = _formulas(budget, grid, Fragment.POSITIVE, depth=1)
         full, _ = _formulas(budget, grid, Fragment.FULL, depth=1)
-        for phi in pos[: min(len(pos), 12)]:
-            for psi in full[: min(len(full), 12)]:
-                for e2, level in levels:
-                    report.checked += 1
-                    premise = ev.mask(phi, e2)
-                    conclusion = ev.mask(psi, level)
-                    if ev.mask(Implies(phi, psi), level) & premise & ~conclusion:
-                        report.fail(
-                            "pointwise detachment broken", kernel, Implies(phi, psi)
-                        )
-                    contra = ev.mask(Implies(Not(psi), Not(phi)), level)
-                    if contra & premise & ~conclusion:
-                        report.fail(
-                            "pointwise contrapositive detachment broken",
-                            kernel,
-                            phi,
-                        )
+        phis, psis = pos[: min(len(pos), 12)], full[: min(len(full), 12)]
+        pairs = list(itertools.product(phis, psis))
+        n, m = len(psis), len(pairs)
+        # per level, one walk for the premises at e2 and one for the
+        # conclusions, implications and contrapositives at the level
+        walks = [
+            (ev.masks(phis, e2),
+             ev.masks(itertools.chain(
+                 psis, itertools.starmap(Implies, pairs),
+                 (Implies(Not(psi), Not(phi)) for phi, psi in pairs)), level))
+            for e2, level in levels
+        ]
+        for i, (phi, psi) in enumerate(pairs):
+            for premises, at_level in walks:
+                report.checked += 1
+                premise = premises[i // n]
+                conclusion = at_level[i % n]
+                if at_level[n + i] & premise & ~conclusion:
+                    report.fail(
+                        "pointwise detachment broken", kernel, Implies(phi, psi)
+                    )
+                if at_level[n + m + i] & premise & ~conclusion:
+                    report.fail(
+                        "pointwise contrapositive detachment broken",
+                        kernel,
+                        phi,
+                    )
     # corpus-level reading: premises valid on every kernel force the conclusion
     union = Evaluator(reduce(disjoint_union, kernels))
     every = union.kernel.full

@@ -7,31 +7,47 @@ are classical: negation is exact complement at every e.
 Extensions are computed on the kernel's integer core (see ``kernel``) by one
 recursion over the formula tree: a subformula's extension is a state bitmask,
 and an ``L r phi`` node takes each state's scaled rate w = theta(m)(phi) * D
-into the child's mask. Each call scales its slack e = ne/de once, to ne * D
-and de, and the walk passes those integers down; an ``L`` node scales its own
-r with them to integers over one common denominator and passes each state's
-w, scaled the same way, to ``_modal_holds``, the only place the semantics
-compares rates. ``mask`` returns that bitmask, and every caller inside the
-package reads it: ``sat``, ``valid_on`` and the property suites test bits and
-compare masks. ``extension`` and ``eval_formula`` return frozensets, for the
-CLI and other callers outside the package. ``stability_margin`` runs the same
-walk with a list, to which each ``L`` node appends its least positive deficit
-r - (theta(m)(phi) + e), computed on the same integers.
+into the child's mask. ``Evaluator.masks`` evaluates a list of formulas at
+one slack e = ne/de: it scales e once, to ne * D and de, and the walk passes
+those integers down; an ``L`` node scales its own r with them to integers
+over one common denominator and passes each state's w, scaled the same way,
+to ``_modal_holds``, the only place the semantics compares rates.
 
-An ``Evaluator`` keeps one table per scaled slack (ne, de), keyed by the id of
-each ``L`` node it has evaluated at that slack, so an ``L`` node shared by
-many formulas (as ``enumerate_formulas`` and the shared encodings build them)
-is evaluated once per evaluator and slack. An entry holds its node as well as
-the mask, so no id is reused while the entry lives. The same table also keys
-each mask by the L node's rate and its child's mask, (nr, dr, child mask): an
-``L`` node's extension at a slack depends on nothing else, so an equal node
-built afresh (as each ``axiom_instance`` call and each ``encode_abs`` call
-without a shared table builds them) walks its child but makes no modal
-comparison. Only ``L`` nodes are kept:
-``And``, ``Not`` and ``Top`` cost one integer operation each. No formula is
-hashed for the table, only integers. The tables live as long as the
-evaluator, which ``sat``, ``valid_on`` and ``eval_formula`` build once per
-call.
+The walk labels subformulas bottom-up, as the model checker of Clarke,
+Emerson and Sistla does (TOPLAS 1986): each node of the list is evaluated
+once, so a formula whose operands came earlier in the list costs one
+integer operation. ``enumerate_formulas``, a shared ``encode_down`` or
+``encode_up`` table and a list of ``Not(f)`` all build their formulas that
+way. A memo of the call maps the id of each ``And`` and ``Not`` node walked
+to its mask; ``L`` nodes are keyed by id in a table of their slack (below),
+and ``Top`` is a leaf. The memo holds no node and is dropped when the call
+returns: ``masks`` freezes its input into a tuple, which keeps every node
+the memo keys alive for the call, so no id is reused within it, even by
+fresh nodes that a generator builds one at a time. ``margins`` reads each
+formula's stability margin off the same walk: beside each node's mask, a
+table of the call keeps the least positive deficit r - (theta(m)(phi) + e)
+of any ``L`` node in that node's subtree, computed on the same integers.
+``mask`` and ``stability_margin`` are the one-formula cases of ``masks``
+and ``margins``. Every caller inside the package reads masks: ``sat``,
+``valid_on`` and the property suites test bits and compare masks.
+``extension`` and ``eval_formula`` return frozensets, for the CLI and
+other callers outside the package.
+
+An ``Evaluator`` keeps one table per scaled slack (ne, de), keyed by the id
+of each ``L`` node it has evaluated at that slack, so an ``L`` node shared
+by many calls' formulas is evaluated once per evaluator and slack. An entry
+holds its node as well as the mask, so no id is reused while the entry
+lives. The same table also keys each mask by the L node's rate and its
+child's mask, (nr, dr, child mask): an ``L`` node's extension at a slack
+depends on nothing else, so an equal node built afresh (as each
+``axiom_instance`` call and each ``encode_abs`` call without a shared table
+builds them) walks its child but makes no modal comparison. Only ``L``
+nodes are kept past a call: ``And``, ``Not`` and ``Top`` cost one integer
+operation each. No formula is hashed for the tables, only integers. The
+tables live as long as the evaluator, which ``sat``, ``valid_on`` and
+``eval_formula`` build once per call. ``margins`` walks with a table of its
+own call instead, since an ``L`` node answered from an older table brings
+no deficit.
 
 ``search_model`` enumerates rate assignments as tuples of grid indices in
 row-major slot order and tries kernels only up to state relabeling: it
@@ -92,40 +108,67 @@ def _modal_holds(total: int, e: int, r: int) -> bool:
     return total + e >= r
 
 
+def _least(a: Optional[Rate], b: Optional[Rate]) -> Optional[Rate]:
+    # the smaller of two deficits, None standing for no deficit
+    return a if b is None or (a is not None and a < b) else b
+
+
 class Evaluator:
     """Extensions on one kernel; it holds the kernel, its full mask and one
     table of ``L`` node masks per slack.
 
-    ``mask`` gives an extension as a state bitmask (bit i is state i of the
-    kernel) and ``extension`` as a frozenset of state names. Both compute
-    with one walk over the formula tree, ``_walk``. A call scales its slack
-    e = ne/de once, to the integers ne * D and de, and the walk passes them
-    down; each ``L`` node then scales only its own rate. The walk also takes
-    the table of its slack: an ``L`` node found there is not walked again,
-    and one walked is entered as (node, mask) under its id. An ``L`` node not
-    found walks its child, and its rate and child mask are looked up next:
-    an equal node answered before gives the mask without a comparison.
-    ``stability_margin`` reads its deficits off the same walk: each ``L``
-    node also appends its least positive deficit to a list the caller passes.
-    It walks with a table of its own call, never the evaluator's, since a
-    node answered from a table appends no deficit: within one call the
-    deficits of that node, or of the equal node before it, are already in the
-    list.
+    ``masks`` gives the extensions of a list of formulas at one slack as
+    state bitmasks (bit i is state i of the kernel), with one walk over the
+    list, ``_walk``. The call scales its slack e = ne/de once, to the
+    integers ne * D and de, and the walk passes them down; each ``L`` node
+    then scales only its own rate. Each node is walked once per call: a memo
+    of the call maps the id of each ``And`` and ``Not`` node to its mask,
+    and the slack's table does the same for ``L`` nodes. The call freezes
+    the list into a tuple first: the tuple keeps every node the memo keys
+    alive for the call, so even fresh nodes from a generator never share an
+    id, and the memo is dropped when the call returns.
+
+    The slack's table outlives the call: an ``L`` node found there is not
+    walked again, and one walked is entered as (node, mask) under its id. An
+    ``L`` node not found walks its child, and its rate and child mask are
+    looked up next: an equal node answered before gives the mask without a
+    comparison.
+
+    ``margins`` reads each formula's stability margin off the same walk. It
+    walks with a table of its own call, never the evaluator's, since a node
+    answered from an older table brings no deficit; a second table of the
+    call maps each node's id to the least positive deficit in its subtree.
+    ``mask`` and ``stability_margin`` are the one-formula cases: ``mask``
+    runs the same walk on the same table with a memo of its own, which the
+    formula it was passed keeps valid, and skips only the list. ``extension``
+    and ``_compute`` read ``mask``.
     """
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
         self._full = kernel.full
         # scaled slack (ne, de) -> {id(L node): (node, mask),
-        #                           (nr, dr, child mask): mask}
+        #                           (nr, dr, child mask): (mask, deficit)}
         self._tables: dict[tuple[int, int], dict] = {}
 
+    def masks(self, formulas: Iterable[Formula], e: Rate) -> list[int]:
+        """The extension of each formula at slack e, as a state bitmask."""
+        formulas = tuple(formulas)  # holds every node the memo keys
+        slack, de, table = self._scaled(e)
+        memo: dict[int, int] = {}
+        walk = self._walk
+        return [walk(f, slack, de, table, memo, None) for f in formulas]
+
     def mask(self, f: Formula, e: Rate) -> int:
+        return self._walk(f, *self._scaled(e), {}, None)
+
+    def _scaled(self, e: Rate) -> tuple[int, int, dict]:
+        # e = ne/de scaled once, to ne * D and de, and the table of that slack
         ne, de = ensure_rate(e).as_integer_ratio()
         table = self._tables.get((ne, de))
         if table is None:
             table = self._tables[ne, de] = {}
-        return self._walk(f, ne * self.kernel.scale, de, None, table)
+        return ne * self.kernel.scale, de, table
 
     def extension(self, f: Formula, e: Rate) -> frozenset:
         return self._compute(f, e)
@@ -133,69 +176,102 @@ class Evaluator:
     def _compute(self, f: Formula, e: Rate) -> frozenset:
         return self.kernel.set_of(self.mask(f, e))
 
+    def margins(
+        self, formulas: Iterable[Formula], e: Rate
+    ) -> list[tuple[int, Optional[Rate]]]:
+        """Each formula's mask at e and its stability margin: the smallest
+        positive deficit among its failed modal comparisons at e.
+
+        Raising e by less than the margin cannot flip any comparison, so the
+        extension of every subformula is unchanged on [e, e + margin). The
+        margin is None when every comparison already holds (no finite flip
+        point). The deficits come from the walk at e, one least positive
+        deficit per ``L`` node.
+        """
+        formulas = tuple(formulas)  # holds every node the memo keys
+        ne, de = ensure_rate(e).as_integer_ratio()
+        slack = ne * self.kernel.scale
+        memo: dict[int, int] = {}
+        least: dict[int, Optional[Rate]] = {}
+        table: dict = {}
+        walk = self._walk
+        return [(walk(f, slack, de, table, memo, least), least[id(f)]) for f in formulas]
+
+    def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
+        """The margin of ``margins`` for the one formula f."""
+        return self.margins((f,), e)[0][1]
+
     def _walk(
-        self, f: Formula, slack: int, de: int, gaps: Optional[list], table: dict
+        self, f: Formula, slack: int, de: int, table: dict, memo: dict,
+        least: Optional[dict],
     ) -> int:
-        # the extension of f at e = slack / (D * de) as a state bitmask; with a
-        # gaps list, every L node compared also appends its least positive
-        # deficit; every L node walked is entered in the table
+        # the extension of f at e = slack / (D * de) as a state bitmask; an L
+        # node is entered in the table and an And or Not node in the memo,
+        # under its id; with a least table, the least positive deficit of f's
+        # subtree is entered there too, and the table is one of the call's
         cls = f.__class__
+        key = id(f)
         if cls is L:
-            key = id(f)
             known = table.get(key)
             if known is not None:
                 return known[1]
-            child = self._walk(f.child, slack, de, gaps, table)
+            child = self._walk(f.child, slack, de, table, memo, least)
             nr, dr = f.rate.as_integer_ratio()
             same = (nr, dr, child)
-            out = table.get(same)
-            if out is not None:
-                table[key] = (f, out)
-                return out
-            # theta(m)(child) + e >= r, multiplied through by D and by the
-            # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
-            kernel = self.kernel
-            unit = de * dr
-            slack_r = slack * dr
-            bound = nr * kernel.scale * de
-            measures = kernel.scaled_measures(child)
-            holds = _modal_holds
-            out = 0
-            bit = 1
-            for w in measures:
-                if holds(w * unit, slack_r, bound):
-                    out |= bit
-                bit <<= 1
-            if gaps is not None:
-                # the deficit r - (w / D + e), over the denominator D * de * dr
-                least = min((g for w in measures
-                             if (g := bound - w * unit - slack_r) > 0), default=0)
-                if least:
-                    gaps.append(Fraction(least, kernel.scale * unit))
+            hit = table.get(same)
+            if hit is None:
+                hit = table[same] = self._modal(child, slack, de, nr, dr, least is not None)
+            out, gap = hit
             table[key] = (f, out)
-            table[same] = out
+            if least is not None:
+                least[key] = _least(least[id(f.child)], gap)
+            return out
+        if cls is Top:
+            if least is not None:
+                least[key] = None
+            return self._full
+        out = memo.get(key)
+        if out is not None:
             return out
         if cls is And:
-            return (self._walk(f.left, slack, de, gaps, table)
-                    & self._walk(f.right, slack, de, gaps, table))
-        if cls is Not:
-            return self._full ^ self._walk(f.child, slack, de, gaps, table)
-        if cls is Top:
-            return self._full
-        raise TypeError(f"not a formula node: {f!r}")
+            out = (self._walk(f.left, slack, de, table, memo, least)
+                   & self._walk(f.right, slack, de, table, memo, least))
+            if least is not None:
+                least[key] = _least(least[id(f.left)], least[id(f.right)])
+        elif cls is Not:
+            out = self._full ^ self._walk(f.child, slack, de, table, memo, least)
+            if least is not None:
+                least[key] = least[id(f.child)]
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        memo[key] = out
+        return out
 
-    def stability_margin(self, f: Formula, e: Rate) -> Optional[Rate]:
-        """Smallest positive deficit among failed modal comparisons at e.
-
-        Raising e by less than this margin cannot flip any comparison, so the
-        extension of every subformula is unchanged on [e, e + margin). None when
-        every comparison already holds (no finite flip point). The deficits
-        come from one walk at e, one least positive deficit per ``L`` node.
-        """
-        ne, de = ensure_rate(e).as_integer_ratio()
-        gaps: list[Rate] = []
-        self._walk(f, ne * self.kernel.scale, de, gaps, {})
-        return min(gaps) if gaps else None
+    def _modal(
+        self, child: int, slack: int, de: int, nr: int, dr: int, deficit: bool
+    ) -> tuple[int, Optional[Rate]]:
+        # the mask of L (nr/dr) over the child mask and, when deficit is set,
+        # the least positive deficit of its comparisons (else None):
+        # theta(m)(child) + e >= r, multiplied through by D and by the
+        # denominators of e and r: w * de * dr + ne * D * dr >= nr * D * de
+        kernel = self.kernel
+        unit = de * dr
+        slack_r = slack * dr
+        bound = nr * kernel.scale * de
+        measures = kernel.scaled_measures(child)
+        holds = _modal_holds
+        out = 0
+        bit = 1
+        for w in measures:
+            if holds(w * unit, slack_r, bound):
+                out |= bit
+            bit <<= 1
+        if not deficit:
+            return out, None
+        # the deficit r - (w / D + e), over the denominator D * de * dr
+        gap = min((g for w in measures if (g := bound - w * unit - slack_r) > 0),
+                  default=0)
+        return out, Fraction(gap, kernel.scale * unit) if gap else None
 
 
 def eval_formula(kernel: Kernel, f: Formula, e: Rate) -> frozenset:

@@ -5,9 +5,10 @@ from math import gcd
 import pytest
 
 from cml_kit import And, Evaluator, Fragment, Kernel, KernelError, L, Not, RateError, Top
+from cml_kit.equivalence import generators
 from cml_kit.errors import SearchBudgetExceeded
-from cml_kit.formula import or_operands
-from cml_kit.harness import oracles
+from cml_kit.formula import encode_down, encode_up, or_operands
+from cml_kit.harness import oracles, suites
 from cml_kit.harness.enumerate import _candidates
 from cml_kit.models import load_model
 from cml_kit.rational import ensure_rate, format_rate, parse_rate
@@ -216,6 +217,92 @@ def entrywise_load(doc: object) -> Kernel:
         if source not in kernel.state_set:
             raise KernelError(f"rate source {source!r} is not a state")
     return kernel
+
+
+def _per_formula_t2(ev, shifts, f, e, e2) -> list:
+    down, up = shifts
+    total = e + e2
+    if ev.mask(f, total) != ev.mask(encode_down(f, e2, down), e):
+        return [f"transfer (down) broken at e={format_rate(e)}, e'={format_rate(e2)}"]
+    if ev.mask(f, e) != ev.mask(encode_up(f, e2, up), total):
+        return [f"transfer (up) broken at e={format_rate(e)}, e'={format_rate(e2)}"]
+    return []
+
+
+def _per_formula_c2(ev, shifts, f, e) -> list:
+    down, up = shifts
+    ext = ev.mask(f, e)
+    if (
+        ext == ev.mask(encode_down(f, e, down), Fraction(0))
+        and ev.mask(f, Fraction(0)) == ev.mask(encode_up(f, e, up), e)
+        and ev.mask(Not(f), e) == ev.kernel.full ^ ext
+    ):
+        return []
+    return [f"0-transfer or complementation broken at e={format_rate(e)}"]
+
+
+def _per_formula_l1(ev, shifts, f, e, e2) -> list:
+    total = e + e2
+    problems = []
+    if ev.mask(f, e) & ~ev.mask(f, total):
+        problems.append(f"positive monotonicity broken at e={format_rate(e)}, "
+                        f"e'={format_rate(e2)}")
+    if ev.mask(Not(f), total) & ~ev.mask(Not(f), e):
+        problems.append(f"negative antitonicity broken at e={format_rate(e)}, "
+                        f"e'={format_rate(e2)}")
+    return problems
+
+
+def _per_formula_l2(ev, shifts, f, e) -> list:
+    margin = ev.stability_margin(f, e)
+    probes = [margin / 2, margin / 3] if margin is not None else [Fraction(1), Fraction(5)]
+    base = ev.mask(f, e)
+    for delta in probes:
+        if ev.mask(f, e + delta) != base:
+            return [f"extension moved within the stability margin at "
+                    f"e={format_rate(e)}, delta={format_rate(delta)}"]
+    return []
+
+
+def per_formula_suite(name: str, budget):
+    """The report of formula suite ``name`` (t2, c2, l1 or l2) with one check
+    per formula and slack: each check asks ``Evaluator.mask`` and
+    ``stability_margin`` about one formula, an exception fails that
+    instance, and failures are shrunk with the check as the oracle: the test
+    oracle for the suites' one pass per list and slack."""
+    half = Fraction(1, 2)
+    pairs = budget.epsilon_pairs
+    singles = [(e,) for e in budget.epsilons]
+    fragment, slacks, check, extra = {
+        "t2": (Fragment.FULL, pairs, _per_formula_t2, (half, Fraction(2))),
+        "c2": (Fragment.FULL, singles, _per_formula_c2, (half,)),
+        "l1-positive-monotonicity": (Fragment.POSITIVE, pairs, _per_formula_l1, ()),
+        "l2-limit": (Fragment.POSITIVE, singles, _per_formula_l2, ()),
+    }[name]
+    report = suites.SuiteReport(name, seed=budget.seed)
+    truncated = False
+    for kernel in suites._suite_corpus(budget):
+        ev = Evaluator(kernel)
+        grid = suites._family_grid(kernel, generators(kernel), (Fraction(0), *extra))
+        formulas, cut = suites._formulas(budget, grid, fragment)
+        truncated |= cut
+        tables: dict = {}
+        shared = [tables.setdefault(slack[-1], ({}, {})) for slack in slacks]
+        for f in formulas:
+            for slack, shifts in zip(slacks, shared):
+                report.checked += 1
+                try:
+                    problems = check(ev, shifts, f, *slack)
+                except Exception as exc:
+                    at = ", ".join(f"{label}={format_rate(v)}"
+                                   for label, v in zip(("e", "e'"), slack))
+                    problems = [f"exception at {at}: {exc}"]
+                for problem in problems:
+                    report.fail(problem, kernel, f,
+                                lambda k, g: bool(check(Evaluator(k), ({}, {}), g, *slack)))
+    if truncated and name == "t2":
+        report.notes["truncated"] = True
+    return report
 
 
 @pytest.fixture(scope="session")

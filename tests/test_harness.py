@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from conftest import (
     dedup_enumeration,
     in_fragment,
     pairwise_saturation,
+    per_formula_suite,
 )
 
 Q = Fraction
@@ -337,3 +339,18 @@ def test_formula_reductions_promote_then_replace_subtrees_in_pre_order():
     reductions = list(formula_reductions(f))
     assert [print_formula(g) for g in reductions] == expected
     assert reductions == [parse(text) for text in expected]
+
+
+@pytest.mark.parametrize("mutation", [None, *sorted(REGISTRY)])
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("name", ["t2", "c2", "l1-positive-monotonicity", "l2-limit"])
+def test_formula_suite_matches_the_per_formula_driver(name, seed, mutation):
+    # one walk per formula list and slack reports what one check per formula
+    # and slack reports: the same failures in the same order, exceptions and
+    # shrunk counterexamples included
+    with mutated(mutation) if mutation else contextlib.nullcontext():
+        docs = [run_suite(name, small_budget(seed)).to_doc(),
+                per_formula_suite(name, small_budget(seed)).to_doc()]
+    for doc in docs:
+        del doc["elapsed_s"]
+    assert docs[0] == docs[1]

@@ -555,3 +555,68 @@ def test_union_mask_restricted_to_a_part_is_its_mask(parts, formulas, e):
                     assert m & k.full == Evaluator(k).mask(f, e)
                     m >>= len(k.states)
                 assert not m
+
+
+def _one_at_a_time(k, formulas, e):
+    # each formula's mask on a fresh evaluator of its own
+    return [Evaluator(k).mask(f, e) for f in formulas]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), _formula_lists, st.sampled_from(_SLACKS))
+def test_masks_give_each_formulas_own_mask(k, formulas, e):
+    want = _one_at_a_time(k, formulas, e)
+    assert Evaluator(k).masks(formulas, e) == want
+    # operands after the formulas that use them
+    assert Evaluator(k).masks(formulas[::-1], e) == want[::-1]
+    # each node twice, once right after itself and once a whole list later
+    twice = [f for f in formulas for _ in range(2)]
+    assert Evaluator(k).masks(twice * 2, e) == [m for m in want for _ in range(2)] * 2
+    # fresh copies, each built only when the walk asks for it
+    assert Evaluator(k).masks(map(_fresh_copy, formulas), e) == want
+
+
+def test_masks_of_fresh_nodes_from_a_generator(fig1):
+    # each And and Not below is dropped by the generator as soon as it is
+    # yielded, and the evaluator's table keeps only the L nodes; a walk that
+    # let them go would hand a later node an earlier node's id, and its mask
+    rates = range(8)
+    fresh = (g for r in rates for g in (Not(L(r, Top())), And(L(r, Top()), Top())))
+    want = _one_at_a_time(fig1, [g for r in rates for g in (Not(L(r, Top())),
+                                                         And(L(r, Top()), Top()))], 0)
+    assert Evaluator(fig1).masks(fresh, 0) == want
+    assert len(set(want)) > 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), st.lists(_formula_lists, min_size=1, max_size=3), st.data())
+def test_masks_at_interleaved_slacks_on_one_evaluator(k, lists, data):
+    # one evaluator asked about whole lists at interleaved slacks; its tables
+    # outlive each call, and each call's memo dies with it
+    ev = Evaluator(k)
+    for _ in range(data.draw(st.integers(1, 12))):
+        formulas = data.draw(st.sampled_from(lists))
+        e = data.draw(st.sampled_from(_SLACKS))
+        assert ev.masks(formulas, e) == _one_at_a_time(k, formulas, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernels(), _formula_lists, st.sampled_from(_SLACKS))
+def test_margins_match_the_two_walk_oracle(k, formulas, e):
+    ev = Evaluator(k)
+    ev.masks(formulas, e)  # the evaluator's own table holds no deficit
+    for reverse in (False, True):
+        listed = formulas[::-1] if reverse else formulas
+        assert ev.margins(listed, e) == [
+            (Evaluator(k).mask(f, e), two_walk_stability_margin(k, f, e)) for f in listed
+        ]
+
+
+@pytest.mark.parametrize("mutation", ["eval-drop-epsilon", "eval-strict-comparison"])
+@settings(max_examples=50, deadline=None)
+@given(k=_kernels(), formulas=_formula_lists, e=st.sampled_from(_SLACKS))
+def test_masks_follow_an_evaluator_mutation(mutation, k, formulas, e):
+    with mutated(mutation):
+        assert Evaluator(k).masks(formulas, e) == _one_at_a_time(k, formulas, e)
+        assert [m for m, _ in Evaluator(k).margins(formulas, e)] == _one_at_a_time(
+            k, formulas, e)

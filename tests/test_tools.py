@@ -292,6 +292,29 @@ def test_enumeration_dump_is_repeatable(tmp_path, capsys):
     assert capsys.readouterr().out == "enumeration: 60 cases identical\n"
 
 
+def test_evaluation_dump_is_repeatable(tmp_path, capsys):
+    dump = _dump_module()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert dump.main(["evaluation", "-o", str(first)]) == 0
+    assert dump.main(["evaluation", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()
+    docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
+    # 10 corpus kernels and fig1, 2 fragments, 5 slacks
+    assert len(docs) == 110 and list(docs) == sorted(docs)
+    assert not any("error" in doc for doc in docs.values())
+    slacks = ("0", "1/10", "1/3", "1", "5/2")
+    fig1 = [docs[f"evaluation/fig1/positive/e={e}"]["evaluation"] for e in slacks]
+    # T first, everywhere and with no modal comparison; each positive
+    # formula's mask grows with the slack
+    assert all(rows[0] == [(1 << 6) - 1, None] for rows in fig1)
+    for lo, hi in zip(fig1, fig1[1:]):
+        assert all(a & ~b == 0 for (a, _), (b, _) in zip(lo, hi))
+    assert any(margin is not None for rows in fig1 for _, margin in rows)
+    assert "evaluation: 110 cases in" in capsys.readouterr().err
+    assert dump.main(["--compare", str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "evaluation: 110 cases identical\n"
+
+
 def test_compare_reports_the_first_differing_case(tmp_path, capsys):
     dump = _dump_module()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -62,6 +62,11 @@ Sections:
   (the budget's) and 1, on the grids the suites pass: (0), (0, 1/2, 1),
   (0, 1, 2), and ``fig1``'s ``_family_grid`` with the default extra rate 0
   and with the extra rates (0, 1/2, 2).
+- ``evaluation``: ``Evaluator.mask`` and the printed ``stability_margin``
+  (null for none) of every formula of ``_formulas`` of ``harness.suites``,
+  positive and full, at the default budget over the kernel's
+  ``_family_grid``, at the budget's five slacks, one case per kernel,
+  fragment and slack, on the default budget's corpus at seed 7 and ``fig1``.
 - ``search``: ``search_model``'s witness and ``kernel_to_doc`` of its kernel,
   or null when the bounded space has none, with the query (printed formula,
   slack, states, grid, budget), on the documented searches, on 24 no-witness
@@ -490,6 +495,34 @@ def _enumeration_cases() -> Iterator[Case]:
                            lambda args=(budget, grid, fragment, depth): enumeration(*args))
 
 
+def _evaluation_cases() -> Iterator[Case]:
+    from cml_kit.equivalence import generators
+    from cml_kit.formula import Fragment
+    from cml_kit.harness.suites import _family_grid, _formulas, _suite_corpus, default_budget
+    from cml_kit.models import load_model
+    from cml_kit.rational import format_rate
+    from cml_kit.semantics import Evaluator
+
+    def evaluation(kernel, formulas, e) -> dict:
+        ev = Evaluator(kernel)
+        rows = []
+        for f in formulas:
+            margin = ev.stability_margin(f, e)
+            rows.append([ev.mask(f, e), None if margin is None else format_rate(margin)])
+        return {"evaluation": rows}
+
+    budget = default_budget(7)
+    kernels = [(f"corpus/{i:02d}", k) for i, k in enumerate(_suite_corpus(budget))]
+    kernels.append(("fig1", load_model("fig1")))
+    for name, kernel in kernels:
+        grid = _family_grid(kernel, generators(kernel))
+        for fragment in (Fragment.POSITIVE, Fragment.FULL):
+            formulas, _ = _formulas(budget, grid, fragment)
+            for e in budget.epsilons:
+                yield (f"{name}/{fragment.name.lower()}/e={format_rate(e)}",
+                       lambda args=(kernel, formulas, e): evaluation(*args))
+
+
 def _search_cases() -> Iterator[Case]:
     import random
     from fractions import Fraction
@@ -697,6 +730,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "mutations": _mutations_cases,
     "acceptance": _acceptance_cases,
     "enumeration": _enumeration_cases,
+    "evaluation": _evaluation_cases,
     "search": _search_cases,
     "proofs": _proofs_cases,
     "oracles": _oracles_cases,
