@@ -16,21 +16,18 @@ O(log n) splitters, and refinement takes O(m log n) steps on m nonzero rates.
 It stops early once every block is a single state. The final blocks are
 numbered by their first states.
 
-The generator family is grown by saturation on state bitmasks and scaled
-integer rates: starting from the full state set, add the threshold sets
-{m | theta(m)(C) >= r} for every family member C and every achievable measure
-value r, and close under union and intersection. A worklist closes each member
-once, and the family stops with ``SearchBudgetExceeded`` past ``FAMILY_CAP``
-members. Closing a member makes one pass over its measure row, the sum of
-its states' columns (``Kernel.scaled_measures``), grouping the states into one
-bitmask per value; a sweep up the values then gives every threshold set as
-the full mask less the states below the value. Each candidate, threshold or
-join, is looked up in the family before anything else, so a formula is built
-only for a new member. Each member is a union of
-bisimulation blocks and carries a defining positive-fragment formula; the
-family is one map from each member's state bitmask to that formula, in the
-order members were added. Closing under complement too would give every union
-of blocks, so that family is not built.
+The definable-set family is the ring generated by the full state set and the
+threshold sets {m | theta(m)(C) >= r} of its own members C, one per value r
+of C's measure row (``Kernel.scaled_measures``, the sum of its states'
+columns) and one at the largest total rate. ``rings.closure`` grows it on
+state bitmasks as the down-sets of one preorder, with ``rings.upper_sets``
+as the sweep that reads every threshold set off a row, and it stops with
+``SearchBudgetExceeded`` past ``FAMILY_CAP`` members. The family is the
+closure's record of how each member first arose, keyed by member in the
+order found; the orders path reads its members only, and
+``defining_formulas`` folds it into a positive-fragment formula per member.
+Each member is a union of bisimulation blocks. Closing under complement too
+would give every union of blocks, so that family is not built.
 """
 
 from __future__ import annotations
@@ -38,9 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import KernelError, Record, SearchBudgetExceeded
+from .errors import KernelError, Record
 from .formula import And, Formula, L, Or, Top
 from .kernel import Kernel
+from .rings import closure, upper_sets
 
 # members the definable-set family may hold before SearchBudgetExceeded; the
 # family can grow exponentially with the bisimulation blocks
@@ -125,66 +123,43 @@ def bisimulation(kernel: Kernel) -> Partition:
     return Partition(tuple(map(frozenset, blocks)), rounds)
 
 
-def generators(kernel: Kernel) -> dict[int, Formula]:
-    """Close the full state set under thresholds, unions and intersections.
+def generators(kernel: Kernel) -> dict[int, tuple]:
+    """The definable-set family: the ring generated by the full state set and
+    the threshold sets {x | theta(x)(C) >= r} of each of its members C.
 
-    A worklist closes each member C once, in the order members were added. It
-    adds the threshold sets {x | theta(x)(C) >= r} for each value r in C's own
-    measure row, the empty set when the row's maximum is below the largest
-    total rate, and the union and intersection of C with every member closed
-    before it. A threshold over C at any rate achievable on the family is
-    either one of those suffixes or empty, and the largest total rate is the
-    largest achievable rate, so the family is closed under every extension
-    definable from those rates at any slack. Every pair of members is joined
-    when the later of the two is closed. Members are state bitmasks and rates
-    scaled integers w; a threshold's formula gets the index w / D. A defining
-    formula's extension is its member at slack 0, and so is that of its
-    ``encode_up`` by e at slack e.
+    C's thresholds are the upper sets of its measure row at each value of
+    the row and at the largest total rate, which no state exceeds: the empty
+    set when the row stays below that rate. A threshold over C at any rate
+    achievable on the family is one of those sets, and the largest total
+    rate is the largest achievable rate, so the family is closed under every
+    extension definable from those rates at any slack. Members are state
+    bitmasks and rates scaled integers w (rate times D).
 
-    One pass over C's measure row groups its states into one bitmask per
-    value, with the largest total rate as a value held by no state when the
-    row stays below it. Sweeping the values upward, each threshold set is the
-    full mask less the states below its value, so the empty set comes last,
-    at that largest rate. Every candidate, threshold or join, is first looked
-    up in the family, and its formula is built only when it is new.
-
-    Returns the map from each member's state bitmask to its defining formula,
-    in the order members were added. Raises ``SearchBudgetExceeded`` once the
+    Returns the record of ``rings.closure``: each member, in the order found,
+    with how it first arose. The full set is the seed and the threshold at w
+    over C the literal (w, C). Raises ``SearchBudgetExceeded`` once the
     family holds more than ``FAMILY_CAP`` members.
     """
-    scale, full = kernel.scale, kernel.full
     top = max(kernel.totals, default=0)
-    members: dict[int, Formula] = {full: Top()}
-    order = [full]
-    closed: list[tuple[int, Formula]] = []
+    return closure([kernel.full], lambda c: upper_sets(kernel.scaled_measures(c), top).items(),
+                   FAMILY_CAP, f"definable-set family exceeded {FAMILY_CAP} members")
 
-    def grow(mask: int, formula: Formula) -> None:
-        members[mask] = formula
-        order.append(mask)
-        if len(members) > FAMILY_CAP:
-            raise SearchBudgetExceeded(
-                f"definable-set family exceeded {FAMILY_CAP} members"
-            )
 
-    for c in order:  # the worklist: grow appends to order as it iterates
-        f = members[c]
-        # the states of each value in C's row; top, held by no state when the
-        # row stays below it, gives the empty set
-        values = {top: 0}
-        for i, v in enumerate(kernel.scaled_measures(c)):
-            values[v] = values.get(v, 0) | 1 << i
-        below = 0
-        for w in sorted(values):
-            if (full ^ below) not in members:
-                grow(full ^ below, L(Fraction(w, scale), f))
-            below |= values[w]
-        closed.append((c, f))
-        for other, g in closed:
-            if (c | other) not in members:
-                grow(c | other, Or(f, g))
-            if (c & other) not in members:
-                grow(c & other, And(f, g))
-    return members
+def defining_formulas(kernel: Kernel) -> dict[int, Formula]:
+    """Each member of ``generators(kernel)`` with its defining formula, folded
+    from how the member first arose: Top for the full set, L(w/D, phi_C) for
+    the threshold (w, C), and the And or Or of the two members of a meet or a
+    join. A formula's extension is its member at slack 0, and so is that of
+    its ``encode_up`` by e at slack e."""
+    formulas: dict[int, Formula] = {}
+    for mask, (how, a, b) in generators(kernel).items():
+        if how == "meet":
+            formulas[mask] = And(formulas[a], formulas[b])
+        elif how == "join":
+            formulas[mask] = Or(formulas[a], formulas[b])
+        else:  # the threshold a over member b, or the full set, the seed
+            formulas[mask] = Top() if b is None else L(Fraction(a, kernel.scale), formulas[b])
+    return formulas
 
 
 def partition_from_family(kernel: Kernel, family: Iterable[int]) -> Partition:

@@ -18,21 +18,18 @@ saturated pairs, so a suite that cross-checks enumerated formulas saturates
 each (kernel, e) once.
 
 The saturated pairs are closed under ``|`` and ``&``: a ring of sets over the
-2|S| points. A ring generated by a family G is the ring of the down-sets of one
-preorder that contain the meet of G (Birkhoff, "Rings of sets", 1937): the
-least member holding a point p is below[p], the meet of the members of G that
-hold p, and each member is that meet with the below[p] of its points joined
-in. So the saturation closes the preorder, not the pair set: it keeps the
-literal pairs found so far as G, enumerates the ring from below and the meet,
-and takes the literal pairs of each member it has not seen, until no member
-is new. No two pairs are ever joined one by one.
+2|S| points, generated by the full pair (and the empty one when negated
+literals count) and the literal pairs of each of its members. The saturation
+is ``rings.closure`` over ``_literal_pairs``, which keeps the ring as the
+down-sets of one preorder (Birkhoff, "Rings of sets", 1937) and grows it one
+new literal pair at a time, and each literal sweep is ``rings.upper_sets``.
 """
 
 from __future__ import annotations
 
-from ..errors import SearchBudgetExceeded
 from ..kernel import Kernel
 from ..rational import Rate, ensure_rate
+from ..rings import closure, upper_sets
 
 PAIR_CAP = 20_000
 
@@ -43,23 +40,6 @@ def pair_mask(kernel: Kernel, s0: int, se: int) -> int:
     return s0 | se << len(kernel.states)
 
 
-def _levels(low: list[int], high: list[int]) -> list[int]:
-    # the pair masks {i : low[i] >= r} | {i : high[i] >= r} << |S| at every
-    # rate r, from one rate above all values down: a rate between two adjacent
-    # values reads as the higher one, so one sweep down the distinct values
-    at: dict[int, int] = {}
-    for i, v in enumerate(low):
-        at[v] = at.get(v, 0) | 1 << i
-    for i, v in enumerate(high, len(low)):
-        at[v] = at.get(v, 0) | 1 << i
-    out = [0]
-    mask = 0
-    for v in sorted(at, reverse=True):
-        mask |= at[v]
-        out.append(mask)
-    return out
-
-
 def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[int]:
     """All literal pairs over one body pair, sweeping the rate: positive
     literals always, and negated ones too when ``negated_literals``."""
@@ -68,71 +48,29 @@ def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -
     into_s0 = [w * de for w in kernel.scaled_measures(pair & kernel.full)]
     into_se = [w * de for w in kernel.scaled_measures(pair >> size)]
     shift = e.numerator * kernel.scale
-    out = _levels(into_s0, [v + shift for v in into_se])
+    shifted = into_s0 + [v + shift for v in into_se]
+    # a rate above every value, shifted or not, gives the empty level
+    ceiling = max(shifted, default=0) + 1
+    out = list(upper_sets(shifted, ceiling).values())
     if negated_literals:
         full = (1 << 2 * size) - 1
-        out += [full ^ level for level in _levels(into_s0, into_se)]
+        out += [full ^ level for level in upper_sets(into_s0 + into_se, ceiling).values()]
     return out
 
 
-def _down_sets(below: list[int], bottom: int) -> set[int]:
-    """The ring ``{bottom}`` closed under ``| below[p]``: the down-sets of the
-    preorder that contain ``bottom``. Raises ``SearchBudgetExceeded`` as soon
-    as it holds more than ``PAIR_CAP`` sets."""
-    joins = set(below)
-    ring = {bottom}
-    todo = [bottom]
-    while todo:
-        member = todo.pop()
-        for least in joins:
-            joined = member | least
-            if joined not in ring:
-                ring.add(joined)
-                if len(ring) > PAIR_CAP:
-                    raise SearchBudgetExceeded(f"pair saturation exceeded {PAIR_CAP} pairs")
-                todo.append(joined)
-    return ring
-
-
 def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool) -> frozenset[int]:
-    """Fixpoint of the pair semantics under literals, conjunction, disjunction.
-
-    The generators are the full pair (and the empty one when
-    ``negated_literals``) and every literal pair found so far. ``below[p]`` is
-    the meet of the generators that hold point p and ``bottom`` the meet of
-    all of them, and the ring they generate is the down-sets of that preorder
-    that contain ``bottom``. Each round enumerates the ring, takes the literal
-    pairs of its new members, and meets each literal not seen before into
-    ``below`` and ``bottom``; the fixpoint is the ring of the round that finds
-    no new literal. Raises ``SearchBudgetExceeded`` once a ring holds more
-    than ``PAIR_CAP`` pairs; every ring is part of the fixpoint, so that is
-    exactly when the fixpoint does.
+    """Fixpoint of the pair semantics under literals, conjunction, disjunction:
+    the ring (``rings.closure``) generated by the full pair, the empty one
+    when ``negated_literals``, and the literal pairs of each of its members.
+    Raises ``SearchBudgetExceeded`` once it holds more than ``PAIR_CAP``
+    pairs; the ring only grows, so that is exactly when the fixpoint does.
     """
     e = ensure_rate(e)
-    points = 2 * len(kernel.states)
-    full = (1 << points) - 1
-    seen = {full, 0} if negated_literals else {full}
-    below = [full] * points
-    bottom = full
-    ring: set[int] = set()
-    fresh = list(seen)
-    while fresh:
-        for lit in fresh:
-            bottom &= lit
-            rest = lit
-            while rest:
-                bit = rest & -rest
-                below[bit.bit_length() - 1] &= lit
-                rest ^= bit
-        members = _down_sets(below, bottom)
-        fresh = []
-        for pair in members - ring:
-            for lit in _literal_pairs(kernel, pair, e, negated_literals):
-                if lit not in seen:
-                    seen.add(lit)
-                    fresh.append(lit)
-        ring = members
-    return frozenset(ring)
+    full = (1 << 2 * len(kernel.states)) - 1
+    return frozenset(closure(
+        [full, 0] if negated_literals else [full],
+        lambda pair: enumerate(_literal_pairs(kernel, pair, e, negated_literals)),
+        PAIR_CAP, f"pair saturation exceeded {PAIR_CAP} pairs"))
 
 
 def _transfer(kernel: Kernel, e: Rate, negated_literals: bool) -> tuple[dict, frozenset]:

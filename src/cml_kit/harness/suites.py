@@ -28,7 +28,7 @@ from functools import reduce
 from typing import Callable, Optional
 
 from .. import equivalence as equivalence_mod
-from ..equivalence import generators, partition_from_family
+from ..equivalence import defining_formulas, generators, partition_from_family
 from ..errors import Record
 from ..formula import (
     And,
@@ -366,7 +366,7 @@ def suite_c1(report: SuiteReport, budget: Budget) -> None:
     extensions are unions of bisimulation blocks."""
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
-        family = generators(kernel)
+        family = defining_formulas(kernel)
         blocks = [kernel.mask_of(b) for b in equivalence_mod.bisimulation(kernel).blocks]
         grid = _family_grid(kernel, family, ()) or (_ZERO,)
         pos, _ = _formulas(budget, grid, Fragment.POSITIVE)
@@ -479,9 +479,8 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
     """
     for kernel in _suite_corpus(budget):
         partition = equivalence_mod.bisimulation(kernel)
-        family = generators(kernel)
+        family = defining_formulas(kernel)
         base_grid = _family_grid(kernel, family)
-        # each member's defining formula and scaled measure row, once per kernel
         rows = [(phi, kernel.scaled_measures(c)) for c, phi in family.items()]
         for e in budget.epsilons:
             ev = Evaluator(kernel)

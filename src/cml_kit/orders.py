@@ -50,7 +50,6 @@ from typing import Iterator, Optional
 
 from .equivalence import Partition, bisimulation, generators
 from .errors import KernelError, SearchBudgetExceeded
-from .formula import Formula
 from .kernel import Kernel, disjoint_union, left_tag, right_tag
 from .rational import Rate, ensure_rate
 
@@ -102,7 +101,7 @@ class OrderSolver:
         # _masses[mask]: scaled theta of every block into the blocks of mask
         self._masses: dict[int, list[int]] = {}
         # the generator family of the quotient, built on first use
-        self._family: Optional[dict[int, Formula]] = None
+        self._family: Optional[dict[int, tuple]] = None
 
     # --- exact integer core ----------------------------------------------
 
@@ -121,7 +120,7 @@ class OrderSolver:
     # --- family at block level -------------------------------------------
 
     @property
-    def family(self) -> dict[int, Formula]:
+    def family(self) -> dict[int, tuple]:
         """The quotient's generator family (``generators``), keyed by block
         bitmask and built once per solver."""
         if self._family is None:

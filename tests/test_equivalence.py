@@ -1,3 +1,5 @@
+import importlib.util
+import os
 from collections import deque
 from fractions import Fraction
 
@@ -18,12 +20,14 @@ from cml_kit import (
 )
 from cml_kit.errors import SearchBudgetExceeded
 from cml_kit.harness.enumerate import enumerate_formulas
-from cml_kit.harness.generate import KernelGenConfig, corpus, gen_kernel
-from cml_kit.formula import And, Fragment, L, Or, Top, encode_up, print_formula
+from cml_kit.equivalence import defining_formulas
+from cml_kit.harness.generate import KernelGenConfig, chain_kernel, corpus, gen_kernel
+from cml_kit.formula import MAX_DEPTH, And, Fragment, L, Or, Top, encode_up, parse, print_formula
 from cml_kit.models import FIGURES, load_model
 
 Q = Fraction
 S = frozenset
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "dump.py")
 
 
 def test_branching_kernel_blocks(fig1):
@@ -150,8 +154,9 @@ def _measures(kernel, family):
 
 def test_single_state_families():
     k = Kernel(["a"], {("a", "a"): 3})
-    # the family maps each member's state bitmask to its defining formula
-    assert generators(k) == {k.mask_of({"a"}): Top()}
+    # the family's one member is the full set, defined by Top
+    assert set(generators(k)) == {k.mask_of({"a"})}
+    assert defining_formulas(k) == {k.mask_of({"a"}): Top()}
 
 
 def test_branching_kernel_family(fig1):
@@ -186,9 +191,37 @@ def test_defining_formulas_define(fig1):
     # a member's formula defines it at slack 0, and shifted up by e at slack e
     for kernel in [fig1, *corpus(8, 4, seed=3), *corpus(10, 5, seed=5)]:
         ev = Evaluator(kernel)
-        for member, phi in generators(kernel).items():
+        for member, phi in defining_formulas(kernel).items():
             for e in (Q(0), Q(1, 10), Q(1)):
                 assert ev.extension(encode_up(phi, e), e) == kernel.set_of(member)
+
+
+def _size_and_depth(f):
+    # tree nodes and nesting depth of the core AST, a shared subformula
+    # counted at each occurrence, as printing expands it
+    size = depth = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        size, depth = size + 1, max(depth, d)
+        stack.extend((getattr(g, side), d + 1) for side in ("child", "left", "right")
+                     if hasattr(g, side))
+    return size, depth
+
+
+def test_defining_formulas_are_bounded_and_parse_back():
+    # the kernels of the orders dump: the largest formula has 127 nodes
+    # (corpus(20,8,5)/19) and the deepest is 120 levels deep (chain/120, one
+    # threshold per link), inside the parser's MAX_DEPTH
+    spec = importlib.util.spec_from_file_location("dump", TOOL)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    inputs = (*dump._corpora(), *dump._models(), *dump._ladder_unions(), *dump._chain_ladder())
+    for _, kernel in inputs:
+        for phi in defining_formulas(kernel).values():
+            size, depth = _size_and_depth(phi)
+            assert size <= 160 and depth <= 128 <= MAX_DEPTH
+            assert parse(print_formula(phi)) == phi
 
 
 def test_family_partition_matches_refinement():
@@ -259,19 +292,18 @@ def _worklist_generators(kernel):
     return members
 
 
-def _printed(family):
-    return [(mask, print_formula(f)) for mask, f in family.items()]
-
-
 def _same_family(kernel):
-    # both raise past the cap, or both give the same members, formulas and order
+    # both raise past the cap, or both give the same members, and each
+    # folded formula defines its member at slack 0
     try:
-        expected = _printed(_worklist_generators(kernel))
+        expected = set(_worklist_generators(kernel))
     except SearchBudgetExceeded:
         with pytest.raises(SearchBudgetExceeded):
             generators(kernel)
         return
-    assert _printed(generators(kernel)) == expected
+    formulas = defining_formulas(kernel)
+    assert set(formulas) == set(generators(kernel)) == expected
+    assert Evaluator(kernel).masks(formulas.values(), 0) == list(formulas)
 
 
 _small_kernels = _random_kernels(8, st.sampled_from([0, 1, 2, 3, Q(1, 2), Q(2, 3)]))
@@ -284,7 +316,10 @@ def test_family_matches_the_worklist(kernel):
 
 
 def test_family_matches_the_worklist_on_the_corpora():
-    for kernel in [*corpus(40, 4, 7), *corpus(40, 5, 3), *corpus(30, 6, 11), *corpus(20, 8, 5)]:
+    chains = [chain_kernel(n) for n in range(10, 61, 10)]
+    unions = [disjoint_union(chain_kernel(n), chain_kernel(n, 2)) for n in range(5, 31, 5)]
+    for kernel in [*corpus(40, 4, 7), *corpus(40, 5, 3), *corpus(30, 6, 11), *corpus(20, 8, 5),
+                   *chains, *unions]:
         _same_family(kernel)
 
 

@@ -243,7 +243,7 @@ def test_pair_saturation_cap_stops_the_ring_as_it_grows(monkeypatch):
     with pytest.raises(SearchBudgetExceeded, match="pair saturation exceeded 100 pairs") as info:
         saturate_pairs(kernel, Q(1, 10), negated_literals=True)
     # the ring that raised holds the one set past the cap, not all 2^10
-    assert info.traceback[-1].name == "_down_sets"
+    assert info.traceback[-1].name == "grow"
     assert len(info.traceback[-1].locals["ring"]) == 101
 
 

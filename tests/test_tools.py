@@ -62,12 +62,13 @@ def test_orders_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     docs = {doc["case"]: doc for doc in map(json.loads, first.read_text().splitlines())}
     assert len(docs) == 194 and list(docs) == sorted(docs)
     assert not any("error" in doc for doc in docs.values())
-    # the ladder unions dump their family only
+    # the ladder unions dump their family and its formulas only
     ladder = [doc for case, doc in docs.items() if case.startswith("orders/ladder/")]
     assert [len(doc["family"]) for doc in ladder] == [357, 2784, 1490]
-    assert all(set(doc) == {"case", "family"} for doc in ladder)
-    # the chain ladder dumps the plain order at 0 and the stages, and the
-    # essential order at 0 on ESSENTIAL_CHAINS
+    assert all(set(doc) == {"case", "family", "formulas"} for doc in ladder)
+    assert all(len(doc["formulas"]) == len(doc["family"]) for doc in ladder)
+    # the chain ladder dumps the family members, the plain order at 0 and the
+    # stages, and the essential order at 0 on ESSENTIAL_CHAINS
     chains = [case for case in docs if case.startswith(("orders/chain/", "orders/chains/"))]
     assert chains == [
         "orders/chain/010", "orders/chain/020", "orders/chain/030",
@@ -77,7 +78,7 @@ def test_orders_dump_is_repeatable(tmp_path, capsys, monkeypatch):
     assert essential == ["orders/chain/010", "orders/chain/020", "orders/chains/020"]
     for case in chains:
         extra = {"essential"} if case in essential else set()
-        assert set(docs[case]) == {"case", "plain", "stages"} | extra
+        assert set(docs[case]) == {"case", "family", "plain", "stages"} | extra
     assert all(set(docs[case]["essential"]) == {"0"} for case in essential)
     fig1 = docs["orders/model/fig1"]
     assert set(fig1["plain"]) == set(fig1["essential"]) == {"0", "1/10", "1/2", "1", "5/2"}

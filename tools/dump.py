@@ -33,13 +33,14 @@ Sections:
   rows and entries in shuffled order, empty rows, zero literals and one half
   in several spellings.
 - ``orders``: on the corpora and the models and their unions, the kernel's
-  ``generators`` family as (state bitmask, printed formula) pairs in order,
-  the solver's ``family_blocks()``, the sorted ``plain_pairs`` and
+  ``generators`` family as its sorted member bitmasks and, in a separate key,
+  each member's printed ``defining_formulas`` formula in the same order, the
+  solver's sorted ``family_blocks()``, the sorted ``plain_pairs`` and
   ``essential_pairs`` at the slacks 0, 1/10, 1/2, 1 and 5/2, and the stages
   of a ``PlainDescent`` as (peak, sorted deleted block pairs); on the unions
   of two ``gen_kernel`` kernels (density 1/2) with 12, 14 and 15 blocks, the
-  family only; and on a chain ladder, the sorted ``plain_pairs(0)`` and the
-  stages: chains (rate 1 from each state to the next) of 10, 20, ...,
+  family and its formulas only; and on a chain ladder, the sorted family
+  members, the sorted ``plain_pairs(0)`` and the stages: chains (rate 1 from each state to the next) of 10, 20, ...,
   ``CHAIN_STATES`` states, and disjoint unions of a rate-1 chain and a rate-2
   chain of 10, 20, ..., ``CHAIN_UNION_STATES`` states in all. The ladder's
   ``ESSENTIAL_CHAINS`` add the sorted ``essential_pairs(0)``, or the
@@ -355,14 +356,16 @@ def _shuffled_documents() -> Iterator[tuple[str, str]]:
 def _orders_cases() -> Iterator[Case]:
     from fractions import Fraction
 
-    from cml_kit.equivalence import generators
+    from cml_kit.equivalence import defining_formulas, generators
     from cml_kit.errors import SearchBudgetExceeded
     from cml_kit.formula import print_formula
     from cml_kit.orders import OrderSolver, PlainDescent
     from cml_kit.rational import format_rate
 
-    def family(members: dict) -> dict:
-        return {"family": [[mask, print_formula(f)] for mask, f in members.items()]}
+    def family(kernel) -> dict:
+        formulas = defining_formulas(kernel)
+        members = sorted(formulas)
+        return {"family": members, "formulas": [print_formula(formulas[m]) for m in members]}
 
     def stages(solver) -> list:
         return [
@@ -372,8 +375,8 @@ def _orders_cases() -> Iterator[Case]:
 
     def orders(kernel) -> dict:
         solver = OrderSolver(kernel)
-        doc = family(generators(kernel))
-        doc["family_blocks"] = solver.family_blocks()
+        doc = family(kernel)
+        doc["family_blocks"] = sorted(solver.family_blocks())
         for kind, pairs in (("plain", solver.plain_pairs), ("essential", solver.essential_pairs)):
             doc[kind] = {e: sorted(pairs(Fraction(e))) for e in ORDER_SLACKS}
         doc["stages"] = stages(solver)
@@ -382,7 +385,8 @@ def _orders_cases() -> Iterator[Case]:
     def descent(kernel, essential: bool) -> dict:
         solver = OrderSolver(kernel)
         plain = sorted(solver.plain_pairs(Fraction(0)))
-        doc = {"plain": {"0": plain}, "stages": stages(solver)}
+        doc = {"family": sorted(generators(kernel)), "plain": {"0": plain},
+               "stages": stages(solver)}
         if essential:
             try:
                 doc["essential"] = {"0": sorted(solver.essential_pairs(Fraction(0)))}
@@ -393,7 +397,7 @@ def _orders_cases() -> Iterator[Case]:
     for case, kernel in (*_corpora(), *_models()):
         yield case, lambda kernel=kernel: orders(kernel)
     for case, union in _ladder_unions():
-        yield case, lambda union=union: family(generators(union))
+        yield case, lambda union=union: family(union)
     for case, kernel in _chain_ladder():
         yield case, lambda kernel=kernel, case=case: descent(kernel, case in ESSENTIAL_CHAINS)
 
