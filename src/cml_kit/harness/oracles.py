@@ -40,9 +40,10 @@ def pair_mask(kernel: Kernel, s0: int, se: int) -> int:
     return s0 | se << len(kernel.states)
 
 
-def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[int]:
-    """All literal pairs over one body pair, sweeping the rate: positive
-    literals always, and negated ones too when ``negated_literals``."""
+def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[tuple[int, int]]:
+    """All literal pairs over one body pair, sweeping the rate, each keyed by
+    its level: positive literals always, and negated ones too when
+    ``negated_literals``."""
     size = len(kernel.states)
     de = e.denominator
     into_s0 = [w * de for w in kernel.scaled_measures(pair & kernel.full)]
@@ -51,10 +52,10 @@ def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -
     shifted = into_s0 + [v + shift for v in into_se]
     # a rate above every value, shifted or not, gives the empty level
     ceiling = max(shifted, default=0) + 1
-    out = list(upper_sets(shifted, ceiling).values())
+    out = list(upper_sets(shifted, ceiling).items())
     if negated_literals:
         full = (1 << 2 * size) - 1
-        out += [full ^ level for level in upper_sets(into_s0 + into_se, ceiling).values()]
+        out += [(v, full ^ level) for v, level in upper_sets(into_s0 + into_se, ceiling).items()]
     return out
 
 
@@ -69,7 +70,7 @@ def saturate_pairs(kernel: Kernel, e: Rate, negated_literals: bool) -> frozenset
     full = (1 << 2 * len(kernel.states)) - 1
     return frozenset(closure(
         [full, 0] if negated_literals else [full],
-        lambda pair: enumerate(_literal_pairs(kernel, pair, e, negated_literals)),
+        lambda pair: _literal_pairs(kernel, pair, e, negated_literals),
         PAIR_CAP, f"pair saturation exceeded {PAIR_CAP} pairs"))
 
 
