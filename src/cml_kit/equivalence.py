@@ -136,29 +136,35 @@ def generators(kernel: Kernel) -> dict[int, tuple]:
     bitmasks and rates scaled integers w (rate times D).
 
     Returns the record of ``rings.closure``: each member, in the order found,
-    with how it first arose. The full set is the seed and the threshold at w
-    over C the literal (w, C). Raises ``SearchBudgetExceeded`` once the
-    family holds more than ``FAMILY_CAP`` members.
+    with how it first arose. The full set is the seed and C's threshold sets
+    are the literals of C. Raises ``SearchBudgetExceeded`` once the family
+    holds more than ``FAMILY_CAP`` members.
     """
     top = max(kernel.totals, default=0)
-    return closure([kernel.full], lambda c: upper_sets(kernel.scaled_measures(c), top).items(),
+    return closure([kernel.full], lambda c: upper_sets(kernel.scaled_measures(c), top),
                    FAMILY_CAP, f"definable-set family exceeded {FAMILY_CAP} members")
 
 
 def defining_formulas(kernel: Kernel) -> dict[int, Formula]:
     """Each member of ``generators(kernel)`` with its defining formula, folded
     from how the member first arose: Top for the full set, L(w/D, phi_C) for
-    the threshold (w, C), and the And or Or of the two members of a meet or a
-    join. A formula's extension is its member at slack 0, and so is that of
-    its ``encode_up`` by e at slack e."""
+    a threshold set over C, and the And or Or of the two members of a meet or
+    a join. A threshold set's w is the least scaled rate into C of its
+    states, the rate its sweep stopped at, or the largest total rate for the
+    empty set. A formula's extension is its member at slack 0, and so is
+    that of its ``encode_up`` by e at slack e."""
+    top = max(kernel.totals, default=0)
     formulas: dict[int, Formula] = {}
-    for mask, (how, a, b) in generators(kernel).items():
+    for m, (how, a, b) in generators(kernel).items():
         if how == "meet":
-            formulas[mask] = And(formulas[a], formulas[b])
+            formulas[m] = And(formulas[a], formulas[b])
         elif how == "join":
-            formulas[mask] = Or(formulas[a], formulas[b])
-        else:  # the threshold a over member b, or the full set, the seed
-            formulas[mask] = Top() if b is None else L(Fraction(a, kernel.scale), formulas[b])
+            formulas[m] = Or(formulas[a], formulas[b])
+        elif a is None:  # the full set, the seed
+            formulas[m] = Top()
+        else:
+            w = min((w for i, w in enumerate(kernel.scaled_measures(a)) if m >> i & 1), default=top)
+            formulas[m] = L(Fraction(w, kernel.scale), formulas[a])
     return formulas
 
 

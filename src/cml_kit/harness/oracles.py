@@ -40,10 +40,9 @@ def pair_mask(kernel: Kernel, s0: int, se: int) -> int:
     return s0 | se << len(kernel.states)
 
 
-def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[tuple[int, int]]:
-    """All literal pairs over one body pair, sweeping the rate, each keyed by
-    its level: positive literals always, and negated ones too when
-    ``negated_literals``."""
+def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -> list[int]:
+    """All literal pairs over one body pair, sweeping the rate: positive
+    literals always, and negated ones too when ``negated_literals``."""
     size = len(kernel.states)
     de = e.denominator
     into_s0 = [w * de for w in kernel.scaled_measures(pair & kernel.full)]
@@ -52,10 +51,10 @@ def _literal_pairs(kernel: Kernel, pair: int, e: Rate, negated_literals: bool) -
     shifted = into_s0 + [v + shift for v in into_se]
     # a rate above every value, shifted or not, gives the empty level
     ceiling = max(shifted, default=0) + 1
-    out = list(upper_sets(shifted, ceiling).items())
+    out = upper_sets(shifted, ceiling)
     if negated_literals:
         full = (1 << 2 * size) - 1
-        out += [(v, full ^ level) for v, level in upper_sets(into_s0 + into_se, ceiling).items()]
+        out += [full ^ level for level in upper_sets(into_s0 + into_se, ceiling)]
     return out
 
 

@@ -9,8 +9,11 @@ G, is the join of the below[p] of its points. So a ring is closed by keeping
 those meets, never by joining its members pairwise.
 
 ``closure`` grows the ring generated by some seeds and by the literals read
-off each of its members. A literal that is not yet a member is met into
-``bottom`` and into the below[p] of each of its points. A new member other
+off each of its members. It keeps below[p] inverted, as the mask of the
+points that each least member is below[p] for, so a literal visits each
+least member once rather than each of its points. A literal that is not yet
+a member is met into ``bottom`` and into each least member it does not
+contain, for the points of that member's mask it holds. A new member other
 than the new ``bottom`` is then an old member, or a changed below[p], joined
 with changed below[p] values: the below[p] that did not change are old
 members, and the old ring is closed under joins. So the members a literal
@@ -18,43 +21,46 @@ adds are found by joining each member, old or new, with each below[p] that
 changed; no other pair of members is joined. The ring only grows, so its cap
 is checked as each member is added.
 
-The closure records how each member first arose: ``("literal", key, m)`` for
-the literal that ``literals(m)`` gave under ``key``, ``("literal", None,
-None)`` for a seed, and ``("meet", a, b)`` or ``("join", a, b)`` for a & b or
-a | b, where a and b are members recorded before it.
+The closure records how each member first arose: ``("literal", m, None)``
+for a literal of ``literals(m)``, ``("literal", None, None)`` for a seed,
+and ``("meet", a, b)`` or ``("join", a, b)`` for a & b or a | b, where a and
+b are members recorded before it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Iterable
 
 from .errors import SearchBudgetExceeded
 
 
-def upper_sets(values: Iterable[int], ceiling: int) -> dict[int, int]:
+def upper_sets(values: Iterable[int], ceiling: int) -> list[int]:
     """The mask {i | values[i] >= v} for each distinct v in values and for
-    ceiling, from one sweep down the values."""
+    ceiling, v descending, from one sweep down the values."""
     at = {ceiling: 0}
-    for i, v in enumerate(values):
-        at[v] = at.get(v, 0) | 1 << i
-    masks, mask = {}, 0
+    bit = 1
+    for v in values:
+        at[v] = at.get(v, 0) | bit
+        bit <<= 1
+    masks, mask = [], 0
     for v in sorted(at, reverse=True):
         mask |= at[v]
-        masks[v] = mask
+        masks.append(mask)
     return masks
 
 
-def closure(seeds: Iterable[int], literals: Callable[[int], Iterable[tuple[Hashable, int]]],
+def closure(seeds: Iterable[int], literals: Callable[[int], Iterable[int]],
             cap: int, message: str) -> dict[int, tuple]:
-    """The ring generated by the seeds and by the masks of ``literals(m)``,
-    (key, mask) pairs, of each member m: each member's record, in the order
-    found. Raises ``SearchBudgetExceeded(message)`` as soon as the ring holds
-    more than ``cap`` members."""
+    """The ring generated by the seeds and by the masks ``literals(m)`` of
+    each member m: each member's record, in the order found. Raises
+    ``SearchBudgetExceeded(message)`` as soon as the ring holds more than
+    ``cap`` members."""
     ring: dict[int, tuple] = {}
     order: list[int] = []  # the members in the order found
-    # below maps a point to the least member holding it; -1 holds every
-    # point, the meet of no literal, so a point's first literal replaces it
-    below: dict[int, int] = {}
+    # below maps each least member to the mask of the points it is least
+    # for; -1, the meet of no literal, holds every point and is first least
+    # for all of them
+    below: dict[int, int] = {-1: -1}
     bottom = -1
 
     def grow(mask: int, how: tuple) -> None:
@@ -63,30 +69,34 @@ def closure(seeds: Iterable[int], literals: Callable[[int], Iterable[tuple[Hasha
         if len(ring) > cap:
             raise SearchBudgetExceeded(message)
 
-    def every_literal() -> Iterable[tuple[int, Hashable, int]]:
-        for seed in seeds:
-            yield seed, None, None
-        for member in order:  # grow appends to order as this runs
-            for key, lit in literals(member):
-                yield lit, key, member
-
-    for lit, key, member in every_literal():
-        if lit in ring:
-            continue  # a member is the join of its below[p]: no meet changes
-        grow(lit, ("literal", key, member))
+    def add(lit: int, how: tuple) -> None:
+        nonlocal bottom
+        grow(lit, how)
         if bottom & ~lit:
             if bottom & lit not in ring:
                 grow(bottom & lit, ("meet", bottom, lit))
             bottom &= lit
         changed = {}
-        for p in range(lit.bit_length()):
-            least = below.get(p, -1)
-            if lit >> p & 1 and least & ~lit:
-                if least & lit not in ring:
-                    grow(least & lit, ("meet", least, lit))
-                below[p] = changed[least & lit] = least & lit
+        for least, points in list(below.items()):
+            if points & lit and least & ~lit:
+                meet = least & lit
+                if meet not in ring:
+                    grow(meet, ("meet", least, lit))
+                del below[least]
+                if points & ~lit:
+                    below[least] = points & ~lit
+                below[meet] = below.get(meet, 0) | points & lit
+                changed[meet] = None
         for m in order:  # grow appends each join, which is joined in turn
             for least in changed:
                 if m | least not in ring:
                     grow(m | least, ("join", m, least))
+
+    for seed in seeds:
+        if seed not in ring:
+            add(seed, ("literal", None, None))
+    for member in order:  # add appends to order as this runs
+        for lit in literals(member):
+            if lit not in ring:  # a member is the join of its below[p]: no meet changes
+                add(lit, ("literal", member, None))
     return ring

@@ -202,7 +202,7 @@ def test_pair_saturation_is_closed():
             for negated in (False, True):
                 pairs = saturate_pairs(kernel, e, negated_literals=negated)
                 for a in pairs:
-                    for _, lit in _literal_pairs(kernel, a, e, negated):
+                    for lit in _literal_pairs(kernel, a, e, negated):
                         assert lit in pairs
                     for b in pairs:
                         assert a | b in pairs
@@ -228,7 +228,7 @@ def test_literal_pairs_match_the_per_rate_scan():
             for negated in (False, True):
                 for pair in sorted(saturate_pairs(kernel, e, negated))[:40]:
                     expected = at_least_literal_pairs(kernel, pair, e, negated)
-                    assert {lit for _, lit in _literal_pairs(kernel, pair, e, negated)} == set(expected)
+                    assert set(_literal_pairs(kernel, pair, e, negated)) == set(expected)
                     checked += 1
     assert checked > 500
 
