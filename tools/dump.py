@@ -68,6 +68,12 @@ Sections:
   positive and full, at the default budget over the kernel's
   ``_family_grid``, at the budget's five slacks, one case per kernel,
   fragment and slack, on the default budget's corpus at seed 7 and ``fig1``.
+- ``encoding``: the printed images of ``encode_down``, ``encode_up`` and
+  ``encode_abs``, or the error, at the default budget's five slacks, one case
+  per encoder, formula list and slack, on the formula lists of the
+  ``enumeration`` section and on the formulas of the ``encode --abs`` budget
+  tests of ``tests/test_cli.py``, within and past the normal form's clause
+  and nesting budgets, one formula each and all seven in one list.
 - ``search``: ``search_model``'s witness and ``kernel_to_doc`` of its kernel,
   or null when the bounded space has none, with the query (printed formula,
   slack, states, grid, budget), on the documented searches, on 24 no-witness
@@ -468,17 +474,14 @@ def _acceptance_cases() -> Iterator[Case]:
             yield f"{criterion}/{name}", lambda name=name, budget=budget: _report(name, budget)
 
 
-def _enumeration_cases() -> Iterator[Case]:
+def _enumerations() -> Iterator[tuple[str, tuple]]:
+    # the arguments of the enumeration section's calls of _formulas, by case id
     from fractions import Fraction
 
     from cml_kit.equivalence import generators
-    from cml_kit.formula import Fragment, print_formula
-    from cml_kit.harness.suites import BUDGETS, _family_grid, _formulas
+    from cml_kit.formula import Fragment
+    from cml_kit.harness.suites import BUDGETS, _family_grid
     from cml_kit.models import load_model
-
-    def enumeration(budget, grid, fragment, depth) -> dict:
-        formulas, truncated = _formulas(budget, grid, fragment, depth)
-        return {"formulas": [print_formula(f) for f in formulas], "truncated": truncated}
 
     fig1 = load_model("fig1")
     family = generators(fig1)
@@ -496,7 +499,62 @@ def _enumeration_cases() -> Iterator[Case]:
             for fragment in Fragment:
                 for depth in (None, 1):
                     yield (f"{label}/{name}/{fragment.name.lower()}/depth={depth}",
-                           lambda args=(budget, grid, fragment, depth): enumeration(*args))
+                           (budget, grid, fragment, depth))
+
+
+def _enumeration_cases() -> Iterator[Case]:
+    from cml_kit.formula import print_formula
+    from cml_kit.harness.suites import _formulas
+
+    def enumeration(args) -> dict:
+        formulas, truncated = _formulas(*args)
+        return {"formulas": [print_formula(f) for f in formulas], "truncated": truncated}
+
+    for case, args in _enumerations():
+        yield case, lambda args=args: enumeration(args)
+
+
+def _budget_formulas() -> dict[str, str]:
+    # the formulas of the encode --abs budget tests of tests/test_cli.py, the
+    # last within the budget and the first past it
+    def balanced(first: int, depth: int) -> str:
+        if depth == 0:
+            return f"L{{{first}}} T"
+        half = 2 ** (depth - 1)
+        return f"({balanced(first, depth - 1)} & {balanced(first + half, depth - 1)})"
+
+    nine, ten = (" & ".join(["(L{1} T | L{2} T)"] * n) for n in (9, 10))
+    body = "L{1} (" + nine + ")"
+    return {
+        "clauses/9": nine,
+        "clauses/10": ten,
+        "modal/body": body,
+        "modal/nested": " & ".join([f"({body} | L{{2}} T)"] * 9),
+        "modal/or-top": body + " | T",
+        "nesting/9": balanced(1, 9),
+        "nesting/10": balanced(1, 10),
+    }
+
+
+def _encoding_cases() -> Iterator[Case]:
+    from cml_kit.formula import encode_abs, encode_down, encode_up, parse, print_formula
+    from cml_kit.harness.suites import _formulas, default_budget
+    from cml_kit.rational import format_rate
+
+    def encoding(encode, formulas, e) -> dict:
+        table: dict = {}
+        return {"images": [print_formula(encode(f, e, table)) for f in formulas]}
+
+    lists = [(f"enumeration/{case}", _formulas(*args)[0]) for case, args in _enumerations()]
+    budget_formulas = {name: parse(text) for name, text in _budget_formulas().items()}
+    lists += [(f"cli/{name}", (f,)) for name, f in budget_formulas.items()]
+    lists.append(("cli/all", tuple(budget_formulas.values())))
+    encoders = {"down": encode_down, "up": encode_up, "abs": encode_abs}
+    for name, formulas in lists:
+        for label, encode in encoders.items():
+            for e in default_budget().epsilons:
+                yield (f"{label}/{name}/e={format_rate(e)}",
+                       lambda args=(encode, formulas, e): encoding(*args))
 
 
 def _evaluation_cases() -> Iterator[Case]:
@@ -735,6 +793,7 @@ SECTIONS: dict[str, Callable[[], Iterator[Case]]] = {
     "acceptance": _acceptance_cases,
     "enumeration": _enumeration_cases,
     "evaluation": _evaluation_cases,
+    "encoding": _encoding_cases,
     "search": _search_cases,
     "proofs": _proofs_cases,
     "oracles": _oracles_cases,
