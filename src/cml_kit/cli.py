@@ -159,14 +159,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    f = parse(args.formula)
-    e = parse_rate(args.epsilon)
-    if args.down:
-        encoded = encode_down(f, e)
-    elif args.up:
-        encoded = encode_up(f, e)
-    else:
-        encoded = encode_abs(f, e)
+    encode = encode_down if args.down else encode_up if args.up else encode_abs
+    [encoded] = encode([parse(args.formula)], parse_rate(args.epsilon))
     text = print_formula(encoded)
     if args.json:
         _emit(args, {"formula": text}, "encode")

@@ -5,6 +5,11 @@ modality L. Disjunction, implication and falsum are parser sugar expanded to
 core nodes; the expansion is remembered in a ``sugar`` tag on the Not node so
 that printing round-trips.
 
+The encodings ``encode_down``, ``encode_up`` and ``encode_abs`` take a list
+of formulas and return their images. Like ``Evaluator.masks``, each call
+keeps a memo keyed by node id only while it runs, so the nodes its formulas
+share are encoded once and share their images.
+
 Concrete grammar (ASCII, whitespace too), precedence ``!``/``L{r}`` > ``&`` >
 ``|`` > ``->``:
 
@@ -19,7 +24,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import FormulaSyntaxError, RateError, Record, SearchBudgetExceeded
 from .rational import Rate, ensure_rate, format_rate
@@ -190,48 +195,56 @@ def _down_index(r: Rate, e: Rate) -> Rate:
     return shifted if shifted > 0 else Fraction(0)
 
 
-def encode_down(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
-    """Shift every modal index down by e, truncating at 0; homomorphic elsewhere.
+def encode_down(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
+    """Each formula with every modal index shifted down by e, truncating at
+    0; homomorphic elsewhere.
 
-    ``memo`` maps id(node) to (node, image) for each node shifted so far, so
-    a node that several formulas share is shifted once and its image is
-    shared too. Calls that pass the same table share their images; without
-    one the call makes its own. A table serves one direction and one e, and
-    it holds every node it has seen and its image: a caller keeps it no
-    longer than the formulas it serves, never across a change to the shift.
+    Each node of the list is shifted once per call, so a node that several
+    formulas share has one image, shared by their images too. The call
+    freezes the list into a tuple, coerces e once and keeps a memo mapping
+    id(node) to its image; the tuple keeps every node the memo keys alive,
+    so no id is reused within the call, and the memo is dropped when the
+    call returns.
     """
     e = ensure_rate(e)
-    return _shift(f, lambda r: _down_index(r, e), {} if memo is None else memo)
+    down = _down_index
+    return _shift(formulas, lambda r: down(r, e))
 
 
-def encode_up(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
-    """Shift every modal index up by e; homomorphic elsewhere.
-
-    ``memo`` is a table as for ``encode_down``, for shifts up by this e.
-    """
+def encode_up(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
+    """Each formula with every modal index shifted up by e; homomorphic
+    elsewhere. A call shares images as ``encode_down``'s does."""
     e = ensure_rate(e)
-    return _shift(f, lambda r: r + e, {} if memo is None else memo)
+    return _shift(formulas, lambda r: r + e)
 
 
-def _shift(f: Formula, index: Callable[[Rate], Rate], memo: dict) -> Formula:
-    # f with every modal index r replaced by index(r); homomorphic elsewhere.
-    # memo maps id(node) to (node, image); an entry holds its node, so no id
-    # is reused while the entry lives. Top is its own image and is not kept.
-    if isinstance(f, Top):
-        return f
-    known = memo.get(id(f))
-    if known is not None:
-        return known[1]
-    if isinstance(f, Not):
-        out = Not(_shift(f.child, index, memo), sugar=f.sugar)
-    elif isinstance(f, And):
-        out = And(_shift(f.left, index, memo), _shift(f.right, index, memo))
-    elif isinstance(f, L):
-        out = L(index(f.rate), _shift(f.child, index, memo))
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    memo[id(f)] = (f, out)
-    return out
+def _shift(formulas: Iterable[Formula], index: Callable[[Rate], Rate]) -> list[Formula]:
+    # each formula with every modal index r replaced by index(r); the memo
+    # maps id(node) to its image for this call. Top is its own image and is
+    # not kept.
+    formulas = tuple(formulas)  # holds every node the memo keys
+    memo: dict[int, Formula] = {}
+
+    def shift(f: Formula) -> Formula:
+        cls = f.__class__
+        if cls is Top:
+            return f
+        key = id(f)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if cls is L:
+            out = L(index(f.rate), shift(f.child))
+        elif cls is And:
+            out = And(shift(f.left), shift(f.right))
+        elif cls is Not:
+            out = Not(shift(f.child), f.sugar)
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        memo[key] = out
+        return out
+
+    return [shift(f) for f in formulas]
 
 
 # The most clauses a normal form may have, counted across modal depths: its
@@ -263,36 +276,33 @@ def _join(clauses: list[tuple[list[Formula], int]]) -> tuple[Formula, int]:
 
 
 def _clauses(
-    f: Formula, positive: bool, e: Rate, memo: dict | None = None
+    f: Formula, positive: bool, e: Rate, memo: dict
 ) -> tuple[list[tuple[list[Formula], int]], int]:
     # the clauses of the normal form of f (of !f when not positive), each with
     # the nesting of its deepest literal, and the disjunctions inside their
     # literals' bodies, counted per occurrence; a negated modal literal's
     # index moves up by e, at every modal depth. memo maps (id(node),
-    # positive) to (node, result) for each L node normalized so far, as
-    # _shift's table does; an entry is made only once the node's body passed
-    # its budget checks
-    if memo is None:
-        memo = {}
-    if isinstance(f, Top):
+    # positive) to the result for each L node normalized so far in the call;
+    # an entry is made only once the node's body passed its budget checks
+    cls = f.__class__
+    if cls is Top:
         return [([Top() if positive else Bot()], 0)], 0
-    if isinstance(f, Not):
+    if cls is Not:
         return _clauses(f.child, not positive, e, memo)
-    if isinstance(f, L):
+    if cls is L:
         key = (id(f), positive)
-        known = memo.get(key)
-        if known is not None:
-            return known[1]
+        out = memo.get(key)
+        if out is not None:
+            return out
         clauses, inner = _clauses(f.child, True, e, memo)
         body, nesting = _join(clauses)
         if positive:
             lit = L(f.rate, body)
         else:
             lit, nesting = Not(L(f.rate + e, body)), nesting + 1
-        out = [([lit], nesting + 1)], len(clauses) - 1 + inner
-        memo[key] = (f, out)
+        out = memo[key] = [([lit], nesting + 1)], len(clauses) - 1 + inner
         return out
-    if not isinstance(f, And):
+    if cls is not And:
         raise TypeError(f"not a formula node: {f!r}")
     left, left_inner = _clauses(f.left, positive, e, memo)
     right, right_inner = _clauses(f.right, positive, e, memo)
@@ -314,29 +324,29 @@ def _clauses(
     return [(a + b, max(da, db)) for a, da in left for b, db in right], inner
 
 
-def encode_abs(f: Formula, e: Rate, memo: dict | None = None) -> Formula:
+def encode_abs(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
     """Asymmetric index shift on the normal form: negated modal literals move up.
 
-    The input is brought to negation normal form, then disjunctive normal
+    Each input is brought to negation normal form, then disjunctive normal
     form, at every modal depth: modal subformulas are literals (L r psi /
     !L r psi) with their bodies normalized recursively, and T and F are atoms.
     In the same pass L r psi maps to L r |psi|, !L r psi maps to !L (r+e)
     |psi|, and T, F, &, | are homomorphic; at e = 0 the result is the normal
     form itself, equivalent to the input at every slack. Raises
-    SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET.
+    SearchBudgetExceeded past DNF_CLAUSE_BUDGET or NF_NESTING_BUDGET, for the
+    first formula of the list that passes one.
 
-    ``memo`` maps (id(node), polarity) to (node, clauses) for each modal node
-    normalized so far, so a modal subformula that several formulas share is
-    normalized once per polarity and its literal is the same object in each
-    normal form (conjunctions are recombined: keeping their clauses too held
-    more memory and saved no time). A node whose body raised has no entry, so
-    the next call raises again. Calls that pass the same table share their
-    clauses; without one the call makes its own. A table serves one e and
-    holds every node it has seen: a caller keeps it no longer than the
-    formulas it serves.
+    Each modal node of the list is normalized once per polarity and call, so
+    a modal subformula that several formulas share has the same literal
+    object in each of their normal forms (conjunctions are recombined:
+    keeping their clauses too held more memory and saved no time). The call
+    freezes the list into a tuple, coerces e once and keeps a memo of the
+    call, as ``encode_down`` does, keyed by (id(node), polarity).
     """
-    clauses, _ = _clauses(f, True, ensure_rate(e), memo)
-    return _join(clauses)[0]
+    formulas = tuple(formulas)  # holds every node the memo keys
+    e = ensure_rate(e)
+    memo: dict = {}
+    return [_join(_clauses(f, True, e, memo)[0])[0] for f in formulas]
 
 
 # --- propositional atoms (modal subformulas treated as opaque) ---------------

@@ -214,48 +214,41 @@ def _formula_suite(
     report: SuiteReport, budget: Budget, fragment: Fragment, slacks,
     check: Callable[..., list[tuple[str, ...]]], extra: tuple[Rate, ...] = (),
 ) -> bool:
-    """Run ``check(ev, shifts, formulas, *slack)``, which returns what failed
-    for each formula, on every corpus kernel's formulas of ``fragment`` over
-    the family grid plus ``extra``, once per slack. ``shifts`` is a pair of
-    ``encode_down`` and ``encode_up`` tables for the slack's last rate e',
-    one pair per kernel and e', dropped after the last slack of that e', so
-    the encodings of one kernel's formulas share nodes as the formulas do,
-    and ``ev``'s walks evaluate each shared node once. Failures are reported
-    formula by formula, and for each formula slack by slack. A check that
-    raises is run again on each formula alone, and an exception there fails
-    that instance; every failure is shrunk with the one-formula check as the
-    oracle, on fresh tables. Returns whether any enumeration was truncated."""
+    """Run ``check(ev, formulas, *slack)``, which returns what failed for
+    each formula, on every corpus kernel's formulas of ``fragment`` over the
+    family grid plus ``extra``, once per slack. A check encodes the whole
+    list with one encoder call, so the encodings share nodes as the formulas
+    do, and ``ev``'s walks evaluate each shared node once. Failures are
+    reported formula by formula, and for each formula slack by slack. A check
+    that raises is run again on each formula alone, and an exception there
+    fails that instance; every failure is shrunk with the one-formula check
+    as the oracle. Returns whether any enumeration was truncated."""
     truncated = False
-    last = {slack[-1]: i for i, slack in enumerate(slacks)}  # e' -> its last slack
     for kernel in _suite_corpus(budget):
         ev = Evaluator(kernel)
         grid = _family_grid(kernel, generators(kernel), (_ZERO, *extra))
         formulas, cut = _formulas(budget, grid, fragment)
         truncated |= cut
-        tables: dict[Rate, tuple[dict, dict]] = {}
         found = []  # per slack, the problems of each formula
-        for i, slack in enumerate(slacks):
-            shifts = tables.setdefault(slack[-1], ({}, {}))
+        for slack in slacks:
             try:
-                found.append(check(ev, shifts, formulas, *slack))
+                found.append(check(ev, formulas, *slack))
             except Exception:
-                found.append([_check_one(check, ev, shifts, f, slack) for f in formulas])
-            if last[slack[-1]] == i:
-                del tables[slack[-1]]
+                found.append([_check_one(check, ev, f, slack) for f in formulas])
         for f, row in zip(formulas, zip(*found)):
             for slack, problems in zip(slacks, row):
                 report.checked += 1
                 for problem in problems:
                     report.fail(problem, kernel, f, lambda k, g: bool(
-                        check(Evaluator(k), ({}, {}), (g,), *slack)[0]))
+                        check(Evaluator(k), (g,), *slack)[0]))
     return truncated
 
 
-def _check_one(check: Callable[..., list[tuple[str, ...]]], ev: Evaluator, shifts,
+def _check_one(check: Callable[..., list[tuple[str, ...]]], ev: Evaluator,
                f: Formula, slack) -> tuple[str, ...]:
     # the problems of the one formula f, an exception among them
     try:
-        return check(ev, shifts, (f,), *slack)[0]
+        return check(ev, (f,), *slack)[0]
     except Exception as exc:
         at = ", ".join(f"{name}={format_rate(v)}" for name, v in zip(("e", "e'"), slack))
         return (f"exception at {at}: {exc}",)
@@ -265,13 +258,12 @@ def _pair_text(e: Rate, e2: Rate) -> str:
     return f"at e={format_rate(e)}, e'={format_rate(e2)}"
 
 
-def _t2_check(ev: Evaluator, shifts, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
-    down, up = shifts
+def _t2_check(ev: Evaluator, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
     n = len(formulas)
     # each formula and its up encoding at e + e', and each and its down
     # encoding at e
-    at_total = ev.masks([*formulas, *(encode_up(f, e2, up) for f in formulas)], e + e2)
-    at_e = ev.masks([*formulas, *(encode_down(f, e2, down) for f in formulas)], e)
+    at_total = ev.masks([*formulas, *encode_up(formulas, e2)], e + e2)
+    at_e = ev.masks([*formulas, *encode_down(formulas, e2)], e)
     return [(f"transfer (down) broken {_pair_text(e, e2)}",) if at_total[i] != at_e[n + i]
             else (f"transfer (up) broken {_pair_text(e, e2)}",) if at_e[i] != at_total[n + i]
             else () for i in range(n)]
@@ -284,13 +276,12 @@ def suite_t2(report: SuiteReport, budget: Budget) -> None:
         report.notes["truncated"] = True
 
 
-def _c2_check(ev: Evaluator, shifts, formulas, e: Rate) -> list[tuple[str, ...]]:
-    down, up = shifts
+def _c2_check(ev: Evaluator, formulas, e: Rate) -> list[tuple[str, ...]]:
     n = len(formulas)
     # each formula and its down encoding at 0, and each formula, its
     # negation and its up encoding at e
-    at_0 = ev.masks([*formulas, *(encode_down(f, e, down) for f in formulas)], _ZERO)
-    at_e = ev.masks([*formulas, *map(Not, formulas), *(encode_up(f, e, up) for f in formulas)], e)
+    at_0 = ev.masks([*formulas, *encode_down(formulas, e)], _ZERO)
+    at_e = ev.masks([*formulas, *map(Not, formulas), *encode_up(formulas, e)], e)
     full = ev.kernel.full
     problem = (f"0-transfer or complementation broken at e={format_rate(e)}",)
     return [() if at_e[i] == at_0[n + i] and at_0[i] == at_e[2 * n + i]
@@ -303,7 +294,7 @@ def suite_c2(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.FULL, slacks, _c2_check, (Fraction(1, 2),))
 
 
-def _l1_check(ev: Evaluator, shifts, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
+def _l1_check(ev: Evaluator, formulas, e: Rate, e2: Rate) -> list[tuple[str, ...]]:
     n = len(formulas)
     # each formula and its negation at e and at e + e'
     lo = ev.masks(itertools.chain(formulas, map(Not, formulas)), e)
@@ -320,7 +311,7 @@ def suite_l1(report: SuiteReport, budget: Budget) -> None:
     _formula_suite(report, budget, Fragment.POSITIVE, budget.epsilon_pairs, _l1_check)
 
 
-def _l2_check(ev: Evaluator, shifts, formulas, e: Rate) -> list[tuple[str, ...]]:
+def _l2_check(ev: Evaluator, formulas, e: Rate) -> list[tuple[str, ...]]:
     margins = ev.margins(formulas, e)
     groups: dict[Optional[Rate], list[int]] = {}
     for i, (_, margin) in enumerate(margins):
@@ -481,9 +472,10 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
         partition = equivalence_mod.bisimulation(kernel)
         family = defining_formulas(kernel)
         base_grid = _family_grid(kernel, family)
-        rows = [(phi, kernel.scaled_measures(c)) for c, phi in family.items()]
+        measures = [kernel.scaled_measures(c) for c in family]
         for e in budget.epsilons:
             ev = Evaluator(kernel)
+            rows = list(zip(encode_up(family.values(), e), measures))
             formulas, _ = _formulas(budget, _shifted_grid(base_grid, e), Fragment.FULL)
             # every formula's extension at e, computed on the first bisimilar pair
             extensions = None
@@ -504,11 +496,10 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
                             )
                         continue
                     witness = None
-                    for phi, row in rows:
+                    for body, row in rows:
                         wm, wn = row[i], row[j]
                         if wm == wn:
                             continue
-                        body = encode_up(phi, e)
                         candidate = L(Fraction(max(wm, wn), kernel.scale) + e, body)
                         ext = ev.mask(candidate, e)
                         if ext >> i & 1 != ext >> j & 1:
@@ -524,15 +515,15 @@ def suite_paramcharact(report: SuiteReport, budget: Budget) -> None:
 
 def _transfer_suite(
     report: SuiteReport, budget: Budget, oracle, pairs_of, fragment: Fragment,
-    encode: Optional[Callable[[Formula, Rate, dict], Formula]], order: str,
+    encode: Optional[Callable[[tuple[Formula, ...], Rate], list[Formula]]], order: str,
 ) -> int:
     """Compare ``pairs_of(solver, e)``, the ``order`` order, with the transfer
     verdicts of ``oracle(kernel, e)`` on every pair of states. Cross-check the
     oracle: each enumerated formula f of ``fragment`` has its pair (f at 0,
-    ``encode(f, e, table)`` or, when None, f at e) among the saturated pairs,
-    with one encoding table per (kernel, e), so the encodings share the nodes
-    the enumeration shares. Returns the count of ordered pairs that the
-    transfer refutes."""
+    f's image in ``encode(formulas, e)`` or, when None, f at e) among the
+    saturated pairs, with one encoder call per (kernel, e), so the encodings
+    share the nodes the enumeration shares. Returns the count of ordered
+    pairs that the transfer refutes."""
     encoded = "" if encode is None else "encoded "
     incomplete = 0
     for kernel in _suite_corpus(budget, ORACLE_STATES):
@@ -555,8 +546,7 @@ def _transfer_suite(
                                     f"{encoded}transfer {at}", kernel)
             formulas, _ = _formulas(budget, _shifted_grid(base_grid, e), fragment)
             ev = Evaluator(kernel)
-            table: dict = {}
-            sides = formulas if encode is None else [encode(f, e, table) for f in formulas]
+            sides = formulas if encode is None else encode(formulas, e)
             for f, at_0, at_e in zip(formulas, ev.masks(formulas, _ZERO), ev.masks(sides, e)):
                 report.checked += 1
                 if pair_mask(kernel, at_0, at_e) not in reachable:

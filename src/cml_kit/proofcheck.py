@@ -262,13 +262,13 @@ def translate_proof(proof: Proof, e: Rate, direction: str) -> Proof:
                 raise ValueError(f"index underflow in {where}")
         if proof.epsilon - e < 0:
             raise ValueError("target epsilon negative")
-        shift = lambda f: encode_down(f, e)
-        new_epsilon = proof.epsilon - e
-        delta = -e
+        encode, delta = encode_down, -e
     else:
-        shift = lambda f: encode_up(f, e)
-        new_epsilon = proof.epsilon + e
-        delta = e
+        encode, delta = encode_up, e
+    # one encoder call over every formula of the proof, read back by node
+    formulas = [f for _, f in _all_formulas(proof)]
+    images = {id(f): g for f, g in zip(formulas, encode(formulas, e))}
+    shift = lambda f: images[id(f)]
 
     def move(by: Justification) -> Justification:
         if isinstance(by, Axiom):
@@ -282,7 +282,7 @@ def translate_proof(proof: Proof, e: Rate, direction: str) -> Proof:
         return by
 
     translated = Proof(
-        epsilon=new_epsilon,
+        epsilon=proof.epsilon + delta,
         hypotheses=tuple(shift(h) for h in proof.hypotheses),
         lines=tuple(ProofLine(shift(l.formula), move(l.by)) for l in proof.lines),
         conclusion=shift(proof.conclusion),

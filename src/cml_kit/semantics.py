@@ -16,11 +16,11 @@ to ``_modal_holds``, the only place the semantics compares rates.
 The walk labels subformulas bottom-up, as the model checker of Clarke,
 Emerson and Sistla does (TOPLAS 1986): each node of the list is evaluated
 once, so a formula whose operands came earlier in the list costs one
-integer operation. ``enumerate_formulas``, a shared ``encode_down`` or
-``encode_up`` table and a list of ``Not(f)`` all build their formulas that
-way. A memo of the call maps the id of each ``And`` and ``Not`` node walked
-to its mask; ``L`` nodes are keyed by id in a table of their slack (below),
-and ``Top`` is a leaf. The memo holds no node and is dropped when the call
+integer operation. ``enumerate_formulas``, an ``encode_down`` or
+``encode_up`` call over a list and a list of ``Not(f)`` all build their
+formulas that way. A memo of the call maps the id of each ``And`` and
+``Not`` node walked to its mask; ``L`` nodes are keyed by id in a table of
+their slack (below), and ``Top`` is a leaf. The memo holds no node and is dropped when the call
 returns: ``masks`` freezes its input into a tuple, which keeps every node
 the memo keys alive for the call, so no id is reused within it, even by
 fresh nodes that a generator builds one at a time. ``margins`` reads each
@@ -40,10 +40,9 @@ holds its node as well as the mask, so no id is reused while the entry
 lives. The same table also keys each mask by the L node's rate and its
 child's mask, (nr, dr, child mask): an ``L`` node's extension at a slack
 depends on nothing else, so an equal node built afresh (as each
-``axiom_instance`` call and each ``encode_abs`` call without a shared table
-builds them) walks its child but makes no modal comparison. Only ``L``
-nodes are kept past a call: ``And``, ``Not`` and ``Top`` cost one integer
-operation each. No formula is hashed for the tables, only integers. The
+``axiom_instance`` call and each ``encode_abs`` call builds them) walks its
+child but makes no modal comparison. Only ``L`` nodes are kept past a call:
+``And``, ``Not`` and ``Top`` cost one integer operation each. No formula is hashed for the tables, only integers. The
 tables live as long as the evaluator, which ``sat``, ``valid_on`` and
 ``eval_formula`` build once per call. ``margins`` walks with a table of its
 own call instead, since an ``L`` node answered from an older table brings

@@ -193,7 +193,7 @@ def test_defining_formulas_define(fig1):
         ev = Evaluator(kernel)
         for member, phi in defining_formulas(kernel).items():
             for e in (Q(0), Q(1, 10), Q(1)):
-                assert ev.extension(encode_up(phi, e), e) == kernel.set_of(member)
+                assert ev.extension(encode_up([phi], e)[0], e) == kernel.set_of(member)
 
 
 def _size_and_depth(f):

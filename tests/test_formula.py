@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cml_kit import (
     And,
@@ -30,7 +30,7 @@ from cml_kit.formula import (
     modal_indices,
 )
 from cml_kit.harness.enumerate import enumerate_formulas
-from conftest import in_fragment, prop_eval
+from conftest import in_fragment, prop_eval, shift_reference
 
 Q = Fraction
 
@@ -168,54 +168,86 @@ def test_hand_built_core_disjunction_is_not_positive():
 
 
 def test_encode_down_examples():
-    assert encode_down(L(5, Top()), 2) == L(3, Top())
-    assert encode_down(L(1, Top()), 2) == L(0, Top())
+    assert encode_down([L(5, Top()), L(1, Top())], 2) == [L(3, Top()), L(0, Top())]
     assert encode_down(
-        Not(And(L(3, Top()), L(1, L(2, Top())))), 1
-    ) == Not(And(L(2, Top()), L(0, L(1, Top()))))
+        [Not(And(L(3, Top()), L(1, L(2, Top()))))], 1
+    ) == [Not(And(L(2, Top()), L(0, L(1, Top()))))]
 
 
 def test_encode_up_examples():
-    assert encode_up(L(5, Top()), 2) == L(7, Top())
+    assert encode_up([L(5, Top())], 2) == [L(7, Top())]
     f = Not(And(L(3, Top()), L(1, L(2, Top()))))
-    assert encode_up(f, 0) == f
+    assert encode_up([f], 0) == [f]
 
 
 def test_up_then_down_restores_indices():
     f = L(1, L(0, Top()))
-    assert encode_down(encode_up(f, 2), 2) == f
+    assert encode_down(encode_up([f], 2), 2) == [f]
 
 
 @given(formula_st, st.fractions(min_value=0, max_value=4, max_denominator=6),
        st.fractions(min_value=0, max_value=4, max_denominator=6))
 def test_encoding_composition(f, a, b):
-    assert encode_down(encode_down(f, a), b) == encode_down(f, a + b)
-    assert encode_up(encode_up(f, a), b) == encode_up(f, a + b)
-    assert encode_down(encode_up(f, a), a) == f
+    assert encode_down(encode_down([f], a), b) == encode_down([f], a + b)
+    assert encode_up(encode_up([f], a), b) == encode_up([f], a + b)
+    assert encode_down(encode_up([f], a), a) == [f]
 
 
 @given(formula_st, st.fractions(min_value=0, max_value=4, max_denominator=6))
 def test_down_inverts_up_when_indices_large_enough(f, e):
     if all(r >= e for r in modal_indices(f)):
-        assert encode_up(encode_down(f, e), e) == f
+        assert encode_up(encode_down([f], e), e) == [f]
 
 
 @given(formula_st, st.fractions(min_value=0, max_value=4, max_denominator=6))
 def test_encodings_preserve_fragments(f, e):
     if in_fragment(f, Fragment.POSITIVE):
-        assert in_fragment(encode_down(f, e), Fragment.POSITIVE)
-        assert in_fragment(encode_up(f, e), Fragment.POSITIVE)
+        for encode in (encode_down, encode_up):
+            assert in_fragment(encode([f], e)[0], Fragment.POSITIVE)
+
+
+def _node_images(f, g):
+    # each node of f with the node at the same place in its image g
+    yield f, g
+    if isinstance(f, And):
+        yield from _node_images(f.left, g.left)
+        yield from _node_images(f.right, g.right)
+    elif isinstance(f, (Not, L)):
+        yield from _node_images(f.child, g.child)
+
+
+_SLACKS = (Q(0), Q(1, 10), Q(1, 3), Q(1), Q(5, 2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 3),
+       st.lists(st.sampled_from((Q(0), Q(1, 10), Q(1, 2), Q(1), Q(3))), min_size=1, max_size=3),
+       st.sampled_from(list(Fragment)), st.integers(1, 300), st.sampled_from(_SLACKS), st.data())
+def test_list_encodings_match_the_per_formula_reference(depth, grid, fragment, count, e, data):
+    formulas, _ = enumerate_formulas(depth, grid, fragment, count)
+    # the enumeration in any order, some formulas listed twice
+    formulas = data.draw(st.permutations(formulas))
+    formulas += formulas[: data.draw(st.integers(0, 5))]
+    for encode, index in ((encode_down, lambda r: max(r - e, Q(0))),
+                          (encode_up, lambda r: r + e)):
+        images = encode(formulas, e)
+        assert images == [shift_reference(f, index) for f in formulas]
+        # a node that formulas of the call share has one image object
+        seen = {}
+        for f, g in zip(formulas, images):
+            for node, image in _node_images(f, g):
+                assert seen.setdefault(id(node), image) is image
 
 
 @pytest.mark.parametrize("encode", [encode_down, encode_up])
 @pytest.mark.parametrize("fragment", list(Fragment))
 def test_shared_tables_over_an_enumeration_give_the_table_less_encodings(encode, fragment):
+    # one call over the list equals one call per formula, and a child the
+    # enumeration shares has one image, shared by its parents
     formulas = _enumerated(3, fragment)
     for e in (Q(0), Q(1, 2), Q(1), Q(5, 2)):
-        memo = {}
-        encoded = [encode(f, e, memo) for f in formulas]
-        assert encoded == [encode(f, e) for f in formulas]
-        # a child the enumeration shares has one image, shared by its parents
+        encoded = encode(formulas, e)
+        assert encoded == [encode([f], e)[0] for f in formulas]
         image = {id(f): g for f, g in zip(formulas, encoded)}
         shared = 0
         for f, g in zip(formulas, encoded):
@@ -236,17 +268,16 @@ def test_shared_tables_over_an_enumeration_give_the_table_less_encodings(encode,
 
 
 def test_encode_abs_examples():
-    assert encode_abs(L(2, Top()), 1) == L(2, Top())
-    assert encode_abs(Not(L(2, Top())), 1) == Not(L(3, Top()))
-    assert encode_abs(Not(And(L(1, Top()), Not(L(2, Top())))), 1) == Or(
+    assert encode_abs([L(2, Top()), Not(L(2, Top()))], 1) == [L(2, Top()), Not(L(3, Top()))]
+    assert encode_abs([Not(And(L(1, Top()), Not(L(2, Top()))))], 1) == [Or(
         Not(L(2, Top())), L(2, Top())
-    )
+    )]
 
 
 def test_normal_form_shape():
     # negations end up only on modal literals
     f = Not(And(Or(Top(), L(1, Top())), Not(L(2, Not(Top())))))
-    nf = encode_abs(f, 0)
+    [nf] = encode_abs([f], 0)
 
     def well_formed(g, under_not=False):
         if isinstance(g, Top):
@@ -270,7 +301,7 @@ def test_normal_form_shape():
 
 @given(formula_st)
 def test_normal_form_preserves_truth_tables(f):
-    nf = encode_abs(f, 0)
+    [nf] = encode_abs([f], 0)
     # literal atoms of the normal form refer to normalized bodies, so compare
     # the two semantically: evaluate both on concrete kernels
     from cml_kit.harness.generate import corpus
@@ -290,8 +321,8 @@ def test_normal_form_preserves_truth_tables(f):
 @example(And(L(1, Or(Top(), Bot())), Or(Top(), Not(L(2, Or(Top(), Top()))))))
 def test_normal_form_budget_counts_the_printed_disjunctions(f):
     try:
-        clauses, inner = _clauses(f, True, 0)
-        nf = encode_abs(f, 0)
+        clauses, inner = _clauses(f, True, 0, {})
+        [nf] = encode_abs([f], 0)
     except SearchBudgetExceeded:
         return
     # the normal form's own disjunctions and those unrolled through its modal
@@ -301,11 +332,11 @@ def test_normal_form_budget_counts_the_printed_disjunctions(f):
 
 
 def test_shared_clause_table_gives_the_table_less_normal_forms():
+    # one call over the list gives each formula's one-formula normal form
     formulas, _ = enumerate_formulas(3, (Q(0), Q(1, 2), Q(1)), Fragment.FULL, 400)
     for e in (Q(0), Q(1, 10), Q(1, 3), Q(1)):
-        table = {}
-        for f in formulas:
-            shared, alone = encode_abs(f, e, table), encode_abs(f, e)
+        for f, shared in zip(formulas, encode_abs(formulas, e)):
+            [alone] = encode_abs([f], e)
             assert shared == alone
             assert print_formula(shared) == print_formula(alone)
 
@@ -313,13 +344,13 @@ def test_shared_clause_table_gives_the_table_less_normal_forms():
 def test_shared_clause_table_shares_the_literals_of_a_shared_subformula():
     g = L(1, Or(L(2, Top()), Top()))
     first, second = And(g, L(3, Top())), Not(And(Not(g), L(4, Top())))
-    table = {}
-    a, b = encode_abs(first, Q(1, 2), table), encode_abs(second, Q(1, 2), table)
+    a, b = encode_abs([first, second], Q(1, 2))
     # first is g & L{3} T; second is g | !L{4} T
     assert isinstance(a, And) and a.left == L(1, Or(L(2, Top()), Top()))
     assert b.child.left.child is a.left
-    # without a table the two normal forms build their own literal
-    assert encode_abs(second, Q(1, 2)).child.left.child is not a.left
+    # two calls build their own literal each
+    [c] = encode_abs([second], Q(1, 2))
+    assert c == b and c.child.left.child is not a.left
 
 
 def test_clause_table_keeps_no_entry_for_a_node_over_budget():
@@ -327,21 +358,19 @@ def test_clause_table_keeps_no_entry_for_a_node_over_budget():
     body = And(Or(L(1, Top()), L(2, Top())), Or(L(3, Top()), L(4, Top())))
     for i in range(8):
         body = And(body, Or(L(5 + i, Top()), Top()))
-    f = L(1, body)
-    table = {}
-    with pytest.raises(SearchBudgetExceeded, match="clauses"):
-        encode_abs(f, 0, table)
-    assert (id(f), True) not in table
-    assert all(node is not f for node, _ in table.values())
-    with pytest.raises(SearchBudgetExceeded, match="clauses"):
-        encode_abs(f, 0, table)
+    formulas = [L(2, Top()), L(1, body)]
+    # the list raises, and raises again on the next call
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded, match="clauses"):
+            encode_abs(formulas, 0)
+    assert encode_abs(formulas[:1], 0) == [L(2, Top())]
 
 
 def test_normal_form_truth_assignment_oracle():
     # NNF over shared literal atoms: check by truth table where the atom sets
     # coincide (no nested negation inside modal bodies)
     f = Not(And(L(1, Top()), Not(L(2, Top()))))
-    nf = encode_abs(f, 0)
+    [nf] = encode_abs([f], 0)
     atoms = modal_atoms(f)
     assert set(atoms) == set(modal_atoms(nf))
     for bits in itertools.product([False, True], repeat=len(atoms)):

@@ -111,9 +111,9 @@ def test_transfer_on_sample(fig1):
     e, e2 = Q(1, 10), Q(1, 2)
     for text in ("L{5} L{4} T", "!(L{4} T & !L{1} T)", "L{1/2} T | !L{6} T"):
         f = parse(text)
-        assert ev.extension(f, e + e2) == ev.extension(encode_down(f, e2), e)
-        assert ev.extension(f, e) == ev.extension(encode_up(f, e2), e + e2)
-        assert ev.extension(f, e) == ev.extension(encode_down(f, e), 0)
+        assert ev.extension(f, e + e2) == ev.extension(encode_down([f], e2)[0], e)
+        assert ev.extension(f, e) == ev.extension(encode_up([f], e2)[0], e + e2)
+        assert ev.extension(f, e) == ev.extension(encode_down([f], e)[0], 0)
 
 
 def test_default_rate_grid():

@@ -542,8 +542,7 @@ def _encoding_cases() -> Iterator[Case]:
     from cml_kit.rational import format_rate
 
     def encoding(encode, formulas, e) -> dict:
-        table: dict = {}
-        return {"images": [print_formula(encode(f, e, table)) for f in formulas]}
+        return {"images": [print_formula(g) for g in encode(formulas, e)]}
 
     lists = [(f"enumeration/{case}", _formulas(*args)[0]) for case, args in _enumerations()]
     budget_formulas = {name: parse(text) for name, text in _budget_formulas().items()}
