@@ -216,6 +216,20 @@ def _node_images(f, g):
         yield from _node_images(f.child, g.child)
 
 
+def _repeated_nodes(formulas, images) -> int:
+    # asserts that each node of the call has one image object, and counts
+    # the times a node is met again
+    seen, again = {}, 0
+    for f, g in zip(formulas, images):
+        for node, image in _node_images(f, g):
+            if id(node) in seen:
+                assert seen[id(node)] is image
+                again += 1
+            else:
+                seen[id(node)] = image
+    return again
+
+
 _SLACKS = (Q(0), Q(1, 10), Q(1, 3), Q(1), Q(5, 2))
 
 
@@ -232,11 +246,7 @@ def test_list_encodings_match_the_per_formula_reference(depth, grid, fragment, c
                           (encode_up, lambda r: r + e)):
         images = encode(formulas, e)
         assert images == [shift_reference(f, index) for f in formulas]
-        # a node that formulas of the call share has one image object
-        seen = {}
-        for f, g in zip(formulas, images):
-            for node, image in _node_images(f, g):
-                assert seen.setdefault(id(node), image) is image
+        _repeated_nodes(formulas, images)
 
 
 @pytest.mark.parametrize("encode", [encode_down, encode_up])
@@ -248,20 +258,7 @@ def test_shared_tables_over_an_enumeration_give_the_table_less_encodings(encode,
     for e in (Q(0), Q(1, 2), Q(1), Q(5, 2)):
         encoded = encode(formulas, e)
         assert encoded == [encode([f], e)[0] for f in formulas]
-        image = {id(f): g for f, g in zip(formulas, encoded)}
-        shared = 0
-        for f, g in zip(formulas, encoded):
-            if isinstance(f, And):
-                children = [(f.left, g.left), (f.right, g.right)]
-            elif isinstance(f, (Not, L)):
-                children = [(f.child, g.child)]
-            else:
-                children = []
-            for child, child_image in children:
-                if id(child) in image:
-                    assert child_image is image[id(child)]
-                    shared += 1
-        assert shared > 100
+        assert _repeated_nodes(formulas, encoded) > 100
 
 
 # --- the asymmetric encoding and its normal form ------------------------------
