@@ -200,9 +200,11 @@ def encode_down(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
     0; homomorphic elsewhere.
 
     Each node of the list is shifted once per call, so a node that several
-    formulas share has one image, shared by their images too. The call
-    freezes the list into a tuple, coerces e once and keeps a memo mapping
-    id(node) to its image; the tuple keeps every node the memo keys alive,
+    formulas share has one image, shared by their images too; so is each
+    rate object, which the ``L`` nodes of enumerated formulas share. The
+    call freezes the list into a tuple, coerces e once and keeps a memo
+    mapping the id of each node to its image and of each ``L`` node's rate
+    to the shifted rate; the tuple keeps every object the memo keys alive,
     so no id is reused within the call, and the memo is dropped when the
     call returns.
     """
@@ -220,10 +222,10 @@ def encode_up(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
 
 def _shift(formulas: Iterable[Formula], index: Callable[[Rate], Rate]) -> list[Formula]:
     # each formula with every modal index r replaced by index(r); the memo
-    # maps id(node) to its image for this call. Top is its own image and is
-    # not kept.
-    formulas = tuple(formulas)  # holds every node the memo keys
-    memo: dict[int, Formula] = {}
+    # maps id(node) to its image and id(r) to index(r) for this call. Top is
+    # its own image and is not kept.
+    formulas = tuple(formulas)  # holds every node and rate the memo keys
+    memo: dict[int, Formula | Rate] = {}
 
     def shift(f: Formula) -> Formula:
         cls = f.__class__
@@ -234,7 +236,10 @@ def _shift(formulas: Iterable[Formula], index: Callable[[Rate], Rate]) -> list[F
         if out is not None:
             return out
         if cls is L:
-            out = L(index(f.rate), shift(f.child))
+            rate = memo.get(id(f.rate))
+            if rate is None:
+                rate = memo[id(f.rate)] = index(f.rate)
+            out = L(rate, shift(f.child))
         elif cls is And:
             out = And(shift(f.left), shift(f.right))
         elif cls is Not:

@@ -247,6 +247,12 @@ def test_list_encodings_match_the_per_formula_reference(depth, grid, fragment, c
         images = encode(formulas, e)
         assert images == [shift_reference(f, index) for f in formulas]
         _repeated_nodes(formulas, images)
+        # L nodes that share a rate object share its shifted rate too
+        rates = {}
+        for f, g in zip(formulas, images):
+            for node, image in _node_images(f, g):
+                if isinstance(node, L):
+                    assert rates.setdefault(id(node.rate), image.rate) is image.rate
 
 
 @pytest.mark.parametrize("encode", [encode_down, encode_up])
