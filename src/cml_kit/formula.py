@@ -200,9 +200,9 @@ def encode_down(formulas: Iterable[Formula], e: Rate) -> list[Formula]:
     0; homomorphic elsewhere.
 
     Each node of the list is shifted once per call, so a node that several
-    formulas share has one image, shared by their images too; so is each
-    rate object, which the ``L`` nodes of enumerated formulas share. The
-    call freezes the list into a tuple, coerces e once and keeps a memo
+    formulas share has one image, shared by their images too; each rate
+    object, which the ``L`` nodes of enumerated formulas share, is shifted
+    once too. The call freezes the list into a tuple, coerces e once and keeps a memo
     mapping the id of each node to its image and of each ``L`` node's rate
     to the shifted rate; the tuple keeps every object the memo keys alive,
     so no id is reused within the call, and the memo is dropped when the
